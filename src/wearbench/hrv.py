@@ -357,7 +357,7 @@ HRV_FREQ_NAMES = tuple(f"HRV_{f.name}" for f in fields(HrvFreqFeatures))
 
 
 def _clamped_cubic_spline(tk: np.ndarray, yk: np.ndarray, tq: np.ndarray):
-    """Natural piecewise-cubic interpolation with zero end slopes.
+    """Clamped piecewise-cubic interpolation with zero end slopes.
 
     Solves the tridiagonal system for the second derivatives M_i subject to
     y'(t_0) = y'(t_end) = 0, then evaluates the standard cubic pieces.

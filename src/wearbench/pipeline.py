@@ -5,7 +5,7 @@ One subject in, 59 named scalars out:
 * BVP: smoothness-priors detrend -> band-pass -> pulse peaks -> NN series
   -> 23 time-domain + 9 frequency-domain HRV features,
 * EDA: clean -> tonic/phasic split -> SCR events -> 10 features,
-* ACC: low-pass per axis -> 10 movement features,
+* ACC: low-pass of the three axes -> 10 movement features,
 * TEMP: 7 summary features.
 
 A feature family that cannot be computed for an otherwise valid session
@@ -20,8 +20,6 @@ import math
 import os
 import warnings
 from pathlib import Path
-
-import numpy as np
 
 from . import actigraphy, dsp, eda, hrv, thermo
 from .config import DspConfig, FeatureConfig, ValidationConfig
@@ -108,10 +106,8 @@ def extract_acc_features(session: Session,
         design = dsp.design_butterworth(
             feat_cfg.acc_lowpass_order, dsp.FilterKind.LOW_PASS,
             (feat_cfg.acc_lowpass_hz,), channel.sample_rate)
-        filtered = np.stack(
-            [dsp.filtfilt(design, channel.samples[:, i]) for i in range(3)],
-            axis=1)
-        smoothed = dataclasses.replace(channel, samples=filtered)
+        smoothed = dataclasses.replace(
+            channel, samples=dsp.filtfilt(design, channel.samples))
         return actigraphy.acc_features(
             smoothed,
             inactivity_threshold=feat_cfg.acc_inactivity_threshold,

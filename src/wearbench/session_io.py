@@ -17,6 +17,7 @@ case-insensitive labels ``unipolar`` / ``bipolar``.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -181,6 +182,32 @@ def parse_channel_csv(content: str, kind: ChannelKind) -> SignalChannel:
     if not body:
         raise EmptyBody(f"{kind.value}: no sample rows after header")
 
+    samples = _parse_body(body, kind)
+    return SignalChannel(kind=kind, start_time=start_time,
+                         sample_rate=sample_rate, samples=samples)
+
+
+def _parse_body(body: list[str], kind: ChannelKind) -> np.ndarray:
+    """Sample rows as an (n,) or (n, 3) array, parsed in bulk.
+
+    Any defect sends the body through :func:`_parse_body_rows`, which
+    raises the error of the first bad row.
+    """
+    width = kind.width
+    if all(line.count(",") == width - 1 for line in body):
+        tokens = (body if width == 1
+                  else itertools.chain.from_iterable(
+                      line.split(",") for line in body))
+        try:
+            values = np.fromiter(map(float, tokens), float, len(body) * width)
+        except ValueError:
+            values = None
+        if values is not None and np.isfinite(values).all():
+            return values if width == 1 else values.reshape(-1, width)
+    return _parse_body_rows(body, kind)
+
+
+def _parse_body_rows(body: list[str], kind: ChannelKind) -> np.ndarray:
     width = kind.width
     rows = np.empty((len(body), width), dtype=float)
     for i, line in enumerate(body):
@@ -199,9 +226,7 @@ def parse_channel_csv(content: str, kind: ChannelKind) -> SignalChannel:
                 raise NonFiniteSample(
                     f"{kind.value} row {i + 3}: non-finite value {token!r}")
             rows[i, j] = value
-    samples = rows[:, 0] if width == 1 else rows
-    return SignalChannel(kind=kind, start_time=start_time,
-                         sample_rate=sample_rate, samples=samples)
+    return rows[:, 0] if width == 1 else rows
 
 
 def serialize_channel_csv(channel: SignalChannel) -> str:
@@ -209,11 +234,9 @@ def serialize_channel_csv(channel: SignalChannel) -> str:
     width = channel.kind.width
     header1 = ",".join([str(channel.start_time)] * width)
     header2 = ",".join([f"{channel.sample_rate:.6f}"] * width)
-    rows = np.atleast_2d(channel.samples.reshape(channel.n_samples, width))
-    lines = [header1, header2]
-    for row in rows:
-        lines.append(",".join(f"{v:.6f}" for v in row))
-    return "\n".join(lines) + "\n"
+    row = ",".join(["%.6f"] * width) + "\n"
+    body = row * channel.n_samples % tuple(channel.samples.ravel().tolist())
+    return f"{header1}\n{header2}\n{body}"
 
 
 # --- session directories ----------------------------------------------------------

@@ -16,6 +16,158 @@ from wearbench.errors import (
 MINUS_3DB = 10 ** (-3.01 / 20)
 
 
+# --- scalar oracles: the per-sample loops the blocked kernel replaced ------------
+
+
+def scalar_recurrence(u, a1, a2, y1, y2):
+    """y[i] = u[i] - a1 y[i-1] - a2 y[i-2], one sample at a time per column."""
+    out = np.empty_like(u)
+    for col in range(u.shape[1]):
+        p1, p2 = y1[col], y2[col]
+        for i in range(u.shape[0]):
+            p1, p2 = u[i, col] - a1 * p1 - a2 * p2, p1
+            out[i, col] = p1
+    return out
+
+
+def df2t_sosfilt_steady(sos, x):
+    """Direct-form-II-transposed cascade from the first sample's steady state."""
+    data = list(x)
+    for b0, b1, b2, _, a1, a2 in sos:
+        u0 = data[0]
+        y0 = (b0 + b1 + b2) / (1.0 + a1 + a2) * u0
+        s1 = (b1 + b2) * u0 - (a1 + a2) * y0
+        s2 = b2 * u0 - a2 * y0
+        out = []
+        for xn in data:
+            yn = b0 * xn + s1
+            s1 = b1 * xn - a1 * yn + s2
+            s2 = b2 * xn - a2 * yn
+            out.append(yn)
+        data = out
+    return np.asarray(data)
+
+
+def solve_pentadiag_spd(d0, d1, d2, b):
+    """Row-by-row Cholesky factorisation and both sweeps."""
+    n = b.size
+    l0 = np.empty(n)
+    l1 = np.zeros(max(n - 1, 0))
+    l2 = np.zeros(max(n - 2, 0))
+    for j in range(n):
+        v = d0[j]
+        if j >= 1:
+            v -= l1[j - 1] * l1[j - 1]
+        if j >= 2:
+            v -= l2[j - 2] * l2[j - 2]
+        l0[j] = math.sqrt(v)
+        if j + 1 < n:
+            w = d1[j]
+            if j >= 1:
+                w -= l2[j - 1] * l1[j - 1]
+            l1[j] = w / l0[j]
+        if j + 2 < n:
+            l2[j] = d2[j] / l0[j]
+    y = np.empty(n)
+    for j in range(n):
+        s = b[j]
+        if j >= 1:
+            s -= l1[j - 1] * y[j - 1]
+        if j >= 2:
+            s -= l2[j - 2] * y[j - 2]
+        y[j] = s / l0[j]
+    out = np.empty(n)
+    for j in range(n - 1, -1, -1):
+        s = y[j]
+        if j + 1 < n:
+            s -= l1[j] * out[j + 1]
+        if j + 2 < n:
+            s -= l2[j] * out[j + 2]
+        out[j] = s / l0[j]
+    return out
+
+
+def detrend_bands(n, lam):
+    """The three bands of I + lam^2 D2'D2."""
+    d2_op = np.zeros((n - 2, n))
+    for k in range(n - 2):
+        d2_op[k, k:k + 3] = (1.0, -2.0, 1.0)
+    dense = np.eye(n) + lam ** 2 * d2_op.T @ d2_op
+    return (np.diag(dense).copy(), np.diag(dense, 1).copy(),
+            np.diag(dense, 2).copy())
+
+
+def oracle_detrend(x, lam):
+    """Exact factor and full-length sweeps, with the same refinement pass."""
+    d0, d1, d2 = detrend_bands(x.size, lam)
+    trend = solve_pentadiag_spd(d0, d1, d2, x)
+    resid = x - dsp._pentadiag_matvec(d0, d1, d2, trend)
+    trend = trend + solve_pentadiag_spd(d0, d1, d2, resid)
+    return x - trend
+
+
+@st.composite
+def stable_coefficients(draw):
+    """(a1, a2) of 1 + a1 z^-1 + a2 z^-2 with both poles of radius <= 0.999."""
+    r = draw(st.floats(0.0, 0.999))
+    if draw(st.booleans()):  # complex pair r exp(+-i theta)
+        theta = draw(st.floats(0.0, math.pi))
+        return -2.0 * r * math.cos(theta), r * r
+    p1 = draw(st.sampled_from([r, -r]))
+    p2 = draw(st.floats(-0.999, 0.999))
+    return -(p1 + p2), p1 * p2
+
+
+# block lengths are ceil(sqrt(n)), so these sit on and beside block edges
+EDGE_LENGTHS = [1, 2, 3, 4, 5, 8, 9, 10, 15, 16, 17, 24, 25, 26, 99, 100, 101,
+                399, 400, 401, 1023, 1024, 1025]
+
+
+class TestLinearRecurrence:
+    @staticmethod
+    def check(u, a1, a2, y1, y2):
+        got = dsp._linear_recurrence(u, a1, a2, y1, y2)
+        want = scalar_recurrence(u, a1, a2, y1, y2)
+        assert got.shape == want.shape
+        scale = (np.max(np.abs(want), initial=0.0) + np.max(np.abs(u))
+                 + np.max(np.abs(np.concatenate([y1, y2]))))
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-9 * scale
+
+    @given(coef=stable_coefficients(),
+           n=st.one_of(st.sampled_from(EDGE_LENGTHS), st.integers(1, 1500)),
+           cols=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_recurrence(self, coef, n, cols, seed):
+        rng = np.random.default_rng(seed)
+        u = rng.normal(size=(n, cols))
+        self.check(u, *coef, rng.uniform(-10, 10, cols),
+                   rng.uniform(-10, 10, cols))
+
+    @pytest.mark.parametrize("n", EDGE_LENGTHS)
+    def test_block_edges(self, n):
+        rng = np.random.default_rng(n)
+        self.check(rng.normal(size=(n, 2)), -1.6, 0.81, [0.5, -2.0],
+                   [1.0, 3.0])
+
+    def test_empty_input(self):
+        assert dsp._linear_recurrence(np.zeros((0, 2)), 0.5, 0.1,
+                                      [1.0, 1.0], [1.0, 1.0]).shape == (0, 2)
+
+    def test_first_order_section(self):
+        rng = np.random.default_rng(1)
+        self.check(rng.normal(size=(500, 1)), -0.95, 0.0, [2.0], [0.0])
+
+    def test_columns_are_independent(self):
+        rng = np.random.default_rng(2)
+        u = rng.normal(size=(777, 3))
+        y1, y2 = [1.0, -2.0, 0.5], [0.0, 4.0, -1.0]
+        together = dsp._linear_recurrence(u, -1.2, 0.5, y1, y2)
+        for col in range(3):
+            alone = dsp._linear_recurrence(u[:, col:col + 1], -1.2, 0.5,
+                                           y1[col:col + 1], y2[col:col + 1])
+            assert np.array_equal(together[:, col:col + 1], alone)
+
+
 # --- detrend -----------------------------------------------------------------
 
 
@@ -49,6 +201,53 @@ class TestDetrend:
     def test_too_short(self):
         with pytest.raises(SignalTooShort):
             dsp.detrend([1.0, 2.0], 500.0)
+
+    @pytest.mark.parametrize("n,lam", [
+        (3, 500.0), (4, 50.0), (7, 500.0), (10, 1.0), (60, 50.0), (300, 1.0),
+        (600, 500.0), (3000, 500.0),
+    ])
+    def test_matches_exact_factor_oracle(self, n, lam):
+        rng = np.random.default_rng(n)
+        x = np.cumsum(rng.normal(size=n)) + rng.normal(size=n)
+        got = dsp.detrend(x, lam)
+        want = oracle_detrend(x, lam)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(x))
+
+    def test_factor_rows_converge_for_long_signals(self):
+        n, lam = 3000, 500.0
+        rows, k = dsp._detrend_cholesky(*detrend_bands(n, lam))
+        assert 2 <= k < n - 5
+        assert len(rows) == k + 3
+        d0, d1, d2 = detrend_bands(n, lam)
+        # the converged row is the fixed point of the interior recurrence
+        l0, l1, l2 = rows[k]
+        assert l0 * l0 + l1 * l1 + l2 * l2 == pytest.approx(d0[n // 2],
+                                                            rel=1e-14)
+        assert l0 * l1 + l1 * l2 == pytest.approx(d1[n // 2], rel=1e-14)
+        assert l0 * l2 == pytest.approx(d2[n // 2], rel=1e-14)
+
+    def test_short_signal_keeps_exact_factor(self):
+        rows, k = dsp._detrend_cholesky(*detrend_bands(40, 500.0))
+        assert k == 40 - 3
+        assert len(rows) == 40
+
+    def test_matches_dense_solve_on_converged_path(self):
+        # n is far past the row where the factor converges for lam = 500
+        rng = np.random.default_rng(17)
+        n, lam = 2000, 500.0
+        x = np.cumsum(rng.normal(size=n)) + rng.normal(size=n)
+        d0, d1, d2 = detrend_bands(n, lam)
+        dense = (np.diag(d0) + np.diag(d1, 1) + np.diag(d1, -1)
+                 + np.diag(d2, 2) + np.diag(d2, -2))
+        trend = np.linalg.solve(dense, x)
+        # one refinement with the residual in extended precision
+        wide = [np.asarray(v, dtype=np.longdouble) for v in (d0, d1, d2)]
+        resid = (x.astype(np.longdouble)
+                 - dsp._pentadiag_matvec(*wide, trend.astype(np.longdouble)))
+        trend = trend + np.linalg.solve(dense, resid.astype(float))
+        expected = x - trend
+        got = dsp.detrend(x, lam)
+        assert np.max(np.abs(got - expected)) <= 1e-8 * np.max(np.abs(expected))
 
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(3)
@@ -212,6 +411,51 @@ class TestFiltFilt:
         with pytest.raises(SignalTooShort):
             dsp.filtfilt(bandpass_64, np.zeros(15))
 
+    def test_columns_match_single_channel_calls(self):
+        design = dsp.design_butterworth(5, dsp.FilterKind.LOW_PASS, (10.0,),
+                                        32.0)
+        x = np.random.default_rng(6).normal(size=(1000, 3))
+        y = dsp.filtfilt(design, x)
+        assert y.shape == x.shape
+        for col in range(3):
+            assert np.array_equal(y[:, col], dsp.filtfilt(design, x[:, col]))
+
+    @pytest.mark.parametrize("order,kind,cutoffs,fs", [
+        (5, dsp.FilterKind.LOW_PASS, (10.0,), 32.0),
+        (4, dsp.FilterKind.LOW_PASS, (1.0,), 4.0),
+        (2, dsp.FilterKind.LOW_PASS, (0.05,), 4.0),
+        (2, dsp.FilterKind.BAND_PASS, (0.7, 3.5), 64.0),
+        (3, dsp.FilterKind.BAND_PASS, (0.04, 0.4), 4.0),
+    ])
+    def test_sections_match_df2t_oracle(self, order, kind, cutoffs, fs):
+        design = dsp.design_butterworth(order, kind, cutoffs, fs)
+        x = np.random.default_rng(order).normal(size=(1500, 2)) + 3.0
+        got = dsp._sosfilt_steady(design.sos, x)
+        for col in range(2):
+            want = df2t_sosfilt_steady(design.sos, x[:, col])
+            assert np.max(np.abs(got[:, col] - want)) <= \
+                1e-9 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("order,cutoff,fs,cols,trim", [
+        (5, 10.0, 32.0, 3, 100),  # ACC low-pass, three axes in one call
+        (4, 1.0, 4.0, 1, 100),  # EDA cleaning
+        (2, 0.05, 4.0, 1, 1000),  # EDA tonic: slow poles, long edge transient
+    ])
+    def test_lowpass_matches_scipy_interior(self, order, cutoff, fs, cols,
+                                            trim):
+        # scipy pads by 3 * (2 * n_sections + 1), which differs for odd
+        # orders, so only the interior is compared
+        from scipy import signal as sps
+        design = dsp.design_butterworth(order, dsp.FilterKind.LOW_PASS,
+                                        (cutoff,), fs)
+        x = np.random.default_rng(order).normal(size=(4096, cols))
+        mine = dsp.filtfilt(design, x)
+        sos = sps.butter(order, cutoff, fs=fs, output="sos")
+        for col in range(cols):
+            ref = sps.sosfiltfilt(sos, x[:, col])
+            assert np.max(np.abs(mine[trim:-trim, col] - ref[trim:-trim])) \
+                < 1e-10
+
     def test_matches_scipy_interior(self, bandpass_64):
         from scipy import signal as sps
         rng = np.random.default_rng(5)
@@ -304,6 +548,18 @@ class TestBandPower:
                                float(spectrum.freqs_hz[-1]))
         expect = float(np.trapezoid(spectrum.power, spectrum.freqs_hz))
         assert total == pytest.approx(expect, rel=1e-12)
+
+    def test_inline_sum_equals_numpy_trapezoid(self, spectrum):
+        if not hasattr(np, "trapezoid"):
+            pytest.skip("np.trapezoid needs NumPy >= 2.0")
+        for lo, hi in [(0.0, 2.0), (0.04, 0.15), (0.013, 1.37)]:
+            freqs, power = spectrum.freqs_hz, spectrum.power
+            inner = (freqs > lo) & (freqs < hi)
+            xs = np.concatenate([[lo], freqs[inner], [hi]])
+            ys = np.concatenate([[np.interp(lo, freqs, power)], power[inner],
+                                 [np.interp(hi, freqs, power)]])
+            assert dsp.band_power(spectrum, lo, hi) == \
+                float(np.trapezoid(ys, xs))
 
     def test_partition_additivity(self, spectrum):
         lf = dsp.band_power(spectrum, 0.04, 0.15)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wearbench import synth
+from wearbench import session_io, synth
 from wearbench.errors import (
     EmptyBody,
     MalformedHeader,
@@ -91,6 +91,102 @@ class TestParseChannelCsv:
         assert back.start_time == ch.start_time
         assert back.sample_rate == pytest.approx(rate, abs=1e-6)
         assert np.allclose(back.samples, ch.samples, atol=5e-7)
+
+
+def _old_serialize(channel):
+    """The per-value formatter the bulk serializer replaced."""
+    width = channel.kind.width
+    lines = [",".join([str(channel.start_time)] * width),
+             ",".join([f"{channel.sample_rate:.6f}"] * width)]
+    for row in np.atleast_2d(channel.samples.reshape(channel.n_samples, width)):
+        lines.append(",".join(f"{v:.6f}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _parse_outcome(content, kind):
+    """Parsed samples, or the (type, message) of the error raised."""
+    try:
+        return parse_channel_csv(content, kind).samples
+    except SessionFormatError as exc:
+        return type(exc), str(exc)
+
+
+def _row_loop_outcome(content, kind):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(session_io, "_parse_body", session_io._parse_body_rows)
+        return _parse_outcome(content, kind)
+
+
+def _same_outcome(a, b):
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return a == b
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBulkParse:
+    """The bulk parse must agree with the row loop on every input."""
+
+    @pytest.mark.parametrize("kind,body,error", [
+        (ChannelKind.EDA, "1.0\n1,2\n", WidthMismatch),
+        (ChannelKind.ACC, "1,2,3\n1,2\n4,5,6\n", WidthMismatch),
+        (ChannelKind.ACC, "1,2,3\n1,2,3,4\n", WidthMismatch),
+        (ChannelKind.EDA, "1.0\nnan\n", NonFiniteSample),
+        (ChannelKind.EDA, "1.0\n2.0\ninf\n", NonFiniteSample),
+        (ChannelKind.EDA, "1.0\nabc\n", NonFiniteSample),
+        (ChannelKind.ACC, "1,2,3\n4,-inf,6\n", NonFiniteSample),
+        (ChannelKind.ACC, "1,2,3\n4,5,abc\n", NonFiniteSample),
+        (ChannelKind.ACC, "1,2,nan\n1,2\n", NonFiniteSample),
+        (ChannelKind.EDA, "\n\n", EmptyBody),
+    ])
+    def test_errors_match_row_loop(self, kind, body, error):
+        header = "0\n4.0\n" if kind.width == 1 else "0\n32,32,32\n"
+        bulk = _parse_outcome(header + body, kind)
+        loop = _row_loop_outcome(header + body, kind)
+        assert bulk[0] is error
+        assert bulk == loop
+
+    @pytest.mark.parametrize("token,value", [
+        (" 1.5", 1.5), ("1e3", 1000.0), ("1_000", 1000.0), ("+2", 2.0),
+        ("-0.0", -0.0), ("\t3.25 ", 3.25), ("1E-3", 0.001),
+    ])
+    def test_float_syntax_matches_row_loop(self, token, value):
+        for kind, body in ((ChannelKind.EDA, f"7\n{token}\n"),
+                           (ChannelKind.ACC, f"7,7,7\n{token},0,{token}\n")):
+            header = "0\n4.0\n" if kind.width == 1 else "0\n32,32,32\n"
+            bulk = _parse_outcome(header + body, kind)
+            assert _same_outcome(bulk, _row_loop_outcome(header + body, kind))
+            assert np.ravel(bulk)[-1] == value
+            assert np.signbit(np.ravel(bulk)[-1]) == np.signbit(value)
+
+    @given(rows=st.lists(st.lists(st.sampled_from(
+        ["1", "-2.5", " 3", "1e3", "1_0", "nan", "inf", "x", "", "0.000001"]),
+        min_size=1, max_size=4), min_size=1, max_size=12),
+        acc=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_random_bodies_match_row_loop(self, rows, acc):
+        kind = ChannelKind.ACC if acc else ChannelKind.EDA
+        header = "0\n32,32,32\n" if acc else "0\n4.0\n"
+        content = header + "\n".join(",".join(r) for r in rows) + "\n"
+        assert _same_outcome(_parse_outcome(content, kind),
+                             _row_loop_outcome(content, kind))
+
+
+class TestBulkSerialize:
+    @given(st.lists(st.floats(-1e9, 1e9), min_size=3, max_size=60),
+           st.sampled_from(list(ChannelKind)))
+    @settings(max_examples=100, deadline=None)
+    def test_bytes_match_per_value_format(self, values, kind):
+        n = len(values) // kind.width
+        samples = np.asarray(values[:n * kind.width])
+        if kind.width == 3:
+            samples = samples.reshape(n, 3)
+        ch = SignalChannel(kind, 1700000000, 32.0, samples)
+        assert serialize_channel_csv(ch) == _old_serialize(ch)
+
+    def test_negative_zero_and_rounding(self):
+        ch = SignalChannel(ChannelKind.EDA, 5, 4.0,
+                           np.array([-0.0, 0.0000005, -1e-7, 2.5e-6, 1e15]))
+        assert serialize_channel_csv(ch) == _old_serialize(ch)
 
 
 class TestSessionDirectories:
