@@ -64,7 +64,7 @@ def main() -> int:
             t0 = time.perf_counter()
             report = mlbench.loocv_grid_search(
                 matrix, kind, grids[kind], seed=args.seed, selector=selector)
-            reports.append(report)
+            reports.append(report.to_json_dict())
             print(f"  {selector}/{kind.value}: "
                   f"acc={report.metrics.accuracy:.2f} "
                   f"hp={report.model.hyperparameters} "

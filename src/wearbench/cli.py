@@ -30,14 +30,7 @@ from .config import (
 )
 from .errors import ConfigError, InvalidSpec, WearbenchError
 from .models import MODEL_KINDS_BY_NAME
-from .session_io import (
-    ValidationPolicy,
-    ValidationReport,
-    ValidationStatus,
-    load_manifest,
-    load_session,
-    validate_session,
-)
+from .session_io import ValidationPolicy, ValidationStatus, atomic_write_text
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -147,17 +140,8 @@ def cmd_validate(cfg: RunConfig) -> int:
     policy = ValidationPolicy(
         min_duration_seconds=cfg.validation.min_duration_seconds,
         max_duration_skew_seconds=cfg.validation.max_duration_skew_seconds)
-    reports = []
-    for subject_id, label in load_manifest(cfg.manifest):
-        try:
-            session = load_session(Path(cfg.data_root) / subject_id,
-                                   subject_id, label)
-        except WearbenchError as exc:
-            reports.append(ValidationReport(
-                subject_id=subject_id, status=ValidationStatus.EXCLUDED,
-                reasons=(f"unreadable session: {exc}",)))
-            continue
-        reports.append(validate_session(session, policy))
+    reports = [report for report, _ in pipeline.validate_cohort(
+        cfg.data_root, cfg.manifest, policy)]
     path = Path(cfg.out_dir) / "validation.json"
     pipeline.write_validation_json(reports, path)
     n_ok = sum(r.status is ValidationStatus.OK for r in reports)
@@ -195,16 +179,13 @@ def cmd_bench(cfg: RunConfig) -> int:
             kind = MODEL_KINDS_BY_NAME[model_name]
             report = mlbench.loocv_grid_search(
                 matrix, kind, grids[kind], seed=cfg.seed,
-                positive_class=positive, selector=selector)
+                positive_class=positive, selector=selector).to_json_dict()
             reports.append(report)
-            report_path = out_dir / f"bench_{selector}_{model_name}.json"
-            pipeline.atomic_write_text(
-                report_path,
-                json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
-                + "\n")
+            atomic_write_text(
+                out_dir / f"bench_{selector}_{model_name}.json",
+                json.dumps(report, indent=2, sort_keys=True) + "\n")
         table_path = out_dir / f"bench_{selector}.md"
-        pipeline.atomic_write_text(
-            table_path, mlbench.render_markdown_table(reports))
+        atomic_write_text(table_path, mlbench.render_markdown_table(reports))
         print(table_path)
     return EXIT_OK
 
@@ -214,26 +195,15 @@ def cmd_report(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out_dir)
     found = False
     for selector in cfg.bench.selectors:
-        lines = [
-            "| Method | Accuracy | Precision | Recall | F1 Score |",
-            "|---|---|---|---|---|",
-        ]
-        any_model = False
-        for model_name in cfg.bench.models:
-            path = out_dir / f"bench_{selector}_{model_name}.json"
-            if not path.is_file():
-                continue
-            data = json.loads(path.read_text(encoding="utf-8"))
-            m = data["metrics"]
-            lines.append(
-                f"| {data['model']['display_name']} "
-                f"| {m['accuracy']:.2f} | {m['precision']:.2f} "
-                f"| {m['recall']:.2f} | {m['f1']:.2f} |")
-            any_model = True
-        if any_model:
+        paths = [out_dir / f"bench_{selector}_{model_name}.json"
+                 for model_name in cfg.bench.models]
+        reports = [json.loads(path.read_text(encoding="utf-8"))
+                   for path in paths if path.is_file()]
+        if reports:
             found = True
             table_path = out_dir / f"bench_{selector}.md"
-            pipeline.atomic_write_text(table_path, "\n".join(lines) + "\n")
+            atomic_write_text(table_path,
+                              mlbench.render_markdown_table(reports))
             print(table_path)
     if not found:
         print("no saved reports found", file=sys.stderr)

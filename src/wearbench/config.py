@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,14 +22,22 @@ ENV_PREFIX = "WEARBENCH_"
 DEFAULT_MODELS = ("knn", "dt", "rf", "gb", "svm", "mlp")
 ALL_SELECTORS = ("hrv_time", "hrv_freq", "eda", "acc", "temp", "all")
 
-# hyperparameter names each model's grid may set
+_COUNT = (lambda v: type(v) is int and v >= 1, "an integer >= 1")
+_DEPTH = (lambda v: v is None or _COUNT[0](v), "null or an integer >= 1")
+_RATE = (lambda v: type(v) in (int, float) and 0 < v < math.inf,
+         "a positive number")
+# hyperparameters each model's grid may set -> (check, what it must be)
 GRID_KEYS = {
-    "knn": {"k"},
-    "dt": {"max_depth", "min_samples_leaf"},
-    "rf": {"n_estimators", "max_depth", "min_samples_leaf"},
-    "gb": {"n_estimators", "learning_rate", "max_depth"},
-    "svm": {"kernel", "c", "gamma"},
-    "mlp": {"hidden", "learning_rate", "epochs"},
+    "knn": {"k": _COUNT},
+    "dt": {"max_depth": _DEPTH, "min_samples_leaf": _COUNT},
+    "rf": {"n_estimators": _COUNT, "max_depth": _DEPTH,
+           "min_samples_leaf": _COUNT},
+    "gb": {"n_estimators": _COUNT, "learning_rate": _RATE,
+           "max_depth": _COUNT},
+    "svm": {"kernel": (lambda v: v in ("linear", "rbf"),
+                       '"linear" or "rbf"'),
+            "c": _RATE, "gamma": _RATE},
+    "mlp": {"hidden": _COUNT, "learning_rate": _RATE, "epochs": _COUNT},
 }
 
 
@@ -35,7 +46,6 @@ class DspConfig:
     detrend_lambda: float = 500.0
     bvp_band_hz: tuple[float, float] = (0.7, 3.5)
     bvp_filter_order: int = 2
-    welch_segment_len: int = 256
     welch_overlap: float = 0.5
     nn_interp_rate_hz: float = 4.0
 
@@ -47,8 +57,6 @@ class DspConfig:
             raise ConfigError("bvp_band_hz must satisfy 0 < low < high")
         if self.bvp_filter_order < 1:
             raise ConfigError("bvp_filter_order must be >= 1")
-        if self.welch_segment_len < 8:
-            raise ConfigError("welch_segment_len must be >= 8")
         if not 0 <= self.welch_overlap < 1:
             raise ConfigError("welch_overlap must be in [0, 1)")
         if self.nn_interp_rate_hz <= 0:
@@ -142,12 +150,16 @@ class BenchConfig:
                 if not isinstance(point, dict):
                     raise ConfigError(
                         f"grid entries for {name!r} must be objects")
-                unknown = set(point) - GRID_KEYS[name]
-                if unknown:
-                    raise ConfigError(
-                        f"grid for {name!r} sets unknown hyperparameters "
-                        f"{sorted(unknown)}; allowed: "
-                        f"{sorted(GRID_KEYS[name])}")
+                for key, value in point.items():
+                    if key not in GRID_KEYS[name]:
+                        raise ConfigError(
+                            f"grid for {name!r} sets unknown hyperparameter "
+                            f"{key!r}; allowed: {sorted(GRID_KEYS[name])}")
+                    check, what = GRID_KEYS[name][key]
+                    if not check(value):
+                        raise ConfigError(
+                            f"grid for {name!r}: {key} must be {what}, "
+                            f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -182,20 +194,37 @@ class RunConfig:
         return encode(self)
 
 
+def _matches(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation. A list fits a tuple;
+    an int is also a float, and a bool is not a number."""
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):
+        return any(_matches(value, a) for a in args)
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, (list, tuple)) and (
+            all(_matches(v, args[0]) for v in value) if args[-1] is Ellipsis
+            else len(value) == len(args) and all(map(_matches, value, args)))
+    if hint in (int, float):
+        return isinstance(value, (int, hint)) and not isinstance(value, bool)
+    return isinstance(value, hint)
+
+
 def _update_dataclass(instance, overrides: dict, context: str):
-    names = {f.name for f in dataclasses.fields(instance)}
-    unknown = set(overrides) - names
+    """``instance`` with ``overrides`` applied, each checked against the
+    annotation of its field."""
+    hints = typing.get_type_hints(type(instance))
+    unknown = set(overrides) - set(hints)
     if unknown:
         raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
-    converted = {}
     for key, value in overrides.items():
-        current = getattr(instance, key)
-        if isinstance(current, tuple) and not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{context}.{key} must be a list")
-        if isinstance(current, tuple):
-            value = tuple(value)
-        converted[key] = value
-    return dataclasses.replace(instance, **converted)
+        hint = hints[key]
+        if not _matches(value, hint):
+            name = hint.__name__ if isinstance(hint, type) else str(hint)
+            raise ConfigError(f"{context}.{key} must be {name}, "
+                              f"got {value!r}")
+    return dataclasses.replace(instance, **{
+        k: tuple(v) if isinstance(v, list) else v
+        for k, v in overrides.items()})
 
 
 def config_from_dict(data: dict, base: RunConfig | None = None) -> RunConfig:
@@ -211,11 +240,11 @@ def config_from_dict(data: dict, base: RunConfig | None = None) -> RunConfig:
             if not isinstance(value, dict):
                 raise ConfigError(f"section {key!r} must be an object")
             top[key] = _update_dataclass(getattr(base, key), value, key)
-        elif key in ("data_root", "manifest", "out_dir", "seed"):
-            top[key] = value
-        else:
+        elif key not in ("data_root", "manifest", "out_dir", "seed"):
             raise ConfigError(f"unknown config key {key!r}")
-    return dataclasses.replace(base, **top)
+    plain = {k: v for k, v in data.items() if k not in sections}
+    return dataclasses.replace(_update_dataclass(base, plain, "config"),
+                               **top)
 
 
 def load_config_file(path) -> RunConfig:

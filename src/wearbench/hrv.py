@@ -307,13 +307,15 @@ def hrv_time_features(nn: NNSeries) -> HrvTimeFeatures:
     median_nn = _percentile(x, 50)
     madnn = 1.4826 * float(np.median(np.abs(x - np.median(x))))
 
+    windows1, windows2 = _windowed(nn, 1.0), _windowed(nn, 2.0)
+
     return HrvTimeFeatures(
         MeanNN=mean_nn,
         SDNN=sdnn,
-        SDANN1=_sdann(_windowed(nn, 1.0)),
-        SDANN2=_sdann(_windowed(nn, 2.0)),
-        SDNNI1=_sdnni(_windowed(nn, 1.0)),
-        SDNNI2=_sdnni(_windowed(nn, 2.0)),
+        SDANN1=_sdann(windows1),
+        SDANN2=_sdann(windows2),
+        SDNNI1=_sdnni(windows1),
+        SDNNI2=_sdnni(windows2),
         RMSSD=rmssd,
         SDRMSSD=sdnn / rmssd if rmssd > 0 else 0.0,
         SDSD=sdsd,
@@ -422,23 +424,21 @@ def interpolate_nn(nn: NNSeries, rate_hz: float = 4.0):
 
 
 def hrv_freq_features(nn: NNSeries, interp_rate_hz: float = 4.0,
-                      welch_segment_len: int | None = None,
                       welch_overlap: float = 0.5) -> HrvFreqFeatures:
     """Band powers of the interpolated, mean-removed NN series (ms^2).
 
     Bands: VLF 0.0033-0.04 Hz, LF 0.04-0.15 Hz, HF 0.15-0.4 Hz, VHF from
     0.4 Hz to Nyquist; TP spans 0.0033 Hz to Nyquist. HF is floored at
-    1e-12 before the log.
+    1e-12 before the log. Welch segments are min(256, n) samples long.
     """
     if nn.span_seconds < 30.0:
         raise SpanTooShort(
             f"NN span {nn.span_seconds:.1f} s < 30 s; spectrum unreliable")
     _, values = interpolate_nn(nn, interp_rate_hz)
     values = values - values.mean()
-    seg = welch_segment_len if welch_segment_len is not None \
-        else min(256, values.size)
     try:
-        spec = dsp.welch_psd(values, interp_rate_hz, segment_len=seg,
+        spec = dsp.welch_psd(values, interp_rate_hz,
+                             segment_len=min(256, values.size),
                              overlap_fraction=welch_overlap)
     except SignalTooShort as exc:
         raise SpanTooShort(str(exc)) from exc

@@ -231,7 +231,7 @@ def _loocv_predictions(matrix: FeatureMatrix, spec: ModelSpec, seed: int,
         model = train(spec, apply_standardizer(std, x_train), y_train,
                       seed=_fold_seed(seed, grid_index, fold))
         x_test = apply_standardizer(std, matrix.values[fold:fold + 1])
-        preds[fold] = predict(model, x_test[0])
+        preds[fold] = predict(model, x_test)
     return preds
 
 
@@ -310,15 +310,16 @@ def default_grids() -> dict[ModelKind, list[dict]]:
 
 
 def render_markdown_table(reports) -> str:
-    """One results table in the benchmark layout, percentages to 2 decimals."""
+    """One results table in the benchmark layout, percentages to 2 decimals,
+    from report JSON dicts (``to_json_dict()`` or a loaded ``bench_*.json``)."""
     lines = [
         "| Method | Accuracy | Precision | Recall | F1 Score |",
         "|---|---|---|---|---|",
     ]
     for report in reports:
-        m = report.metrics
+        m = report["metrics"]
         lines.append(
-            f"| {MODEL_DISPLAY_NAMES[report.model.kind]} "
-            f"| {m.accuracy:.2f} | {m.precision:.2f} "
-            f"| {m.recall:.2f} | {m.f1:.2f} |")
+            f"| {report['model']['display_name']} "
+            f"| {m['accuracy']:.2f} | {m['precision']:.2f} "
+            f"| {m['recall']:.2f} | {m['f1']:.2f} |")
     return "\n".join(lines) + "\n"

@@ -62,124 +62,175 @@ class KnnClassifier:
         self._y = np.asarray(y, dtype=int)
         return self
 
-    def predict_row(self, row: np.ndarray) -> int:
-        d = np.sum((self._x - row) ** 2, axis=1)
-        order = np.argsort(d, kind="stable")[:min(self.k, d.size)]
-        return _majority(self._y[order])
-
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray([self.predict_row(r) for r in np.atleast_2d(x)])
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        d = np.sum((self._x[None, :, :] - x[:, None, :]) ** 2, axis=2)
+        order = np.argsort(d, axis=1, kind="stable")[:, :self.k]
+        ones = np.sum(self._y[order] == 1, axis=1)
+        # ties resolve to class 0
+        return (ones > order.shape[1] - ones).astype(int)
 
 
 # --- CART trees --------------------------------------------------------------------
 
 
-class _TreeNode:
-    __slots__ = ("feature", "threshold", "left", "right", "value")
-
-    def __init__(self):
-        self.feature = -1
-        self.threshold = 0.0
-        self.left = None
-        self.right = None
-        self.value = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+@dataclass(frozen=True)
+class _Criterion:
+    """How a tree scores its nodes and splits and what a leaf predicts."""
+    split_scores: object  # (n, k) target sorted by each column -> (n-1, k)
+    node_score: object  # target -> impurity of the node
+    leaf_value: object  # target -> prediction of a leaf
+    tol: float  # a later split point must beat the kept one by more than this
 
 
-def _gini(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return float(1.0 - np.sum(p * p))
+def _gini(zeros, ones, n):
+    p0, p1 = zeros / n, ones / n
+    return 1.0 - (p0 * p0 + p1 * p1)
 
 
-def _gini_of_labels(labels: np.ndarray) -> float:
-    return _gini(np.array([np.sum(labels == 0), np.sum(labels == 1)]))
+def _gini_split_scores(ys: np.ndarray) -> np.ndarray:
+    """Weighted child Gini impurity of cutting after every row."""
+    n = ys.shape[0]
+    n_left = np.arange(1, n)[:, None]
+    zeros, ones = np.cumsum(ys == 0, axis=0), np.cumsum(ys == 1, axis=0)
+    left = _gini(zeros[:-1], ones[:-1], n_left)
+    right = _gini(zeros[-1] - zeros[:-1], ones[-1] - ones[:-1], n - n_left)
+    return (n_left * left + (n - n_left) * right) / n
+
+
+def _sse_split_scores(rs: np.ndarray) -> np.ndarray:
+    """Summed child squared error of cutting after every row."""
+    n = rs.shape[0]
+    n_left = np.arange(1, n)[:, None]
+    csum, csum2 = np.cumsum(rs, axis=0), np.cumsum(rs * rs, axis=0)
+    c, c2 = csum[:-1], csum2[:-1]
+    return (c2 - c ** 2 / n_left) \
+        + ((csum2[-1] - c2) - (csum[-1] - c) ** 2 / (n - n_left))
+
+
+_GINI = _Criterion(
+    _gini_split_scores,
+    lambda y: _gini(int(np.sum(y == 0)), int(np.sum(y == 1)), y.size),
+    _majority, 1e-15)
+_SSE = _Criterion(
+    _sse_split_scores, lambda r: float(np.sum((r - r.mean()) ** 2)),
+    lambda r: float(r.mean()), 1e-12)
+
+
+def _scan(scores: np.ndarray, tol: float) -> list:
+    """Per column, the ``(row, score)`` that a top-down scan keeps, or None.
+
+    The scan keeps the first finite score and replaces it only with a
+    score below ``kept - tol``, so on near-ties the earliest row wins. The
+    kept score always lies within ``tol`` of the running minimum, so only
+    rows that set a new strict running minimum can replace it; the scan
+    visits just those.
+    """
+    record = np.empty(scores.shape, dtype=bool)
+    record[:1] = scores[:1] < np.inf
+    record[1:] = scores[1:] < np.minimum.accumulate(scores, axis=0)[:-1]
+    cols, rows = np.nonzero(record.T)
+    kept = [None] * scores.shape[1]
+    for c, i, s in zip(cols.tolist(), rows.tolist(),
+                       scores.T[record.T].tolist()):
+        if kept[c] is None or s < kept[c][1] - tol:
+            kept[c] = (i, s)
+    return kept
+
+
+def _column_splits(x: np.ndarray, target: np.ndarray, min_samples_leaf: int,
+                   criterion: _Criterion) -> list:
+    """Best ``(threshold, score)`` of every column of ``x``, or None.
+
+    Candidate thresholds are midpoints between consecutive distinct sorted
+    values that leave ``min_samples_leaf`` rows on each side; on near-ties
+    the lowest threshold wins.
+    """
+    n = x.shape[0]
+    order = np.argsort(x, axis=0, kind="stable")
+    xs = np.take_along_axis(x, order, axis=0)
+    valid = xs[:-1] != xs[1:]
+    valid[:min_samples_leaf - 1] = False
+    valid[max(n - min_samples_leaf, 0):] = False
+    scores = np.where(valid, criterion.split_scores(target[order]), np.inf)
+    return [None if kept is None
+            else (float((xs[kept[0], c] + xs[kept[0] + 1, c]) / 2.0), kept[1])
+            for c, kept in enumerate(_scan(scores, criterion.tol))]
 
 
 def best_gini_split(x_col: np.ndarray, y: np.ndarray,
                     min_samples_leaf: int = 1):
-    """Best (threshold, weighted impurity) for one feature, or None.
+    """Best (threshold, weighted Gini impurity) for one feature, or None."""
+    return _column_splits(np.asarray(x_col, dtype=float)[:, None],
+                          np.asarray(y), min_samples_leaf, _GINI)[0]
 
-    Candidate thresholds are midpoints between consecutive distinct sorted
-    values; on impurity ties the lowest threshold wins.
+
+class _Tree:
+    """Binary CART tree stored as flat arrays, grown depth-first.
+
+    Node 0 is the root and nodes are numbered in pre-order. An inner node
+    sends rows with ``x[feature] <= threshold`` to ``left`` and the rest to
+    ``right``; ``left < 0`` marks a leaf, which predicts ``value``.
+    ``feature_sampler(d)``, if given, picks the candidate features of each
+    node that may split.
     """
-    order = np.argsort(x_col, kind="stable")
-    xs, ys = x_col[order], y[order]
-    n = xs.size
-    ones = np.cumsum(ys == 1)
-    zeros = np.cumsum(ys == 0)
-    best = None
-    for i in range(min_samples_leaf - 1, n - min_samples_leaf):
-        if xs[i] == xs[i + 1]:
-            continue
-        n_left = i + 1
-        left = np.array([zeros[i], ones[i]])
-        right = np.array([zeros[-1] - zeros[i], ones[-1] - ones[i]])
-        score = (n_left * _gini(left) + (n - n_left) * _gini(right)) / n
-        if best is None or score < best[1] - 1e-15:
-            best = ((xs[i] + xs[i + 1]) / 2.0, score)
-    return best
 
+    def __init__(self, criterion: _Criterion, max_depth: int | None = None,
+                 min_samples_leaf: int = 1, feature_sampler=None):
+        self.criterion = criterion
+        self.max_depth = max_depth
+        self.min_samples_leaf = int(min_samples_leaf)
+        self.feature_sampler = feature_sampler
 
-def _best_sse_split(x_col: np.ndarray, r: np.ndarray,
-                    min_samples_leaf: int = 1):
-    order = np.argsort(x_col, kind="stable")
-    xs, rs = x_col[order], r[order]
-    n = xs.size
-    csum = np.cumsum(rs)
-    csum2 = np.cumsum(rs * rs)
-    total, total2 = csum[-1], csum2[-1]
-    best = None
-    for i in range(min_samples_leaf - 1, n - min_samples_leaf):
-        if xs[i] == xs[i + 1]:
-            continue
-        n_left = i + 1
-        sse_left = csum2[i] - csum[i] ** 2 / n_left
-        n_right = n - n_left
-        sse_right = (total2 - csum2[i]) - (total - csum[i]) ** 2 / n_right
-        score = sse_left + sse_right
-        if best is None or score < best[1] - 1e-12:
-            best = ((xs[i] + xs[i + 1]) / 2.0, score)
-    return best
+    def fit(self, x: np.ndarray, target: np.ndarray) -> "_Tree":
+        nodes: list[list] = []
+        self._grow(np.asarray(x, dtype=float), target, 0, nodes)
+        (self.feature, self.threshold, self.left, self.right,
+         value) = (np.array(column) for column in zip(*nodes))
+        self.value = value.astype(float)
+        return self
 
-
-def _grow_tree(x, target, depth, max_depth, min_samples_leaf, splitter,
-               node_score, leaf_value, feature_sampler=None) -> _TreeNode:
-    node = _TreeNode()
-    n, d = x.shape
-    stop = (max_depth is not None and depth >= max_depth) \
-        or n < 2 * min_samples_leaf or node_score(target) <= 0.0
-    if not stop:
-        features = feature_sampler(d) if feature_sampler else range(d)
+    def _grow(self, x, target, depth: int, nodes: list) -> int:
+        index = len(nodes)
+        nodes.append([0, 0.0, -1, -1, 0.0])  # a leaf until a split is found
+        node_score = self.criterion.node_score(target)
         best = None
-        for f in features:
-            cand = splitter(x[:, f], target, min_samples_leaf)
-            if cand is not None and (best is None or cand[1] < best[2] - 1e-15):
-                best = (f, cand[0], cand[1])
-        if best is not None and best[2] < node_score(target) - 1e-15:
-            f, thr, _ = best
-            mask = x[:, f] <= thr
-            node.feature, node.threshold = int(f), float(thr)
-            node.left = _grow_tree(x[mask], target[mask], depth + 1, max_depth,
-                                   min_samples_leaf, splitter, node_score,
-                                   leaf_value, feature_sampler)
-            node.right = _grow_tree(x[~mask], target[~mask], depth + 1,
-                                    max_depth, min_samples_leaf, splitter,
-                                    node_score, leaf_value, feature_sampler)
-            return node
-    node.value = leaf_value(target)
-    return node
+        if not ((self.max_depth is not None and depth >= self.max_depth)
+                or x.shape[0] < 2 * self.min_samples_leaf
+                or node_score <= 0.0):
+            features = [int(f) for f in (
+                self.feature_sampler(x.shape[1]) if self.feature_sampler
+                else range(x.shape[1]))]
+            for f, cand in zip(features, _column_splits(
+                    x[:, features], target, self.min_samples_leaf,
+                    self.criterion)):
+                if cand is not None and (best is None
+                                         or cand[1] < best[2] - 1e-15):
+                    best = (f, cand[0], cand[1])
+        if best is None or not best[2] < node_score - 1e-15:
+            nodes[index][4] = self.criterion.leaf_value(target)
+            return index
+        f, thr, _ = best
+        mask = x[:, f] <= thr
+        left = self._grow(x[mask], target[mask], depth + 1, nodes)
+        right = self._grow(x[~mask], target[~mask], depth + 1, nodes)
+        nodes[index][:4] = [f, thr, left, right]
+        return index
 
+    def apply(self, x) -> np.ndarray:
+        """Index of the leaf each row of ``x`` lands in."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        node = np.zeros(x.shape[0], dtype=np.intp)
+        rows = np.flatnonzero(self.left[node] >= 0)
+        while rows.size:
+            at = node[rows]
+            go_left = x[rows, self.feature[at]] <= self.threshold[at]
+            node[rows] = np.where(go_left, self.left[at], self.right[at])
+            rows = rows[self.left[node[rows]] >= 0]
+        return node
 
-def _tree_predict_row(node: _TreeNode, row: np.ndarray):
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return node.value
+    def predict(self, x) -> np.ndarray:
+        return self.value[self.apply(x)]
 
 
 class DecisionTreeClassifier:
@@ -188,60 +239,17 @@ class DecisionTreeClassifier:
     def __init__(self, max_depth: int | None = None, min_samples_leaf: int = 1):
         self.max_depth = max_depth
         self.min_samples_leaf = int(min_samples_leaf)
-        self._root: _TreeNode | None = None
+        self.tree: _Tree | None = None
 
     def fit(self, x, y) -> "DecisionTreeClassifier":
-        x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=int)
         _check_labels(y)
-        self._root = _grow_tree(
-            x, y, 0, self.max_depth, self.min_samples_leaf,
-            best_gini_split, _gini_of_labels, _majority)
+        self.tree = _Tree(_GINI, self.max_depth,
+                          self.min_samples_leaf).fit(x, y)
         return self
 
-    @property
-    def root(self) -> _TreeNode:
-        return self._root
-
-    def predict_row(self, row) -> int:
-        return int(_tree_predict_row(self._root, np.asarray(row, dtype=float)))
-
     def predict(self, x) -> np.ndarray:
-        return np.asarray([self.predict_row(r) for r in np.atleast_2d(x)])
-
-
-class _RegressionTree:
-    """SSE-split tree used as the gradient-boosting base learner."""
-
-    def __init__(self, max_depth: int = 3, min_samples_leaf: int = 1):
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-        self._root: _TreeNode | None = None
-
-    def fit(self, x, r) -> "_RegressionTree":
-        def sse(values):
-            return float(np.sum((values - values.mean()) ** 2)) \
-                if values.size else 0.0
-
-        self._root = _grow_tree(
-            np.asarray(x, dtype=float), np.asarray(r, dtype=float), 0,
-            self.max_depth, self.min_samples_leaf,
-            _best_sse_split, sse, lambda v: float(v.mean()))
-        return self
-
-    def leaves_for(self, x: np.ndarray) -> list[_TreeNode]:
-        out = []
-        for row in np.atleast_2d(x):
-            node = self._root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold \
-                    else node.right
-            out.append(node)
-        return out
-
-    def predict(self, x) -> np.ndarray:
-        return np.asarray([_tree_predict_row(self._root, row)
-                           for row in np.atleast_2d(x)])
+        return self.tree.predict(x).astype(int)
 
 
 class RandomForestClassifier:
@@ -253,7 +261,7 @@ class RandomForestClassifier:
         self.max_depth = max_depth
         self.min_samples_leaf = int(min_samples_leaf)
         self.seed = int(seed)
-        self._trees: list[_TreeNode] = []
+        self._trees: list[_Tree] = []
 
     def fit(self, x, y) -> "RandomForestClassifier":
         x = np.asarray(x, dtype=float)
@@ -266,25 +274,21 @@ class RandomForestClassifier:
         for ss in seeds:
             rng = np.random.default_rng(ss)
             idx = rng.integers(0, n, n)
-            xb, yb = x[idx], y[idx]
 
             def sampler(n_features, rng=rng):
                 k = min(m, n_features)
                 return sorted(rng.choice(n_features, size=k, replace=False))
 
-            self._trees.append(_grow_tree(
-                xb, yb, 0, self.max_depth, self.min_samples_leaf,
-                best_gini_split, _gini_of_labels, _majority,
-                feature_sampler=sampler))
+            self._trees.append(_Tree(
+                _GINI, self.max_depth, self.min_samples_leaf,
+                feature_sampler=sampler).fit(x[idx], y[idx]))
         return self
 
-    def predict_row(self, row) -> int:
-        row = np.asarray(row, dtype=float)
-        votes = sum(int(_tree_predict_row(t, row)) for t in self._trees)
-        return int(votes > len(self._trees) - votes)
-
     def predict(self, x) -> np.ndarray:
-        return np.asarray([self.predict_row(r) for r in np.atleast_2d(x)])
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        votes = sum((tree.predict(x) for tree in self._trees),
+                    np.zeros(x.shape[0]))
+        return (votes > len(self._trees) - votes).astype(int)
 
 
 # --- gradient boosting ---------------------------------------------------------------
@@ -312,7 +316,7 @@ class GradientBoostingClassifier:
         self.learning_rate = float(learning_rate)
         self.max_depth = int(max_depth)
         self.min_samples_leaf = int(min_samples_leaf)
-        self._trees: list[_RegressionTree] = []
+        self._trees: list[_Tree] = []
         self._base_score = 0.0
 
     def fit(self, x, y) -> "GradientBoostingClassifier":
@@ -327,19 +331,16 @@ class GradientBoostingClassifier:
             p = _sigmoid(scores)
             residual = y - p
             hessian = p * (1.0 - p)
-            tree = _RegressionTree(self.max_depth,
-                                   self.min_samples_leaf).fit(x, residual)
-            leaves = tree.leaves_for(x)
+            tree = _Tree(_SSE, self.max_depth,
+                         self.min_samples_leaf).fit(x, residual)
+            leaf = tree.apply(x)
             # replace leaf means with Newton steps
-            groups: dict[int, list[int]] = {}
-            for i, leaf in enumerate(leaves):
-                groups.setdefault(id(leaf), []).append(i)
-            for leaf, idx in ((leaves[v[0]], v) for v in groups.values()):
-                num = float(residual[idx].sum())
-                den = float(hessian[idx].sum())
-                leaf.value = num / max(den, 1e-12)
+            for node in np.unique(leaf).tolist():
+                rows = leaf == node
+                tree.value[node] = float(residual[rows].sum()) \
+                    / max(float(hessian[rows].sum()), 1e-12)
             self._trees.append(tree)
-            scores = scores + self.learning_rate * tree.predict(x)
+            scores = scores + self.learning_rate * tree.value[leaf]
         return self
 
     def decision_scores(self, x) -> np.ndarray:
@@ -348,9 +349,6 @@ class GradientBoostingClassifier:
         for tree in self._trees:
             scores = scores + self.learning_rate * tree.predict(x)
         return scores
-
-    def predict_row(self, row) -> int:
-        return int(_sigmoid(self.decision_scores(row))[0] > 0.5)
 
     def predict(self, x) -> np.ndarray:
         return (_sigmoid(self.decision_scores(x)) > 0.5).astype(int)
@@ -461,9 +459,6 @@ class SvmClassifier:
         k = self._kernel_matrix(x, self._x)
         return k @ (self._alpha * self._sy) + self._bias
 
-    def predict_row(self, row) -> int:
-        return int(self.decision_function(row)[0] > 0.0)
-
     def predict(self, x) -> np.ndarray:
         return (self.decision_function(x) > 0.0).astype(int)
 
@@ -539,9 +534,6 @@ class MlpClassifier:
         a1 = np.maximum(x @ self._params["w1"] + self._params["b1"], 0.0)
         return (a1 @ self._params["w2"] + self._params["b2"]).ravel()
 
-    def predict_row(self, row) -> int:
-        return int(_sigmoid(self.decision_function(row))[0] > 0.5)
-
     def predict(self, x) -> np.ndarray:
         return (_sigmoid(self.decision_function(x)) > 0.5).astype(int)
 
@@ -549,44 +541,29 @@ class MlpClassifier:
 # --- dispatch ----------------------------------------------------------------------
 
 
+_CLASSIFIERS = {
+    ModelKind.KNN: KnnClassifier,
+    ModelKind.DECISION_TREE: DecisionTreeClassifier,
+    ModelKind.RANDOM_FOREST: RandomForestClassifier,
+    ModelKind.GRADIENT_BOOSTING: GradientBoostingClassifier,
+    ModelKind.SVM: SvmClassifier,
+    ModelKind.MLP: MlpClassifier,
+}
+
+
 def train(spec: ModelSpec, x: np.ndarray, y: np.ndarray, seed: int = 0):
     """Instantiate and fit the classifier named by ``spec``.
 
-    ``seed`` feeds the models that use randomness (random forest bootstrap
-    and MLP initialization); the rest ignore it.
+    The hyperparameters are constructor arguments; the ones left out take
+    the constructor defaults. ``seed`` feeds the models that use randomness
+    (random forest bootstrap and MLP initialization); the rest ignore it.
     """
     hp = dict(spec.hyperparameters)
-    kind = spec.kind
-    if kind is ModelKind.KNN:
-        model = KnnClassifier(k=hp.get("k", 5))
-    elif kind is ModelKind.DECISION_TREE:
-        model = DecisionTreeClassifier(
-            max_depth=hp.get("max_depth"),
-            min_samples_leaf=hp.get("min_samples_leaf", 1))
-    elif kind is ModelKind.RANDOM_FOREST:
-        model = RandomForestClassifier(
-            n_estimators=hp.get("n_estimators", 100),
-            max_depth=hp.get("max_depth"),
-            min_samples_leaf=hp.get("min_samples_leaf", 1),
-            seed=seed)
-    elif kind is ModelKind.GRADIENT_BOOSTING:
-        model = GradientBoostingClassifier(
-            n_estimators=hp.get("n_estimators", 100),
-            learning_rate=hp.get("learning_rate", 0.1),
-            max_depth=hp.get("max_depth", 3))
-    elif kind is ModelKind.SVM:
-        model = SvmClassifier(
-            c=hp.get("c", 1.0), kernel=hp.get("kernel", "linear"),
-            gamma=hp.get("gamma", 0.1))
-    elif kind is ModelKind.MLP:
-        model = MlpClassifier(
-            hidden=hp.get("hidden", 16),
-            learning_rate=hp.get("learning_rate", 0.01),
-            epochs=hp.get("epochs", 500), seed=seed)
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unknown model kind {kind!r}")
-    return model.fit(x, y)
+    if spec.kind in (ModelKind.RANDOM_FOREST, ModelKind.MLP):
+        hp["seed"] = seed
+    return _CLASSIFIERS[spec.kind](**hp).fit(x, y)
 
 
-def predict(model, x_row) -> int:
-    return int(model.predict_row(np.asarray(x_row, dtype=float)))
+def predict(model, x) -> int:
+    """The class ``model`` predicts for the first row of ``x``."""
+    return int(model.predict(x)[0])

@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 import warnings
 from pathlib import Path
 
@@ -38,6 +37,7 @@ from .session_io import (
     ValidationPolicy,
     ValidationReport,
     ValidationStatus,
+    atomic_write_text,
     load_manifest,
     load_session,
     validate_session,
@@ -76,7 +76,6 @@ def extract_hrv_features(session: Session, dsp_cfg: DspConfig,
     try:
         out.update(hrv.hrv_freq_features(
             nn, interp_rate_hz=dsp_cfg.nn_interp_rate_hz,
-            welch_segment_len=None,
             welch_overlap=dsp_cfg.welch_overlap).as_features())
     except (SpanTooShort, TooFewIntervals) as exc:
         warnings.warn(f"{session.subject_id}: HRV spectrum unavailable "
@@ -158,7 +157,7 @@ def write_features_csv(rows, path) -> None:
                      for name in FEATURE_COLUMNS)
         cells.append(row.label.value)
         lines.append(",".join(cells))
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_features_csv(path) -> list[SubjectFeatures]:
@@ -185,23 +184,33 @@ def read_features_csv(path) -> list[SubjectFeatures]:
     return rows
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    """Write via a sibling temp file + rename so readers never see partials."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def write_validation_json(reports, path) -> None:
     payload = {"subjects": [
         {"subject_id": r.subject_id, "status": r.status.value,
          "reasons": list(r.reasons)} for r in reports]}
-    atomic_write_text(Path(path),
-                       json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path,
+                      json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # --- cohort-level extraction ----------------------------------------------------
+
+
+def validate_cohort(data_root, manifest_path, policy: ValidationPolicy):
+    """Load and screen every manifest subject, one at a time, in order.
+
+    Yields ``(report, session)``; ``session`` is None when the session
+    cannot be read, and the report then says why.
+    """
+    for subject_id, label in load_manifest(manifest_path):
+        try:
+            session = load_session(Path(data_root) / subject_id, subject_id,
+                                   label)
+        except WearbenchError as exc:
+            yield ValidationReport(
+                subject_id=subject_id, status=ValidationStatus.EXCLUDED,
+                reasons=(f"unreadable session: {exc}",)), None
+            continue
+        yield validate_session(session, policy), session
 
 
 def run_extract(data_root, manifest_path, out_dir,
@@ -215,7 +224,6 @@ def run_extract(data_root, manifest_path, out_dir,
     ``validation.json`` (everyone, with exclusion reasons) under
     ``out_dir``; returns both paths and the number of included subjects.
     """
-    data_root = Path(data_root)
     out_dir = Path(out_dir)
     validation_cfg = validation_cfg or ValidationConfig()
     policy = ValidationPolicy(
@@ -224,19 +232,11 @@ def run_extract(data_root, manifest_path, out_dir,
 
     reports: list[ValidationReport] = []
     rows: list[SubjectFeatures] = []
-    for subject_id, label in load_manifest(manifest_path):
-        try:
-            session = load_session(data_root / subject_id, subject_id, label)
-        except WearbenchError as exc:
-            reports.append(ValidationReport(
-                subject_id=subject_id, status=ValidationStatus.EXCLUDED,
-                reasons=(f"unreadable session: {exc}",)))
-            continue
-        report = validate_session(session, policy)
+    for report, session in validate_cohort(data_root, manifest_path, policy):
         reports.append(report)
         if report.status is ValidationStatus.OK:
             rows.append(SubjectFeatures(
-                subject_id=subject_id, label=label,
+                subject_id=session.subject_id, label=session.label,
                 features=extract_session_features(session, dsp_cfg, feat_cfg)))
 
     features_path = out_dir / "features.csv"

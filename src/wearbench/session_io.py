@@ -259,14 +259,24 @@ def write_session(session: Session, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for kind, channel in session.channels.items():
-        _atomic_write_text(directory / f"{kind.value}.csv",
-                           serialize_channel_csv(channel))
+        atomic_write_text(directory / f"{kind.value}.csv",
+                          serialize_channel_csv(channel))
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+def atomic_write_text(path, text: str) -> None:
+    """Write via a new, randomly named sibling file (mode per the umask)
+    and a rename; readers never see partials, writers never share a temp."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    handle = open(tmp, "x", encoding="utf-8")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # --- manifest -----------------------------------------------------------------------
@@ -292,10 +302,9 @@ def load_manifest(path) -> list[tuple[str, Label]]:
 
 
 def write_manifest(entries, path) -> None:
-    path = Path(path)
     lines = ["subject_id,label"]
     lines.extend(f"{sid},{label.value}" for sid, label in entries)
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 # --- validation ----------------------------------------------------------------------

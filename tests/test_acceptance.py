@@ -232,7 +232,7 @@ def test_criterion_5_classifier_sanity():
                           for i in range(30))
             votes = [yt[i] for _, i in dist[:3]]
             expect = int(sum(votes) > len(votes) - sum(votes))
-            assert knn.predict_row(q) == expect
+            assert knn.predict(q[None, :])[0] == expect
 
         # CART root split vs exhaustive enumeration, exact
         from test_models import exhaustive_best_split_1d

@@ -295,6 +295,31 @@ class TestConfig:
             {"bench": {"grids": {"knn": [{"kk": 1}]}}}))
         assert run("--config", str(cfg_path), "--print-config") == 2
 
+    @pytest.mark.parametrize("config", [
+        {"dsp": {"detrend_lambda": "x"}},
+        {"seed": "abc"},
+        {"bench": {"grids": {"knn": [{"k": 0}]}}},
+        {"bench": {"grids": {"dt": [{"max_depth": "3"}]}}},
+        {"dsp": {"welch_segment_len": 256}},
+    ])
+    def test_wrong_typed_value_exits_2_before_any_work(
+            self, config, small_cohort, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        out.mkdir()
+        features = out / "features.csv"
+        features.write_bytes(
+            (small_cohort / "out" / "features.csv").read_bytes())
+        capsys.readouterr()
+        code = run("--config", str(cfg_path), "--out", str(out), "bench",
+                   "--features", "temp", "--models", "knn,dt")
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert sorted(out.iterdir()) == [features]
+
     def test_no_command_prints_help(self, capsys):
         assert run() == 2
 

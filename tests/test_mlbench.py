@@ -279,7 +279,7 @@ class TestGrids:
         matrix = assemble_matrix(toy_rows(), "all")
         report = loocv_grid_search(matrix, ModelKind.GRADIENT_BOOSTING,
                                    [{"n_estimators": 10}], seed=0)
-        table = mlbench.render_markdown_table([report])
+        table = mlbench.render_markdown_table([report.to_json_dict()])
         assert table.splitlines()[0] == \
             "| Method | Accuracy | Precision | Recall | F1 Score |"
         assert "GB (stands in for XGB)" in table

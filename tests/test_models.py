@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wearbench import models
 from wearbench.errors import DegenerateLabels
@@ -37,13 +38,13 @@ class TestKnn:
                 dist.sort()
                 votes = [y[i] for _, i in dist[:k]]
                 expect = int(sum(votes) > len(votes) - sum(votes))
-                assert model.predict_row(q) == expect
+                assert model.predict(q[None, :])[0] == expect
 
     def test_tie_goes_to_class_zero(self):
         x = np.array([[0.0], [2.0]])
         y = np.array([0, 1])
         knn = models.KnnClassifier(k=2).fit(x, y)
-        assert knn.predict_row(np.array([1.0])) == 0
+        assert knn.predict(np.array([1.0])[None, :])[0] == 0
 
     def test_degenerate_labels(self):
         with pytest.raises(DegenerateLabels):
@@ -74,14 +75,142 @@ def exhaustive_best_split_1d(values, labels):
     return best
 
 
+def _scalar_gini(counts):
+    n = counts.sum()
+    if n == 0:
+        return 0.0
+    p = counts / n
+    return float(1.0 - np.sum(p * p))
+
+
+def scalar_best_gini_split(x_col, y, min_samples_leaf=1):
+    """Oracle: the per-threshold Gini loop the vectorised search replaced."""
+    order = np.argsort(x_col, kind="stable")
+    xs, ys = x_col[order], y[order]
+    n = xs.size
+    ones = np.cumsum(ys == 1)
+    zeros = np.cumsum(ys == 0)
+    best = None
+    for i in range(min_samples_leaf - 1, n - min_samples_leaf):
+        if xs[i] == xs[i + 1]:
+            continue
+        n_left = i + 1
+        left = np.array([zeros[i], ones[i]])
+        right = np.array([zeros[-1] - zeros[i], ones[-1] - ones[i]])
+        score = (n_left * _scalar_gini(left)
+                 + (n - n_left) * _scalar_gini(right)) / n
+        if best is None or score < best[1] - 1e-15:
+            best = ((xs[i] + xs[i + 1]) / 2.0, score)
+    return best
+
+
+def scalar_best_sse_split(x_col, r, min_samples_leaf=1):
+    """Oracle: the per-threshold squared-error loop it replaced."""
+    order = np.argsort(x_col, kind="stable")
+    xs, rs = x_col[order], r[order]
+    n = xs.size
+    csum = np.cumsum(rs)
+    csum2 = np.cumsum(rs * rs)
+    total, total2 = csum[-1], csum2[-1]
+    best = None
+    for i in range(min_samples_leaf - 1, n - min_samples_leaf):
+        if xs[i] == xs[i + 1]:
+            continue
+        n_left = i + 1
+        sse_left = csum2[i] - csum[i] ** 2 / n_left
+        n_right = n - n_left
+        sse_right = (total2 - csum2[i]) - (total - csum[i]) ** 2 / n_right
+        score = sse_left + sse_right
+        if best is None or score < best[1] - 1e-12:
+            best = ((xs[i] + xs[i + 1]) / 2.0, score)
+    return best
+
+
+def scalar_node_split(x, target, min_samples_leaf, splitter, node_score):
+    """Oracle: the first feature wins near-ties, and a node splits only if
+    it improves on its own score by more than 1e-15."""
+    best = None
+    for f in range(x.shape[1]):
+        cand = splitter(x[:, f], target, min_samples_leaf)
+        if cand is not None and (best is None or cand[1] < best[2] - 1e-15):
+            best = (f, cand[0], cand[1])
+    if best is None or not best[2] < node_score - 1e-15:
+        return None
+    return best[:2]
+
+
+@st.composite
+def duplicate_heavy(draw):
+    n = draw(st.integers(2, 24))
+    d = draw(st.integers(1, 5))
+    x = np.array(draw(st.lists(st.integers(-3, 3), min_size=n * d,
+                               max_size=n * d)), dtype=float).reshape(n, d)
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    r = np.array(draw(st.lists(st.integers(-4, 4), min_size=n,
+                               max_size=n)), dtype=float) / 10.0
+    return x, y, r, draw(st.integers(1, 3))
+
+
+class TestSplitSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(duplicate_heavy())
+    def test_every_column_matches_scalar_loops(self, case):
+        x, y, r, msl = case
+        gini = models._column_splits(x, y, msl, models._GINI)
+        sse = models._column_splits(x, r, msl, models._SSE)
+        for j in range(x.shape[1]):
+            assert gini[j] == scalar_best_gini_split(x[:, j], y, msl)
+            assert sse[j] == scalar_best_sse_split(x[:, j], r, msl)
+            assert models.best_gini_split(x[:, j], y, msl) == gini[j]
+
+    @settings(max_examples=300, deadline=None)
+    @given(duplicate_heavy())
+    def test_chosen_split_matches_scalar_cross_feature_rule(self, case):
+        x, y, r, msl = case
+        for criterion, target, splitter in (
+                (models._GINI, y, scalar_best_gini_split),
+                (models._SSE, r, scalar_best_sse_split)):
+            stump = models._Tree(criterion, 1, msl).fit(x, target)
+            expect = None
+            if x.shape[0] >= 2 * msl and criterion.node_score(target) > 0.0:
+                expect = scalar_node_split(x, target, msl, splitter,
+                                           criterion.node_score(target))
+            if expect is None:
+                assert stump.left[0] < 0
+            else:
+                assert (stump.feature[0], stump.threshold[0]) == expect
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.lists(
+               st.lists(st.integers(-3, 3) | st.none(), min_size=n,
+                        max_size=n), min_size=1, max_size=4)),
+           st.sampled_from([1e-15, 1e-12]))
+    def test_scan_matches_naive_scan(self, cols, tol):
+        # chains of scores 0.6 * tol apart: a step down beats the kept score
+        # only once two steps have accumulated
+        steps = np.array([[np.inf if v is None else v for v in c]
+                          for c in cols]).T
+        scores = 0.25 + np.cumsum(np.where(np.isinf(steps), 0.0, steps),
+                                  axis=0) * 0.6 * tol
+        scores[np.isinf(steps)] = np.inf
+        for c, kept in enumerate(models._scan(scores, tol)):
+            naive = None
+            for i, s in enumerate(scores[:, c].tolist()):
+                if s == np.inf:
+                    continue
+                if naive is None or s < naive[1] - tol:
+                    naive = (i, s)
+            assert kept == naive
+
+
 class TestDecisionTree:
     def test_1d_hand_case(self):
         x = np.array([[0.0], [1.0], [10.0], [11.0]])
         y = np.array([0, 0, 1, 1])
         tree = models.DecisionTreeClassifier().fit(x, y)
-        assert 1.0 < tree.root.threshold < 10.0
-        assert tree.predict_row([5.0]) == (0 if 5.0 <= tree.root.threshold
-                                           else 1)
+        assert 1.0 < tree.tree.threshold[0] < 10.0
+        assert tree.predict(np.array([5.0])[None, :])[0] == (
+            0 if 5.0 <= tree.tree.threshold[0] else 1)
         assert np.array_equal(tree.predict(x), y)
 
     def test_root_split_matches_exhaustive_oracle(self):
@@ -104,13 +233,15 @@ class TestDecisionTree:
     def test_max_depth_limits_tree(self, blobs):
         x, y = blobs
         stump = models.DecisionTreeClassifier(max_depth=1).fit(x, y)
-        assert stump.root.left.is_leaf and stump.root.right.is_leaf
+        t = stump.tree
+        assert t.left[t.left[0]] < 0 and t.left[t.right[0]] < 0
 
     def test_pure_node_is_leaf(self):
         x = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 1, 1])
         tree = models.DecisionTreeClassifier().fit(x, y)
-        assert tree.root.left.is_leaf and tree.root.right.is_leaf
+        t = tree.tree
+        assert t.left[t.left[0]] < 0 and t.left[t.right[0]] < 0
 
 
 class TestRandomForest:

@@ -216,6 +216,37 @@ class TestSessionDirectories:
             Session(subject_id="X", channels=channels, label=Label.UNIPOLAR)
 
 
+class TestAtomicWrite:
+    def test_stale_fixed_name_temp_does_not_block(self, tmp_path):
+        # a fixed "<name>.tmp" temp name would collide with this directory,
+        # as it would with another run's temp file
+        (tmp_path / "features.csv.tmp").mkdir()
+        target = tmp_path / "features.csv"
+        session_io.atomic_write_text(target, "a,b\n1,2\n")
+        assert target.read_text(encoding="utf-8") == "a,b\n1,2\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["features.csv", "features.csv.tmp"]
+
+    def test_overwrites_and_mode_follows_umask(self, tmp_path):
+        import os
+        target = tmp_path / "out.json"
+        session_io.atomic_write_text(target, "old")
+        session_io.atomic_write_text(target, "new")
+        assert target.read_text(encoding="utf-8") == "new"
+        umask = os.umask(0)
+        os.umask(umask)
+        assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_temp_file_removed_when_rename_fails(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        (target / "keep").write_text("x")
+        with pytest.raises(OSError):
+            session_io.atomic_write_text(target, "text")
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
 class TestManifest:
     def test_round_trip_and_case_insensitive(self, tmp_path):
         path = tmp_path / "manifest.csv"
