@@ -10,13 +10,6 @@ from . import dsp
 from .errors import ConstantInput, LengthMismatch, SignalTooShort
 from .session_io import SignalChannel
 
-ACC_FEATURE_NAMES = (
-    "ACC_Mean", "ACC_Max", "ACC_Min", "ACC_STD", "ACC_Energy",
-    "ACC_Dominant_frequency", "ACC_Inactivity_time",
-    "Symmetry_x_y", "Symmetry_y_z", "Symmetry_x_z",
-)
-
-
 @dataclass(frozen=True)
 class AccFeatures:
     ACC_Mean: float
@@ -32,6 +25,9 @@ class AccFeatures:
 
     def as_features(self) -> dict[str, float]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+ACC_FEATURE_NAMES = tuple(f.name for f in fields(AccFeatures))
 
 
 def acc_magnitude(x, y, z) -> np.ndarray:

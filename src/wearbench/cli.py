@@ -15,7 +15,6 @@ Paths and seed can also come from ``WEARBENCH_DATA_ROOT``,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -26,11 +25,12 @@ from .config import (
     DEFAULT_MODELS,
     RunConfig,
     apply_env_overrides,
+    config_from_dict,
     load_config_file,
 )
 from .errors import ConfigError, InvalidSpec, WearbenchError
 from .models import MODEL_KINDS_BY_NAME
-from .session_io import ValidationPolicy, ValidationStatus, atomic_write_text
+from .session_io import ValidationStatus, atomic_write_text
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--data-root", help="root of session directories")
     parser.add_argument("--manifest", help="subject_id,label manifest CSV")
-    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--out", dest="out_dir", help="output directory")
     parser.add_argument("--seed", type=int, help="global random seed")
     parser.add_argument("--print-config", action="store_true",
                         help="dump the effective configuration and exit")
@@ -55,8 +55,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--n-unipolar", type=int)
     p_synth.add_argument("--n-bipolar", type=int)
     p_synth.add_argument("--duration", type=float, dest="duration_s")
-    p_synth.add_argument("--offset-acc-freq", type=float)
-    p_synth.add_argument("--offset-temp-trend", type=float)
+    p_synth.add_argument("--offset-acc-freq", type=float,
+                         dest="offset_acc_dominant_freq_hz")
+    p_synth.add_argument("--offset-temp-trend", type=float,
+                         dest="offset_temp_trend_c_per_s")
 
     sub.add_parser("validate", help="screen sessions against the policy")
     sub.add_parser("extract", help="extract the 59-column feature table")
@@ -71,43 +73,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_SYNTH_FLAGS = ("n_unipolar", "n_bipolar", "duration_s",
+                "offset_acc_dominant_freq_hz", "offset_temp_trend_c_per_s")
+
+
 def _merge_config(args) -> RunConfig:
+    """Flags > environment > config file > defaults; each layer passes the
+    same type and range checks in ``config_from_dict``."""
     cfg = load_config_file(args.config) if args.config else RunConfig()
     cfg = apply_env_overrides(cfg)
-    top = {}
-    for flag, key in (("data_root", "data_root"), ("manifest", "manifest"),
-                      ("out", "out_dir"), ("seed", "seed")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            top[key] = value
-    if top:
-        cfg = dataclasses.replace(cfg, **top)
-
-    synth_over = {}
-    for flag, key in (("n_unipolar", "n_unipolar"), ("n_bipolar", "n_bipolar"),
-                      ("duration_s", "duration_s"),
-                      ("offset_acc_freq", "offset_acc_dominant_freq_hz"),
-                      ("offset_temp_trend", "offset_temp_trend_c_per_s")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            synth_over[key] = value
-    if synth_over:
-        cfg = dataclasses.replace(
-            cfg, synth=dataclasses.replace(cfg.synth, **synth_over))
-
-    bench_over = {}
-    if getattr(args, "features", None):
-        bench_over["selectors"] = tuple(
-            s.strip() for s in args.features.split(",") if s.strip())
-    if getattr(args, "models", None):
-        bench_over["models"] = tuple(
-            m.strip().lower() for m in args.models.split(",") if m.strip())
-    if bench_over:
-        cfg = dataclasses.replace(
-            cfg, bench=dataclasses.replace(cfg.bench, **bench_over))
-
-    cfg.validate()
-    return cfg
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    overrides = {k: given[k] for k in ("data_root", "manifest", "out_dir",
+                                       "seed") if k in given}
+    overrides["synth"] = {k: given[k] for k in _SYNTH_FLAGS if k in given}
+    bench = overrides["bench"] = {}
+    if given.get("features"):
+        bench["selectors"] = [
+            s.strip() for s in given["features"].split(",") if s.strip()]
+    if given.get("models"):
+        bench["models"] = [
+            m.strip().lower() for m in given["models"].split(",") if m.strip()]
+    return config_from_dict(overrides, base=cfg)
 
 
 def _require(cfg: RunConfig, *keys: str) -> None:
@@ -137,11 +123,8 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 def cmd_validate(cfg: RunConfig) -> int:
     _require(cfg, "data_root", "manifest", "out_dir")
-    policy = ValidationPolicy(
-        min_duration_seconds=cfg.validation.min_duration_seconds,
-        max_duration_skew_seconds=cfg.validation.max_duration_skew_seconds)
     reports = [report for report, _ in pipeline.validate_cohort(
-        cfg.data_root, cfg.manifest, policy)]
+        cfg.data_root, cfg.manifest, cfg.validation)]
     path = Path(cfg.out_dir) / "validation.json"
     pipeline.write_validation_json(reports, path)
     n_ok = sum(r.status is ValidationStatus.OK for r in reports)
@@ -153,7 +136,7 @@ def cmd_extract(cfg: RunConfig) -> int:
     _require(cfg, "data_root", "manifest", "out_dir")
     features_path, validation_path, n_ok = pipeline.run_extract(
         cfg.data_root, cfg.manifest, cfg.out_dir,
-        dsp_cfg=cfg.dsp, feat_cfg=cfg.features, validation_cfg=cfg.validation)
+        dsp_cfg=cfg.dsp, feat_cfg=cfg.features, policy=cfg.validation)
     print(f"{n_ok} subjects -> {features_path}")
     print(f"validation -> {validation_path}")
     return EXIT_OK if n_ok > 0 else EXIT_EMPTY

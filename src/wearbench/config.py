@@ -8,25 +8,49 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
+import sys
 import types
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
+from .session_io import ValidationPolicy
 
 ENV_PREFIX = "WEARBENCH_"
 
 DEFAULT_MODELS = ("knn", "dt", "rf", "gb", "svm", "mlp")
 ALL_SELECTORS = ("hrv_time", "hrv_freq", "eda", "acc", "temp", "all")
 
+
+def _real(v) -> bool:
+    """A JSON number that fits a finite float: NaN, +-inf, numbers too
+    large for a float, and bools all fail."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+def _one_of(*choices):
+    return (lambda v: v in choices,
+            " or ".join(json.dumps(c) for c in choices))
+
+
+def _each_of(choices):
+    return (lambda v: all(x in choices for x in v),
+            f"a list drawn from {', '.join(choices)}")
+
+
+# a range is (check, what the value must be); every check fails NaN and +-inf
 _COUNT = (lambda v: type(v) is int and v >= 1, "an integer >= 1")
 _DEPTH = (lambda v: v is None or _COUNT[0](v), "null or an integer >= 1")
-_RATE = (lambda v: type(v) in (int, float) and 0 < v < math.inf,
-         "a positive number")
-# hyperparameters each model's grid may set -> (check, what it must be)
+_RATE = (lambda v: _real(v) and v > 0, "a positive number")
+_NON_NEGATIVE = (lambda v: _real(v) and v >= 0, "a finite number >= 0")
+_FINITE = (_real, "a finite number")
+_FRACTION = (lambda v: _real(v) and 0 <= v < 1, "a number in [0, 1)")
+_BAND = (lambda v: all(map(_real, v)) and 0 < v[0] < v[1],
+         "[low, high] with 0 < low < high")
+
+# hyperparameters each model's grid may set -> range
 GRID_KEYS = {
     "knn": {"k": _COUNT},
     "dt": {"max_depth": _DEPTH, "min_samples_leaf": _COUNT},
@@ -34,10 +58,57 @@ GRID_KEYS = {
            "min_samples_leaf": _COUNT},
     "gb": {"n_estimators": _COUNT, "learning_rate": _RATE,
            "max_depth": _COUNT},
-    "svm": {"kernel": (lambda v: v in ("linear", "rbf"),
-                       '"linear" or "rbf"'),
-            "c": _RATE, "gamma": _RATE},
+    "svm": {"kernel": _one_of("linear", "rbf"), "c": _RATE, "gamma": _RATE},
     "mlp": {"hidden": _COUNT, "learning_rate": _RATE, "epochs": _COUNT},
+}
+
+
+def _check_grids(grids: dict) -> bool:
+    """Model name -> non-empty list of points, each within ``GRID_KEYS``;
+    raises a ConfigError that names the offending grid."""
+    for name, grid in grids.items():
+        if name not in DEFAULT_MODELS:
+            raise ConfigError(f"grid for unknown model {name!r}")
+        if not isinstance(grid, list) or not grid:
+            raise ConfigError(f"grid for {name!r} must be a non-empty list")
+        for point in grid:
+            if not isinstance(point, dict):
+                raise ConfigError(f"grid entries for {name!r} must be objects")
+            for key, value in point.items():
+                if key not in GRID_KEYS[name]:
+                    raise ConfigError(
+                        f"grid for {name!r} sets unknown hyperparameter "
+                        f"{key!r}; allowed: {sorted(GRID_KEYS[name])}")
+                check, what = GRID_KEYS[name][key]
+                if not check(value):
+                    raise ConfigError(f"grid for {name!r}: {key} must be "
+                                      f"{what}, got {value!r}")
+    return True
+
+
+# section -> field -> range; a value is checked against its field's
+# annotation first, then against this table
+RANGES = {
+    "dsp": {"detrend_lambda": _RATE, "bvp_band_hz": _BAND,
+            "bvp_filter_order": _COUNT, "welch_overlap": _FRACTION,
+            "nn_interp_rate_hz": _RATE},
+    "features": {"peak_threshold_scale": _RATE, "peak_rms_window_s": _RATE,
+                 "peak_refractory_s": _RATE, "eda_clean_hz": _RATE,
+                 "eda_tonic_hz": _RATE, "scr_min_amplitude": _NON_NEGATIVE,
+                 "acc_lowpass_hz": _RATE, "acc_lowpass_order": _COUNT,
+                 "acc_inactivity_threshold": _NON_NEGATIVE},
+    "validation": {"min_duration_seconds": _RATE,
+                   "max_duration_skew_seconds": _NON_NEGATIVE},
+    "synth": {"n_unipolar": _COUNT, "n_bipolar": _COUNT, "duration_s": _RATE,
+              "offset_acc_dominant_freq_hz": _FINITE,
+              "offset_temp_trend_c_per_s": _FINITE,
+              "offset_heart_rate_bpm": _FINITE,
+              "offset_scr_amplitude_us": _FINITE,
+              "offset_acc_inactive_fraction": _FINITE},
+    "bench": {"models": _each_of(DEFAULT_MODELS),
+              "selectors": _each_of(ALL_SELECTORS),
+              "positive_class": _one_of("unipolar", "bipolar"),
+              "grids": (_check_grids, "an object of model grids")},
 }
 
 
@@ -48,19 +119,6 @@ class DspConfig:
     bvp_filter_order: int = 2
     welch_overlap: float = 0.5
     nn_interp_rate_hz: float = 4.0
-
-    def validate(self) -> None:
-        if self.detrend_lambda <= 0:
-            raise ConfigError("detrend_lambda must be positive")
-        lo, hi = self.bvp_band_hz
-        if not 0 < lo < hi:
-            raise ConfigError("bvp_band_hz must satisfy 0 < low < high")
-        if self.bvp_filter_order < 1:
-            raise ConfigError("bvp_filter_order must be >= 1")
-        if not 0 <= self.welch_overlap < 1:
-            raise ConfigError("welch_overlap must be in [0, 1)")
-        if self.nn_interp_rate_hz <= 0:
-            raise ConfigError("nn_interp_rate_hz must be positive")
 
 
 @dataclass(frozen=True)
@@ -75,37 +133,6 @@ class FeatureConfig:
     acc_lowpass_order: int = 5
     acc_inactivity_threshold: float = 0.12
 
-    def validate(self) -> None:
-        positives = {
-            "peak_threshold_scale": self.peak_threshold_scale,
-            "peak_rms_window_s": self.peak_rms_window_s,
-            "peak_refractory_s": self.peak_refractory_s,
-            "eda_clean_hz": self.eda_clean_hz,
-            "eda_tonic_hz": self.eda_tonic_hz,
-            "acc_lowpass_hz": self.acc_lowpass_hz,
-        }
-        for name, value in positives.items():
-            if value <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.scr_min_amplitude < 0:
-            raise ConfigError("scr_min_amplitude must be >= 0")
-        if self.acc_lowpass_order < 1:
-            raise ConfigError("acc_lowpass_order must be >= 1")
-        if self.acc_inactivity_threshold < 0:
-            raise ConfigError("acc_inactivity_threshold must be >= 0")
-
-
-@dataclass(frozen=True)
-class ValidationConfig:
-    min_duration_seconds: float = 60.0
-    max_duration_skew_seconds: float = 5.0
-
-    def validate(self) -> None:
-        if self.min_duration_seconds <= 0:
-            raise ConfigError("min_duration_seconds must be positive")
-        if self.max_duration_skew_seconds < 0:
-            raise ConfigError("max_duration_skew_seconds must be >= 0")
-
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -118,12 +145,6 @@ class SynthConfig:
     offset_scr_amplitude_us: float = 0.0
     offset_acc_inactive_fraction: float = 0.0
 
-    def validate(self) -> None:
-        if self.n_unipolar < 1 or self.n_bipolar < 1:
-            raise ConfigError("need at least one subject per class")
-        if self.duration_s <= 0:
-            raise ConfigError("duration_s must be positive")
-
 
 @dataclass(frozen=True)
 class BenchConfig:
@@ -131,35 +152,6 @@ class BenchConfig:
     selectors: tuple[str, ...] = ("all",)
     positive_class: str = "bipolar"
     grids: dict = field(default_factory=dict)  # model name -> list of dicts
-
-    def validate(self) -> None:
-        for m in self.models:
-            if m not in DEFAULT_MODELS:
-                raise ConfigError(f"unknown model {m!r}")
-        for s in self.selectors:
-            if s not in ALL_SELECTORS:
-                raise ConfigError(f"unknown feature selector {s!r}")
-        if self.positive_class not in ("unipolar", "bipolar"):
-            raise ConfigError("positive_class must be unipolar or bipolar")
-        for name, grid in self.grids.items():
-            if name not in DEFAULT_MODELS:
-                raise ConfigError(f"grid for unknown model {name!r}")
-            if not isinstance(grid, list) or not grid:
-                raise ConfigError(f"grid for {name!r} must be a non-empty list")
-            for point in grid:
-                if not isinstance(point, dict):
-                    raise ConfigError(
-                        f"grid entries for {name!r} must be objects")
-                for key, value in point.items():
-                    if key not in GRID_KEYS[name]:
-                        raise ConfigError(
-                            f"grid for {name!r} sets unknown hyperparameter "
-                            f"{key!r}; allowed: {sorted(GRID_KEYS[name])}")
-                    check, what = GRID_KEYS[name][key]
-                    if not check(value):
-                        raise ConfigError(
-                            f"grid for {name!r}: {key} must be {what}, "
-                            f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -170,28 +162,13 @@ class RunConfig:
     seed: int = 7
     dsp: DspConfig = field(default_factory=DspConfig)
     features: FeatureConfig = field(default_factory=FeatureConfig)
-    validation: ValidationConfig = field(default_factory=ValidationConfig)
+    validation: ValidationPolicy = field(default_factory=ValidationPolicy)
     synth: SynthConfig = field(default_factory=SynthConfig)
     bench: BenchConfig = field(default_factory=BenchConfig)
 
-    def validate(self) -> None:
-        self.dsp.validate()
-        self.features.validate()
-        self.validation.validate()
-        self.synth.validate()
-        self.bench.validate()
-
     def to_json_dict(self) -> dict:
-        def encode(obj):
-            if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-                return {f.name: encode(getattr(obj, f.name))
-                        for f in dataclasses.fields(obj)}
-            if isinstance(obj, tuple):
-                return [encode(v) for v in obj]
-            if isinstance(obj, dict):
-                return {k: encode(v) for k, v in obj.items()}
-            return obj
-        return encode(self)
+        """Nested dicts; ``json.dumps`` writes the tuples as arrays."""
+        return dataclasses.asdict(self)
 
 
 def _matches(value, hint) -> bool:
@@ -211,16 +188,21 @@ def _matches(value, hint) -> bool:
 
 def _update_dataclass(instance, overrides: dict, context: str):
     """``instance`` with ``overrides`` applied, each checked against the
-    annotation of its field."""
+    annotation of its field and then against its range in ``RANGES``."""
     hints = typing.get_type_hints(type(instance))
     unknown = set(overrides) - set(hints)
     if unknown:
         raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
+    ranges = RANGES.get(context, {})
     for key, value in overrides.items():
         hint = hints[key]
         if not _matches(value, hint):
             name = hint.__name__ if isinstance(hint, type) else str(hint)
             raise ConfigError(f"{context}.{key} must be {name}, "
+                              f"got {value!r}")
+        check, what = ranges.get(key, (None, None))
+        if check is not None and not check(value):
+            raise ConfigError(f"{context}.{key} must be {what}, "
                               f"got {value!r}")
     return dataclasses.replace(instance, **{
         k: tuple(v) if isinstance(v, list) else v
@@ -228,23 +210,20 @@ def _update_dataclass(instance, overrides: dict, context: str):
 
 
 def config_from_dict(data: dict, base: RunConfig | None = None) -> RunConfig:
-    base = base or RunConfig()
+    """``base`` (the defaults if None) with ``data`` applied. Every config
+    source -- file, environment and flags -- comes through here."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    sections = {"dsp": DspConfig, "features": FeatureConfig,
-                "validation": ValidationConfig, "synth": SynthConfig,
-                "bench": BenchConfig}
-    top = {}
+    base = base or RunConfig()
+    sections = {}
     for key, value in data.items():
-        if key in sections:
+        if key in RANGES:
             if not isinstance(value, dict):
                 raise ConfigError(f"section {key!r} must be an object")
-            top[key] = _update_dataclass(getattr(base, key), value, key)
-        elif key not in ("data_root", "manifest", "out_dir", "seed"):
-            raise ConfigError(f"unknown config key {key!r}")
-    plain = {k: v for k, v in data.items() if k not in sections}
+            sections[key] = _update_dataclass(getattr(base, key), value, key)
+    plain = {k: v for k, v in data.items() if k not in RANGES}
     return dataclasses.replace(_update_dataclass(base, plain, "config"),
-                               **top)
+                               **sections)
 
 
 def load_config_file(path) -> RunConfig:
@@ -261,15 +240,13 @@ def load_config_file(path) -> RunConfig:
 
 def apply_env_overrides(cfg: RunConfig, environ=None) -> RunConfig:
     env = os.environ if environ is None else environ
-    updates = {}
-    for key in ("data_root", "manifest", "out_dir"):
-        value = env.get(ENV_PREFIX + key.upper())
-        if value:
-            updates[key] = value
+    overrides = {key: env[ENV_PREFIX + key.upper()]
+                 for key in ("data_root", "manifest", "out_dir")
+                 if env.get(ENV_PREFIX + key.upper())}
     seed = env.get(ENV_PREFIX + "SEED")
     if seed:
         try:
-            updates["seed"] = int(seed)
+            overrides["seed"] = int(seed)
         except ValueError:
             raise ConfigError(f"{ENV_PREFIX}SEED must be an integer") from None
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+    return config_from_dict(overrides, base=cfg)

@@ -21,8 +21,9 @@ import warnings
 from pathlib import Path
 
 from . import actigraphy, dsp, eda, hrv, thermo
-from .config import DspConfig, FeatureConfig, ValidationConfig
+from .config import DspConfig, FeatureConfig
 from .errors import (
+    InvalidCutoff,
     NoPeaksFound,
     SignalTooShort,
     SpanTooShort,
@@ -45,6 +46,10 @@ from .session_io import (
 
 FEATURE_COLUMNS = FEATURE_GROUPS["all"]
 
+# a session too short for a family, or whose sample rate cannot carry a
+# configured filter cutoff, gets that family as NaN, not an aborted run
+_FAMILY_FAILURES = (SignalTooShort, InvalidCutoff)
+
 
 def _nan_family(names) -> dict[str, float]:
     return {name: float("nan") for name in names}
@@ -66,7 +71,7 @@ def extract_hrv_features(session: Session, dsp_cfg: DspConfig,
             rms_window_s=feat_cfg.peak_rms_window_s,
             refractory_s=feat_cfg.peak_refractory_s))
         nn = hrv.peaks_to_nn(peaks, bvp.sample_rate)
-    except (SignalTooShort, NoPeaksFound, TooFewIntervals) as exc:
+    except (*_FAMILY_FAILURES, NoPeaksFound, TooFewIntervals) as exc:
         warnings.warn(f"{session.subject_id}: HRV features unavailable "
                       f"({exc})", RuntimeWarning, stacklevel=2)
         out.update(_nan_family(hrv.HRV_TIME_NAMES))
@@ -90,7 +95,7 @@ def extract_eda_features(session: Session,
     try:
         decomp = eda.decompose_eda(channel, tonic_cutoff_hz=feat_cfg.eda_tonic_hz,
                                    clean_cutoff_hz=feat_cfg.eda_clean_hz)
-    except SignalTooShort as exc:
+    except _FAMILY_FAILURES as exc:
         warnings.warn(f"{session.subject_id}: EDA features unavailable "
                       f"({exc})", RuntimeWarning, stacklevel=2)
         return _nan_family(eda.EDA_FEATURE_NAMES)
@@ -111,7 +116,7 @@ def extract_acc_features(session: Session,
             smoothed,
             inactivity_threshold=feat_cfg.acc_inactivity_threshold,
         ).as_features()
-    except SignalTooShort as exc:
+    except _FAMILY_FAILURES as exc:
         warnings.warn(f"{session.subject_id}: ACC features unavailable "
                       f"({exc})", RuntimeWarning, stacklevel=2)
         return _nan_family(actigraphy.ACC_FEATURE_NAMES)
@@ -121,7 +126,7 @@ def extract_temp_features(session: Session) -> dict[str, float]:
     try:
         return thermo.temp_features(
             session.channel(ChannelKind.TEMP)).as_features()
-    except SignalTooShort as exc:
+    except _FAMILY_FAILURES as exc:
         warnings.warn(f"{session.subject_id}: TEMP features unavailable "
                       f"({exc})", RuntimeWarning, stacklevel=2)
         return _nan_family(thermo.TEMP_FEATURE_NAMES)
@@ -195,7 +200,8 @@ def write_validation_json(reports, path) -> None:
 # --- cohort-level extraction ----------------------------------------------------
 
 
-def validate_cohort(data_root, manifest_path, policy: ValidationPolicy):
+def validate_cohort(data_root, manifest_path,
+                    policy: ValidationPolicy | None = None):
     """Load and screen every manifest subject, one at a time, in order.
 
     Yields ``(report, session)``; ``session`` is None when the session
@@ -216,7 +222,7 @@ def validate_cohort(data_root, manifest_path, policy: ValidationPolicy):
 def run_extract(data_root, manifest_path, out_dir,
                 dsp_cfg: DspConfig | None = None,
                 feat_cfg: FeatureConfig | None = None,
-                validation_cfg: ValidationConfig | None = None
+                policy: ValidationPolicy | None = None
                 ) -> tuple[Path, Path, int]:
     """Validate and extract every manifest subject.
 
@@ -225,10 +231,6 @@ def run_extract(data_root, manifest_path, out_dir,
     ``out_dir``; returns both paths and the number of included subjects.
     """
     out_dir = Path(out_dir)
-    validation_cfg = validation_cfg or ValidationConfig()
-    policy = ValidationPolicy(
-        min_duration_seconds=validation_cfg.min_duration_seconds,
-        max_duration_skew_seconds=validation_cfg.max_duration_skew_seconds)
 
     reports: list[ValidationReport] = []
     rows: list[SubjectFeatures] = []

@@ -8,12 +8,6 @@ import numpy as np
 from .errors import SignalTooShort
 from .session_io import SignalChannel
 
-TEMP_FEATURE_NAMES = (
-    "TEMP_mean", "TEMP_max", "TEMP_min", "TEMP_std", "TEMP_range",
-    "TEMP_trend", "TEMP_energy",
-)
-
-
 @dataclass(frozen=True)
 class TempFeatures:
     TEMP_mean: float
@@ -26,6 +20,9 @@ class TempFeatures:
 
     def as_features(self) -> dict[str, float]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+TEMP_FEATURE_NAMES = tuple(f.name for f in fields(TempFeatures))
 
 
 def temp_features(temp: SignalChannel) -> TempFeatures:

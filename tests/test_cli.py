@@ -1,10 +1,12 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
 from wearbench import cli, pipeline, synth
+from wearbench.actigraphy import ACC_FEATURE_NAMES
 
 
 def run(*argv) -> int:
@@ -64,6 +66,19 @@ class TestSynthCommand:
                    "--n-unipolar", "0", "--n-bipolar", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("duration", ["nan", "inf"])
+    def test_non_finite_duration_flag_exits_2(self, duration, tmp_path,
+                                              capsys):
+        out = tmp_path / "d"
+        code = run("--out", str(out), "synth", "--n-unipolar", "1",
+                   "--n-bipolar", "1", "--duration", duration)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "synth.duration_s" in captured.err
+        assert not out.exists()
+
 
 class TestExtractCommand:
     def test_outputs_exist_with_59_columns(self, small_cohort):
@@ -107,6 +122,37 @@ class TestExtractCommand:
                     if s["status"] == "excluded"}
         assert "S002" in excluded
         assert any("constant BVP" in r for r in excluded["S002"]["reasons"])
+
+    def test_16hz_acc_header_empties_only_that_acc_family(self, small_cohort,
+                                                          tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(small_cohort / "data", data)
+        # every other row at half the rate: same duration, Nyquist 8 Hz,
+        # below the 10 Hz ACC low-pass cutoff
+        acc = data / "S002" / "ACC.csv"
+        lines = acc.read_text().splitlines()
+        acc.write_text("\n".join([lines[0], "16.000000,16.000000,16.000000"]
+                                 + lines[2::2]) + "\n")
+        with pytest.warns(RuntimeWarning,
+                          match="S002: ACC features unavailable"):
+            code = run("--data-root", str(data),
+                       "--manifest", str(data / "manifest.csv"),
+                       "--out", str(tmp_path / "out"), "extract")
+        assert code == 0
+        before = (small_cohort / "out" / "features.csv").read_text()
+        after = (tmp_path / "out" / "features.csv").read_text()
+        before, after = before.splitlines(), after.splitlines()
+        assert len(after) == len(before) == 7
+        header = after[0].split(",")
+        acc_columns = {header.index(name) for name in ACC_FEATURE_NAMES}
+        assert len(acc_columns) == 10
+        for old, new in zip(before, after):
+            if not new.startswith("S002,"):
+                assert new == old
+                continue
+            old, new = old.split(","), new.split(",")
+            for i, (o, n) in enumerate(zip(old, new)):
+                assert n == ("" if i in acc_columns else o), header[i]
 
     def test_all_excluded_gives_exit_4(self, tmp_path):
         data = tmp_path / "data"
@@ -301,6 +347,14 @@ class TestConfig:
         {"bench": {"grids": {"knn": [{"k": 0}]}}},
         {"bench": {"grids": {"dt": [{"max_depth": "3"}]}}},
         {"dsp": {"welch_segment_len": 256}},
+        {"dsp": {"detrend_lambda": float("nan")}},
+        {"dsp": {"detrend_lambda": float("inf")}},
+        {"features": {"acc_lowpass_hz": float("nan")}},
+        {"features": {"acc_lowpass_hz": float("inf")}},
+        {"validation": {"min_duration_seconds": float("nan")}},
+        {"validation": {"min_duration_seconds": float("inf")}},
+        {"synth": {"duration_s": float("nan")}},
+        {"synth": {"duration_s": float("inf")}},
     ])
     def test_wrong_typed_value_exits_2_before_any_work(
             self, config, small_cohort, tmp_path, capsys):

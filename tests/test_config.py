@@ -1,0 +1,87 @@
+import dataclasses
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from wearbench.config import (
+    RANGES,
+    RunConfig,
+    apply_env_overrides,
+    config_from_dict,
+)
+from wearbench.errors import ConfigError
+
+DEFAULTS = RunConfig()
+SECTION_FIELDS = [(section, f.name) for section in RANGES
+                  for f in dataclasses.fields(getattr(DEFAULTS, section))]
+FLOAT_FIELDS = [(section, name) for section, name in SECTION_FIELDS
+                if type(getattr(getattr(DEFAULTS, section), name)) is float]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8)
+
+
+def _leaves(value):
+    if isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _leaves(v)
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _leaves(v)
+    else:
+        yield value
+
+
+def test_every_section_field_has_exactly_one_range():
+    for section, ranges in RANGES.items():
+        names = {f.name for f in dataclasses.fields(getattr(DEFAULTS,
+                                                            section))}
+        assert set(ranges) == names, section
+
+
+def test_defaults_pass_their_own_checks():
+    assert config_from_dict(DEFAULTS.to_json_dict()) == DEFAULTS
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("section,name", FLOAT_FIELDS)
+def test_non_finite_float_field_rejected(section, name, value):
+    with pytest.raises(ConfigError, match=rf"^{section}\.{name} must be"):
+        config_from_dict({section: {name: value}})
+
+
+@pytest.mark.parametrize("band", [[math.nan, 3.5], [0.7, math.inf],
+                                  [3.5, 0.7], [0.0, 1.0], [1.0]])
+def test_bad_band_rejected(band):
+    with pytest.raises(ConfigError, match=r"^dsp\.bvp_band_hz must be"):
+        config_from_dict({"dsp": {"bvp_band_hz": band}})
+
+
+def test_env_values_pass_the_same_checks():
+    with pytest.raises(ConfigError):
+        apply_env_overrides(DEFAULTS, {"WEARBENCH_SEED": "nan"})
+    cfg = apply_env_overrides(DEFAULTS, {"WEARBENCH_SEED": "12"})
+    assert cfg == dataclasses.replace(DEFAULTS, seed=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(SECTION_FIELDS), JSON_VALUES,
+                       max_size=4))
+def test_any_json_value_gives_a_config_or_config_error(values):
+    data = {}
+    for (section, name), value in values.items():
+        data.setdefault(section, {})[name] = value
+    try:
+        cfg = config_from_dict(data)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
+    for (section, name) in values:
+        for leaf in _leaves(getattr(getattr(cfg, section), name)):
+            assert not isinstance(leaf, float) or math.isfinite(leaf), \
+                (section, name, leaf)
