@@ -10,7 +10,7 @@ Commands::
 
 Exit codes: 0 ok, 2 invalid configuration, 3 I/O failure, 4 empty result.
 Paths and seed can also come from ``WEARBENCH_DATA_ROOT``,
-``WEARBENCH_MANIFEST``, ``WEARBENCH_OUT``, and ``WEARBENCH_SEED``.
+``WEARBENCH_MANIFEST``, ``WEARBENCH_OUT_DIR``, and ``WEARBENCH_SEED``.
 """
 from __future__ import annotations
 

@@ -42,6 +42,7 @@ def _each_of(choices):
 
 # a range is (check, what the value must be); every check fails NaN and +-inf
 _COUNT = (lambda v: type(v) is int and v >= 1, "an integer >= 1")
+_SEED = (lambda v: type(v) is int and v >= 0, "an integer >= 0")
 _DEPTH = (lambda v: v is None or _COUNT[0](v), "null or an integer >= 1")
 _RATE = (lambda v: _real(v) and v > 0, "a positive number")
 _NON_NEGATIVE = (lambda v: _real(v) and v >= 0, "a finite number >= 0")
@@ -85,6 +86,9 @@ def _check_grids(grids: dict) -> bool:
                                       f"{what}, got {value!r}")
     return True
 
+
+# top-level field -> range; the paths take any string
+TOP_LEVEL_RANGES = {"seed": _SEED}
 
 # section -> field -> range; a value is checked against its field's
 # annotation first, then against this table
@@ -186,14 +190,14 @@ def _matches(value, hint) -> bool:
     return isinstance(value, hint)
 
 
-def _update_dataclass(instance, overrides: dict, context: str):
+def _update_dataclass(instance, overrides: dict, context: str,
+                      ranges: dict):
     """``instance`` with ``overrides`` applied, each checked against the
-    annotation of its field and then against its range in ``RANGES``."""
+    annotation of its field and then against its range in ``ranges``."""
     hints = typing.get_type_hints(type(instance))
     unknown = set(overrides) - set(hints)
     if unknown:
         raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
-    ranges = RANGES.get(context, {})
     for key, value in overrides.items():
         hint = hints[key]
         if not _matches(value, hint):
@@ -220,10 +224,12 @@ def config_from_dict(data: dict, base: RunConfig | None = None) -> RunConfig:
         if key in RANGES:
             if not isinstance(value, dict):
                 raise ConfigError(f"section {key!r} must be an object")
-            sections[key] = _update_dataclass(getattr(base, key), value, key)
+            sections[key] = _update_dataclass(getattr(base, key), value, key,
+                                              RANGES[key])
     plain = {k: v for k, v in data.items() if k not in RANGES}
-    return dataclasses.replace(_update_dataclass(base, plain, "config"),
-                               **sections)
+    return dataclasses.replace(
+        _update_dataclass(base, plain, "config", TOP_LEVEL_RANGES),
+        **sections)
 
 
 def load_config_file(path) -> RunConfig:

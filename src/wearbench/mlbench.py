@@ -2,10 +2,15 @@
 
 The protocol: for every hyperparameter combination, run a full
 leave-one-out pass where imputation medians and z-score statistics are
-refit on each fold's training rows; pick the combination with the best
+fit on each fold's training rows only; pick the combination with the best
 pooled accuracy (first wins ties) and report its pooled confusion matrix.
 Because the same LOOCV both selects and scores, reports carry an explicit
 optimistic-bias flag.
+
+Each fold is standardised once per search, and every grid point trains on
+the same fold stack. An MLP grid point trains all its folds as one stacked
+fit, with the same bits as one fit per fold; every other model trains
+fold by fold.
 """
 from __future__ import annotations
 
@@ -218,21 +223,43 @@ def _fold_seed(seed: int, grid_index: int, fold: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0] % (2 ** 62))
 
 
-def _loocv_predictions(matrix: FeatureMatrix, spec: ModelSpec, seed: int,
-                       grid_index: int) -> np.ndarray:
-    n = matrix.values.shape[0]
-    preds = np.empty(n, dtype=int)
+@dataclass(frozen=True)
+class _Folds:
+    """The LOOCV folds of a matrix, each standardised by its own training
+    rows: fold i trains on every subject but i and tests on subject i."""
+    x_train: np.ndarray  # (n, n - 1, d)
+    y_train: np.ndarray  # (n, n - 1)
+    x_test: np.ndarray  # (n, 1, d)
+
+
+def _build_folds(matrix: FeatureMatrix) -> _Folds:
+    n, d = matrix.values.shape
+    x_train = np.empty((n, n - 1, d))
+    x_test = np.empty((n, 1, d))
+    y_train = np.empty((n, n - 1), dtype=matrix.labels.dtype)
     for fold in range(n):
         mask = np.ones(n, dtype=bool)
         mask[fold] = False
-        x_train = matrix.values[mask]
-        y_train = matrix.labels[mask]
-        std = fit_standardizer(x_train)
-        model = train(spec, apply_standardizer(std, x_train), y_train,
-                      seed=_fold_seed(seed, grid_index, fold))
-        x_test = apply_standardizer(std, matrix.values[fold:fold + 1])
-        preds[fold] = predict(model, x_test)
-    return preds
+        rows = matrix.values[mask]
+        std = fit_standardizer(rows)
+        x_train[fold] = apply_standardizer(std, rows)
+        x_test[fold] = apply_standardizer(std, matrix.values[fold:fold + 1])
+        y_train[fold] = matrix.labels[mask]
+    return _Folds(x_train, y_train, x_test)
+
+
+def _loocv_predictions(folds: _Folds, spec: ModelSpec, seed: int,
+                       grid_index: int) -> np.ndarray:
+    seeds = [_fold_seed(seed, grid_index, fold)
+             for fold in range(folds.x_train.shape[0])]
+    if spec.kind is ModelKind.MLP:
+        # one stacked fit; each fold's net equals its own fit bit for bit
+        model = train(spec, folds.x_train, folds.y_train, seed=seeds)
+        return model.predict(folds.x_test)[:, 0]
+    return np.array([
+        predict(train(spec, x, y, seed=s), x_test)
+        for x, y, x_test, s in zip(folds.x_train, folds.y_train,
+                                   folds.x_test, seeds)], dtype=int)
 
 
 def _pool_confusion(labels, preds, positive: int) -> Confusion:
@@ -258,9 +285,10 @@ def loocv_grid_search(matrix: FeatureMatrix, kind: ModelKind, grid,
     if n < 3:
         raise ClassUnderpopulated(f"need >= 3 subjects for LOOCV, got {n}")
 
+    folds = _build_folds(matrix)
     best = None  # (accuracy, grid_index, preds)
     for gi, hp in enumerate(grid):
-        preds = _loocv_predictions(matrix, ModelSpec(kind, hp), seed, gi)
+        preds = _loocv_predictions(folds, ModelSpec(kind, hp), seed, gi)
         accuracy = float(np.mean(preds == matrix.labels))
         if best is None or accuracy > best[0] + 1e-12:
             best = (accuracy, gi, preds)

@@ -466,6 +466,9 @@ class SvmClassifier:
 # --- multi-layer perceptron ---------------------------------------------------------------
 
 
+_MLP_PARAMS = ("w1", "b1", "w2", "b2")
+
+
 def init_mlp_params(n_features: int, hidden: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     return {
@@ -476,63 +479,118 @@ def init_mlp_params(n_features: int, hidden: int, seed: int) -> dict:
     }
 
 
+def _mlp_buffers(f: int, n: int, d: int, hidden: int) -> dict:
+    return {"a1": np.empty((f, n, hidden)), "dz1": np.empty((f, n, hidden)),
+            "active": np.empty((f, n, hidden), dtype=bool),
+            "w1": np.empty((f, d, hidden))}
+
+
+def _mlp_backprop(params: dict, x: np.ndarray, y: np.ndarray,
+                  buffers: dict | None = None):
+    """Output probabilities and exact gradients over a stack of f nets.
+
+    ``x`` is (f, n, d) and ``y`` (f, n); ``params`` holds ``w1`` (f, d, h),
+    ``b1`` (f, h), ``w2`` (f, h, 1) and ``b2`` (f, 1). The products are
+    batched ``np.matmul`` calls, which run BLAS once per slice, so each
+    net's gradient equals the one it gets alone, bit for bit. The
+    (f, n, h) and (f, d, h) arrays are written into ``buffers``, which
+    the returned ``w1`` gradient shares.
+    """
+    if buffers is None:
+        buffers = _mlp_buffers(*x.shape, params["w1"].shape[2])
+    z1 = np.matmul(x, params["w1"], out=buffers["a1"])
+    z1 += params["b1"][:, None, :]
+    active = np.greater(z1, 0.0, out=buffers["active"])
+    a1 = np.maximum(z1, 0.0, out=z1)  # the ReLU overwrites z1
+    p = _sigmoid((a1 @ params["w2"])[..., 0] + params["b2"])
+    dz2 = ((p - y) / x.shape[1])[..., None]
+    dz1 = np.matmul(dz2, params["w2"].transpose(0, 2, 1), out=buffers["dz1"])
+    dz1 *= active
+    grads = {
+        "w1": np.matmul(x.transpose(0, 2, 1), dz1, out=buffers["w1"]),
+        "b1": dz1.sum(axis=1),
+        "w2": a1.transpose(0, 2, 1) @ dz2,
+        "b2": dz2.sum(axis=1),
+    }
+    return p, grads
+
+
 def mlp_loss_and_grad(params: dict, x: np.ndarray, y: np.ndarray):
     """Binary cross-entropy and its exact gradient for the 1-hidden-layer net.
 
     Architecture: ReLU hidden layer, sigmoid output. Exposed separately so
-    the analytic gradient can be checked against finite differences.
+    the analytic gradient, the one training uses, can be checked against
+    finite differences.
     """
-    n = x.shape[0]
-    z1 = x @ params["w1"] + params["b1"]
-    a1 = np.maximum(z1, 0.0)
-    z2 = (a1 @ params["w2"] + params["b2"]).ravel()
-    p = _sigmoid(z2)
+    y = np.asarray(y, dtype=float)
+    p, grads = _mlp_backprop({k: v[None] for k, v in params.items()},
+                             np.asarray(x, dtype=float)[None], y[None])
+    p = p[0]
     eps = 1e-12
     loss = -float(np.mean(y * np.log(np.clip(p, eps, None))
                           + (1.0 - y) * np.log(np.clip(1.0 - p, eps, None))))
-    dz2 = ((p - y) / n)[:, None]
-    grads = {
-        "w2": a1.T @ dz2,
-        "b2": dz2.sum(axis=0),
-    }
-    da1 = dz2 @ params["w2"].T
-    dz1 = da1 * (z1 > 0.0)
-    grads["w1"] = x.T @ dz1
-    grads["b1"] = dz1.sum(axis=0)
-    return loss, grads
+    return loss, {k: g[0] for k, g in grads.items()}
 
 
 class MlpClassifier:
-    """One hidden layer, full-batch gradient descent with momentum 0.9."""
+    """One hidden layer, full-batch gradient descent with momentum 0.9.
+
+    ``fit`` takes rows ``x`` (n, d) and labels ``y`` (n,), or a stack of
+    f folds, ``x`` (f, n, d) and ``y`` (f, n), with one ``seed`` per fold.
+    A stack trains f independent nets in one loop; each ends bit for bit
+    where it would end fit alone. Rows are a stack of one.
+    """
 
     def __init__(self, hidden: int = 16, learning_rate: float = 0.01,
-                 epochs: int = 500, momentum: float = 0.9, seed: int = 0):
+                 epochs: int = 500, momentum: float = 0.9, seed=0):
         self.hidden = int(hidden)
         self.learning_rate = float(learning_rate)
         self.epochs = int(epochs)
         self.momentum = float(momentum)
-        self.seed = int(seed)
+        self.seed = tuple(int(s) for s in seed) if np.ndim(seed) \
+            else int(seed)
         self._params: dict | None = None
+        self._stacked = False
 
     def fit(self, x, y) -> "MlpClassifier":
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        _check_labels(y.astype(int))
-        params = init_mlp_params(x.shape[1], self.hidden, self.seed)
+        self._stacked = x.ndim == 3
+        if not self._stacked:
+            x, y = x[None], y[None]
+        seeds = self.seed if self._stacked else (self.seed,)
+        if np.ndim(seeds) != 1 or len(seeds) != x.shape[0]:
+            raise ValueError(f"a stack of {x.shape[0]} folds needs one seed "
+                             f"per fold, got {self.seed!r}")
+        for labels in y:
+            _check_labels(labels.astype(int))
+        inits = [init_mlp_params(x.shape[2], self.hidden, s) for s in seeds]
+        params = {k: np.stack([p[k] for p in inits]) for k in _MLP_PARAMS}
+        del inits
         velocity = {k: np.zeros_like(v) for k, v in params.items()}
+        buffers = _mlp_buffers(*x.shape, self.hidden)
         for _ in range(self.epochs):
-            _, grads = mlp_loss_and_grad(params, x, y)
-            for key in params:
-                velocity[key] = self.momentum * velocity[key] \
-                    - self.learning_rate * grads[key]
-                params[key] = params[key] + velocity[key]
+            _, grads = _mlp_backprop(params, x, y, buffers)
+            for key in _MLP_PARAMS:
+                # velocity = momentum * velocity - learning_rate * grad
+                v, g = velocity[key], grads[key]
+                v *= self.momentum
+                g *= self.learning_rate
+                v -= g
+                params[key] += v
         self._params = params
         return self
 
     def decision_function(self, x) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        a1 = np.maximum(x @ self._params["w1"] + self._params["b1"], 0.0)
-        return (a1 @ self._params["w2"] + self._params["b2"]).ravel()
+        """Logits of rows ``x``, or (f, m) logits of a stack ``x`` (f, m, d)
+        after a stacked fit, fold i scored by net i."""
+        x = np.asarray(x, dtype=float)
+        if not self._stacked:
+            x = np.atleast_2d(x)[None]
+        p = self._params
+        a1 = np.maximum(np.matmul(x, p["w1"]) + p["b1"][:, None, :], 0.0)
+        z2 = (a1 @ p["w2"])[..., 0] + p["b2"]
+        return z2 if self._stacked else z2[0]
 
     def predict(self, x) -> np.ndarray:
         return (_sigmoid(self.decision_function(x)) > 0.5).astype(int)
@@ -551,12 +609,15 @@ _CLASSIFIERS = {
 }
 
 
-def train(spec: ModelSpec, x: np.ndarray, y: np.ndarray, seed: int = 0):
+def train(spec: ModelSpec, x: np.ndarray, y: np.ndarray,
+          seed: int | list[int] = 0):
     """Instantiate and fit the classifier named by ``spec``.
 
     The hyperparameters are constructor arguments; the ones left out take
     the constructor defaults. ``seed`` feeds the models that use randomness
     (random forest bootstrap and MLP initialization); the rest ignore it.
+    The MLP also takes a fold stack ``x`` (f, n, d), ``y`` (f, n) with a
+    list of f seeds.
     """
     hp = dict(spec.hyperparameters)
     if spec.kind in (ModelKind.RANDOM_FOREST, ModelKind.MLP):

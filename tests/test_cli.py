@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -77,6 +78,28 @@ class TestSynthCommand:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert "synth.duration_s" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "env", "file"])
+    def test_negative_seed_exits_2(self, source, tmp_path, capsys,
+                                   monkeypatch):
+        out = tmp_path / "d"
+        argv = ["--out", str(out)]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        elif source == "env":
+            monkeypatch.setenv("WEARBENCH_SEED", "-1")
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"seed": -1}))
+            argv += ["--config", str(cfg_path)]
+        code = run(*argv, "synth", "--n-unipolar", "1", "--n-bipolar", "1",
+                   "--duration", "61")
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "config.seed" in captured.err
         assert not out.exists()
 
 
@@ -319,6 +342,21 @@ class TestConfig:
         assert run("--config", str(cfg_path), "--seed", "7",
                    "--print-config") == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 7
+
+    @pytest.mark.parametrize("doc", ["cli docstring", "README.md"])
+    def test_each_documented_env_variable_changes_the_config(
+            self, doc, capsys, monkeypatch):
+        text = cli.__doc__ if doc == "cli docstring" else (
+            Path(__file__).resolve().parents[1] / "README.md").read_text()
+        names = sorted(set(re.findall(r"WEARBENCH_[A-Z_]*[A-Z]", text)))
+        assert len(names) == 4, names
+        assert run("--print-config") == 0
+        defaults = capsys.readouterr().out
+        for name in names:
+            monkeypatch.setenv(name, "3")
+            assert run("--print-config") == 0, name
+            assert capsys.readouterr().out != defaults, name
+            monkeypatch.delenv(name)
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -7,15 +7,17 @@ from wearbench import mlbench
 from wearbench.errors import ClassUnderpopulated, EmptyConfusion
 from wearbench.mlbench import (
     Confusion,
+    EvalReport,
     FeatureMatrix,
     SubjectFeatures,
     apply_standardizer,
     assemble_matrix,
     compute_metrics,
     fit_standardizer,
+    _fold_seed,
     loocv_grid_search,
 )
-from wearbench.models import ModelKind
+from wearbench.models import ModelKind, ModelSpec, predict, train
 from wearbench.session_io import Label
 
 
@@ -261,6 +263,112 @@ class TestLoocv:
         assert len(data["per_fold"]) == 11
         total = sum(data["confusion"].values())
         assert total == 11
+
+
+def oracle_loocv_predictions(matrix, spec, seed, grid_index):
+    """Per-fold LOOCV that refits the fold standardiser for every grid
+    point and trains one model per fold, as before fold stacking."""
+    n = matrix.values.shape[0]
+    preds = np.empty(n, dtype=int)
+    for fold in range(n):
+        mask = np.ones(n, dtype=bool)
+        mask[fold] = False
+        x_train = matrix.values[mask]
+        y_train = matrix.labels[mask]
+        std = fit_standardizer(x_train)
+        model = train(spec, apply_standardizer(std, x_train), y_train,
+                      seed=_fold_seed(seed, grid_index, fold))
+        x_test = apply_standardizer(std, matrix.values[fold:fold + 1])
+        preds[fold] = predict(model, x_test)
+    return preds
+
+
+def oracle_grid_search(matrix, kind, grid, seed):
+    best = None
+    for gi, hp in enumerate(grid):
+        preds = oracle_loocv_predictions(matrix, ModelSpec(kind, hp), seed,
+                                         gi)
+        accuracy = float(np.mean(preds == matrix.labels))
+        if best is None or accuracy > best[0] + 1e-12:
+            best = (accuracy, gi, preds)
+    _, gi, preds = best
+    labels = matrix.labels
+    confusion = Confusion(tp=int(np.sum((preds == 1) & (labels == 1))),
+                          tn=int(np.sum((preds == 0) & (labels == 0))),
+                          fp=int(np.sum((preds == 1) & (labels == 0))),
+                          fn=int(np.sum((preds == 0) & (labels == 1))))
+    return EvalReport(
+        model=ModelSpec(kind, grid[gi]), confusion=confusion,
+        metrics=compute_metrics(confusion),
+        per_fold=tuple((sid, int(t), int(p)) for sid, t, p
+                       in zip(matrix.subject_ids, labels, preds)),
+        selector="all", positive_class=1, seed=seed,
+        n_grid_points=len(grid))
+
+
+TWO_POINT_GRIDS = {
+    ModelKind.KNN: [{"k": 1}, {"k": 3}],
+    ModelKind.DECISION_TREE: [{"max_depth": 1}, {"max_depth": None}],
+    ModelKind.RANDOM_FOREST: [{"n_estimators": 5, "max_depth": 2},
+                              {"n_estimators": 5, "max_depth": None}],
+    ModelKind.GRADIENT_BOOSTING: [
+        {"n_estimators": 5, "learning_rate": 0.1},
+        {"n_estimators": 10, "learning_rate": 0.5}],
+    ModelKind.SVM: [{"kernel": "linear", "c": 0.1},
+                    {"kernel": "rbf", "c": 1.0, "gamma": 0.5}],
+    ModelKind.MLP: [{"hidden": 4, "epochs": 40},
+                    {"hidden": 8, "epochs": 60, "learning_rate": 0.1}],
+}
+
+
+def outlier_matrix():
+    rng = np.random.default_rng(3)
+    values = np.vstack([rng.normal(0, 1, (5, 3)),
+                        rng.normal(4, 1, (6, 3))])
+    values[7] = [1e9, -1e9, 1e9]
+    return matrix_from_arrays(values, [0] * 5 + [1] * 6)
+
+
+def toy_matrix_with_gaps():
+    matrix = assemble_matrix(toy_rows(seed=7, n_features=5), "all")
+    values = matrix.values[:, :5].copy()
+    values[[1, 4, 8], [0, 2, 0]] = np.nan
+    return matrix_from_arrays(values, matrix.labels)
+
+
+class TestFoldStack:
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("make", [
+        lambda: assemble_matrix(toy_rows(), "all"),
+        lambda: assemble_matrix(toy_rows(n0=6, n1=6, seed=4), "hrv_time"),
+        toy_matrix_with_gaps,
+        outlier_matrix,
+    ], ids=["toy", "toy-narrow", "toy-gaps", "outlier"])
+    def test_report_equals_per_grid_point_oracle(self, kind, make):
+        matrix = make()
+        grid = TWO_POINT_GRIDS[kind]
+        report = loocv_grid_search(matrix, kind, grid, seed=5)
+        assert report == oracle_grid_search(matrix, kind, grid, seed=5)
+
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+    def test_each_fold_standardised_once_per_search(self, kind, monkeypatch):
+        calls = {"fit_standardizer": 0, "train": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(mlbench, name,
+                                counting(name, getattr(mlbench, name)))
+        matrix = assemble_matrix(toy_rows(), "all")
+        loocv_grid_search(matrix, kind, TWO_POINT_GRIDS[kind], seed=0)
+        n = matrix.values.shape[0]
+        assert calls["fit_standardizer"] == n
+        # an MLP grid point trains all folds in one stacked fit
+        assert calls["train"] == (2 if kind is ModelKind.MLP else 2 * n)
 
 
 class TestGrids:

@@ -339,6 +339,66 @@ class TestSvm:
             models.SvmClassifier(kernel="poly")
 
 
+def oracle_mlp_loss_and_grad(params, x, y):
+    """Per-net loss and gradient, as computed before fold stacking."""
+    n = x.shape[0]
+    z1 = x @ params["w1"] + params["b1"]
+    a1 = np.maximum(z1, 0.0)
+    z2 = (a1 @ params["w2"] + params["b2"]).ravel()
+    p = models._sigmoid(z2)
+    eps = 1e-12
+    loss = -float(np.mean(y * np.log(np.clip(p, eps, None))
+                          + (1.0 - y) * np.log(np.clip(1.0 - p, eps, None))))
+    dz2 = ((p - y) / n)[:, None]
+    grads = {
+        "w2": a1.T @ dz2,
+        "b2": dz2.sum(axis=0),
+    }
+    da1 = dz2 @ params["w2"].T
+    dz1 = da1 * (z1 > 0.0)
+    grads["w1"] = x.T @ dz1
+    grads["b1"] = dz1.sum(axis=0)
+    return loss, grads
+
+
+def oracle_mlp_fit(x, y, hidden=16, learning_rate=0.01, epochs=500,
+                   momentum=0.9, seed=0):
+    """The one-net-at-a-time training loop: the parameters it ends with."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    params = models.init_mlp_params(x.shape[1], hidden, seed)
+    velocity = {k: np.zeros_like(v) for k, v in params.items()}
+    for _ in range(epochs):
+        _, grads = oracle_mlp_loss_and_grad(params, x, y)
+        for key in params:
+            velocity[key] = momentum * velocity[key] \
+                - learning_rate * grads[key]
+            params[key] = params[key] + velocity[key]
+    return params
+
+
+def oracle_mlp_decision(params, x):
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    a1 = np.maximum(x @ params["w1"] + params["b1"], 0.0)
+    return (a1 @ params["w2"] + params["b2"]).ravel()
+
+
+@st.composite
+def mlp_fold_stacks(draw):
+    """A stack of f folds, each with both classes, plus query rows."""
+    f = draw(st.integers(1, 5))
+    n = draw(st.integers(4, 12))
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.normal(size=(f, n, d)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    y = (rng.random((f, n)) < 0.5).astype(int)
+    y[:, :2] = [0, 1]
+    for fold in y:
+        rng.shuffle(fold)
+    seeds = [int(s) for s in rng.integers(0, 2 ** 62, f)]
+    return x, y, seeds, rng.normal(size=(f, 3, d))
+
+
 class TestMlp:
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(0)
@@ -374,6 +434,61 @@ class TestMlp:
         a = models.MlpClassifier(hidden=8, epochs=50, seed=4).fit(x, y)
         b = models.MlpClassifier(hidden=8, epochs=50, seed=4).fit(x, y)
         assert np.array_equal(a.decision_function(x), b.decision_function(x))
+
+    def test_stack_of_one_accepts_rows_and_a_single_seed(self, blobs):
+        x, y = blobs
+        mlp = models.MlpClassifier(hidden=4, epochs=20, seed=7).fit(x, y)
+        expect = oracle_mlp_fit(x, y, hidden=4, epochs=20, seed=7)
+        assert np.array_equal(mlp.decision_function(x),
+                              oracle_mlp_decision(expect, x))
+        assert np.array_equal(mlp.decision_function(x[0]),
+                              oracle_mlp_decision(expect, x[0]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(stack=mlp_fold_stacks(), hidden=st.integers(1, 8),
+           epochs=st.integers(1, 30),
+           learning_rate=st.sampled_from([0.001, 0.01, 0.5]))
+    def test_stacked_fit_equals_per_fold_oracle(self, stack, hidden, epochs,
+                                                learning_rate):
+        x, y, seeds, queries = stack
+        mlp = models.MlpClassifier(hidden=hidden, epochs=epochs,
+                                   learning_rate=learning_rate,
+                                   seed=seeds).fit(x, y)
+        scores = mlp.decision_function(queries)
+        for fold, seed in enumerate(seeds):
+            expect = oracle_mlp_fit(x[fold], y[fold], hidden=hidden,
+                                    epochs=epochs,
+                                    learning_rate=learning_rate, seed=seed)
+            for key in ("w1", "b1", "w2", "b2"):
+                assert np.array_equal(mlp._params[key][fold], expect[key]), \
+                    (fold, key)
+            assert np.array_equal(scores[fold],
+                                  oracle_mlp_decision(expect, queries[fold]))
+
+    def test_gradient_equals_per_net_oracle(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(9, 4))
+        y = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1], dtype=float)
+        params = models.init_mlp_params(4, 6, seed=2)
+        loss, grads = models.mlp_loss_and_grad(params, x, y)
+        expect_loss, expect = oracle_mlp_loss_and_grad(params, x, y)
+        assert loss == expect_loss
+        for key in expect:
+            assert np.array_equal(grads[key], expect[key]), key
+
+    def test_one_single_class_fold_raises(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(3, 6, 2))
+        y = np.array([[0, 1] * 3, [1] * 6, [1, 0] * 3])
+        with pytest.raises(DegenerateLabels):
+            models.MlpClassifier(epochs=5, seed=[1, 2, 3]).fit(x, y)
+
+    def test_stack_needs_one_seed_per_fold(self):
+        x = np.zeros((2, 4, 1))
+        y = np.array([[0, 1, 0, 1]] * 2)
+        for seed in (0, [1, 2, 3]):
+            with pytest.raises(ValueError):
+                models.MlpClassifier(epochs=1, seed=seed).fit(x, y)
 
 
 class TestDispatch:
