@@ -150,6 +150,14 @@ def cmd_bench(cfg: RunConfig) -> int:
     if not rows:
         print("features.csv has no subjects", file=sys.stderr)
         return EXIT_EMPTY
+    for selector in cfg.bench.selectors:
+        missing = [name for name in mlbench.FEATURE_GROUPS[selector]
+                   if name not in rows[0].features]
+        if missing:
+            raise WearbenchError(
+                f"{features_path}: selector {selector!r} needs "
+                f"{len(missing)} columns the header lacks, "
+                f"first {missing[0]!r}")
     positive = 1 if cfg.bench.positive_class == "bipolar" else 0
     grids = mlbench.default_grids()
     for name, grid in cfg.bench.grids.items():
@@ -173,6 +181,25 @@ def cmd_bench(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _load_report(path: Path) -> dict:
+    """A saved ``bench_*.json``, checked for the fields the table shows."""
+    try:
+        report = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise WearbenchError(f"{path}: not valid JSON ({exc})") from None
+    try:
+        ok = isinstance(report["model"]["display_name"], str) and all(
+            type(report["metrics"][key]) in (int, float)
+            for key in ("accuracy", "precision", "recall", "f1"))
+    except (KeyError, TypeError):
+        ok = False
+    if not ok:
+        raise WearbenchError(
+            f"{path}: a bench report needs model.display_name and numeric "
+            "metrics.accuracy, precision, recall and f1")
+    return report
+
+
 def cmd_report(cfg: RunConfig) -> int:
     _require(cfg, "out_dir")
     out_dir = Path(cfg.out_dir)
@@ -180,8 +207,7 @@ def cmd_report(cfg: RunConfig) -> int:
     for selector in cfg.bench.selectors:
         paths = [out_dir / f"bench_{selector}_{model_name}.json"
                  for model_name in cfg.bench.models]
-        reports = [json.loads(path.read_text(encoding="utf-8"))
-                   for path in paths if path.is_file()]
+        reports = [_load_report(path) for path in paths if path.is_file()]
         if reports:
             found = True
             table_path = out_dir / f"bench_{selector}.md"

@@ -16,12 +16,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
+from .mlbench import FEATURE_GROUPS
+from .models import MODEL_KINDS_BY_NAME
 from .session_io import ValidationPolicy
 
 ENV_PREFIX = "WEARBENCH_"
 
-DEFAULT_MODELS = ("knn", "dt", "rf", "gb", "svm", "mlp")
-ALL_SELECTORS = ("hrv_time", "hrv_freq", "eda", "acc", "temp", "all")
+DEFAULT_MODELS = tuple(MODEL_KINDS_BY_NAME)
+ALL_SELECTORS = tuple(FEATURE_GROUPS)
 
 
 def _real(v) -> bool:

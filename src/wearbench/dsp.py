@@ -370,17 +370,6 @@ def _normalize_section(section, ref_omega: float):
             den[0], den[1], den[2]]
 
 
-def frequency_response(design: FilterDesign, freqs_hz) -> np.ndarray:
-    """Complex response of the cascade evaluated on the unit circle."""
-    f = np.asarray(freqs_hz, dtype=float)
-    z1 = np.exp(-2j * math.pi * f / design.sample_rate_hz)
-    z2 = z1 * z1
-    h = np.ones_like(z1, dtype=complex)
-    for b0, b1, b2, _, a1, a2 in design.sos:
-        h *= (b0 + b1 * z1 + b2 * z2) / (1.0 + a1 * z1 + a2 * z2)
-    return h
-
-
 # --- zero-phase filtering -------------------------------------------------------
 
 def filtfilt(design: FilterDesign, signal) -> np.ndarray:
@@ -430,11 +419,10 @@ def _sosfilt_steady(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
 # --- Welch power spectral density ------------------------------------------------
 
 def welch_psd(signal, sample_rate_hz: float, segment_len: int | None = None,
-              overlap_fraction: float = 0.5,
-              demean_segments: bool = True) -> Spectrum:
+              overlap_fraction: float = 0.5) -> Spectrum:
     """Averaged Hann-windowed periodogram, one-sided, density scaled.
 
-    With per-segment mean removal (the default) the estimate is invariant to
+    Each segment has its mean removed, so the estimate is invariant to
     constant offsets, and the rectangle-rule integral of the density
     approximates the signal variance.
     """
@@ -459,8 +447,7 @@ def welch_psd(signal, sample_rate_hz: float, segment_len: int | None = None,
     scale = fs * float(np.sum(window * window))
 
     frames = np.stack([x[s:s + seg] for s in starts])
-    if demean_segments:
-        frames = frames - frames.mean(axis=1, keepdims=True)
+    frames = frames - frames.mean(axis=1, keepdims=True)
     spec = np.fft.rfft(frames * window, axis=1)
     p = (spec.real ** 2 + spec.imag ** 2) / scale
     power = p.mean(axis=0)

@@ -438,7 +438,6 @@ def hrv_freq_features(nn: NNSeries, interp_rate_hz: float = 4.0,
     values = values - values.mean()
     try:
         spec = dsp.welch_psd(values, interp_rate_hz,
-                             segment_len=min(256, values.size),
                              overlap_fraction=welch_overlap)
     except SignalTooShort as exc:
         raise SpanTooShort(str(exc)) from exc

@@ -158,13 +158,6 @@ def _column_splits(x: np.ndarray, target: np.ndarray, min_samples_leaf: int,
             for c, kept in enumerate(_scan(scores, criterion.tol))]
 
 
-def best_gini_split(x_col: np.ndarray, y: np.ndarray,
-                    min_samples_leaf: int = 1):
-    """Best (threshold, weighted Gini impurity) for one feature, or None."""
-    return _column_splits(np.asarray(x_col, dtype=float)[:, None],
-                          np.asarray(y), min_samples_leaf, _GINI)[0]
-
-
 class _Tree:
     """Binary CART tree stored as flat arrays, grown depth-first.
 
@@ -311,11 +304,10 @@ class GradientBoostingClassifier:
     """
 
     def __init__(self, n_estimators: int = 100, learning_rate: float = 0.1,
-                 max_depth: int = 3, min_samples_leaf: int = 1):
+                 max_depth: int = 3):
         self.n_estimators = int(n_estimators)
         self.learning_rate = float(learning_rate)
         self.max_depth = int(max_depth)
-        self.min_samples_leaf = int(min_samples_leaf)
         self._trees: list[_Tree] = []
         self._base_score = 0.0
 
@@ -331,8 +323,7 @@ class GradientBoostingClassifier:
             p = _sigmoid(scores)
             residual = y - p
             hessian = p * (1.0 - p)
-            tree = _Tree(_SSE, self.max_depth,
-                         self.min_samples_leaf).fit(x, residual)
+            tree = _Tree(_SSE, self.max_depth).fit(x, residual)
             leaf = tree.apply(x)
             # replace leaf means with Newton steps
             for node in np.unique(leaf).tolist():
@@ -357,6 +348,9 @@ class GradientBoostingClassifier:
 # --- support vector machine ------------------------------------------------------------
 
 
+_SVM_MAX_ITER = 20000
+
+
 class SvmClassifier:
     """Soft-margin SVM trained by most-violating-pair dual optimization.
 
@@ -366,15 +360,13 @@ class SvmClassifier:
     """
 
     def __init__(self, c: float = 1.0, kernel: str = "linear",
-                 gamma: float = 0.1, tol: float = 1e-3,
-                 max_iter: int = 20000):
+                 gamma: float = 0.1, tol: float = 1e-3):
         if kernel not in ("linear", "rbf"):
             raise ValueError(f"unknown kernel {kernel!r}")
         self.c = float(c)
         self.kernel = kernel
         self.gamma = float(gamma)
         self.tol = float(tol)
-        self.max_iter = int(max_iter)
         self._x: np.ndarray | None = None
         self._sy: np.ndarray | None = None
         self._alpha: np.ndarray | None = None
@@ -399,7 +391,7 @@ class SvmClassifier:
         alpha = np.zeros(n)
         grad = -np.ones(n)
 
-        for _ in range(self.max_iter):
+        for _ in range(_SVM_MAX_ITER):
             up = ((s > 0) & (alpha < self.c)) | ((s < 0) & (alpha > 0))
             low = ((s < 0) & (alpha < self.c)) | ((s > 0) & (alpha > 0))
             viol = -s * grad
@@ -467,6 +459,7 @@ class SvmClassifier:
 
 
 _MLP_PARAMS = ("w1", "b1", "w2", "b2")
+_MLP_MOMENTUM = 0.9
 
 
 def init_mlp_params(n_features: int, hidden: int, seed: int) -> dict:
@@ -486,7 +479,7 @@ def _mlp_buffers(f: int, n: int, d: int, hidden: int) -> dict:
 
 
 def _mlp_backprop(params: dict, x: np.ndarray, y: np.ndarray,
-                  buffers: dict | None = None):
+                  buffers: dict):
     """Output probabilities and exact gradients over a stack of f nets.
 
     ``x`` is (f, n, d) and ``y`` (f, n); ``params`` holds ``w1`` (f, d, h),
@@ -496,8 +489,6 @@ def _mlp_backprop(params: dict, x: np.ndarray, y: np.ndarray,
     (f, n, h) and (f, d, h) arrays are written into ``buffers``, which
     the returned ``w1`` gradient shares.
     """
-    if buffers is None:
-        buffers = _mlp_buffers(*x.shape, params["w1"].shape[2])
     z1 = np.matmul(x, params["w1"], out=buffers["a1"])
     z1 += params["b1"][:, None, :]
     active = np.greater(z1, 0.0, out=buffers["active"])
@@ -515,23 +506,6 @@ def _mlp_backprop(params: dict, x: np.ndarray, y: np.ndarray,
     return p, grads
 
 
-def mlp_loss_and_grad(params: dict, x: np.ndarray, y: np.ndarray):
-    """Binary cross-entropy and its exact gradient for the 1-hidden-layer net.
-
-    Architecture: ReLU hidden layer, sigmoid output. Exposed separately so
-    the analytic gradient, the one training uses, can be checked against
-    finite differences.
-    """
-    y = np.asarray(y, dtype=float)
-    p, grads = _mlp_backprop({k: v[None] for k, v in params.items()},
-                             np.asarray(x, dtype=float)[None], y[None])
-    p = p[0]
-    eps = 1e-12
-    loss = -float(np.mean(y * np.log(np.clip(p, eps, None))
-                          + (1.0 - y) * np.log(np.clip(1.0 - p, eps, None))))
-    return loss, {k: g[0] for k, g in grads.items()}
-
-
 class MlpClassifier:
     """One hidden layer, full-batch gradient descent with momentum 0.9.
 
@@ -542,11 +516,10 @@ class MlpClassifier:
     """
 
     def __init__(self, hidden: int = 16, learning_rate: float = 0.01,
-                 epochs: int = 500, momentum: float = 0.9, seed=0):
+                 epochs: int = 500, seed=0):
         self.hidden = int(hidden)
         self.learning_rate = float(learning_rate)
         self.epochs = int(epochs)
-        self.momentum = float(momentum)
         self.seed = tuple(int(s) for s in seed) if np.ndim(seed) \
             else int(seed)
         self._params: dict | None = None
@@ -574,7 +547,7 @@ class MlpClassifier:
             for key in _MLP_PARAMS:
                 # velocity = momentum * velocity - learning_rate * grad
                 v, g = velocity[key], grads[key]
-                v *= self.momentum
+                v *= _MLP_MOMENTUM
                 g *= self.learning_rate
                 v -= g
                 params[key] += v

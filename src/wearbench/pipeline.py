@@ -24,6 +24,7 @@ from . import actigraphy, dsp, eda, hrv, thermo
 from .config import DspConfig, FeatureConfig
 from .errors import (
     InvalidCutoff,
+    ManifestError,
     NoPeaksFound,
     SignalTooShort,
     SpanTooShort,
@@ -51,14 +52,17 @@ FEATURE_COLUMNS = FEATURE_GROUPS["all"]
 _FAMILY_FAILURES = (SignalTooShort, InvalidCutoff)
 
 
-def _nan_family(names) -> dict[str, float]:
+def _family_unavailable(session: Session, family: str, exc: Exception,
+                        names) -> dict[str, float]:
+    """Warn why ``family`` is missing for ``session``; its features as NaN."""
+    warnings.warn(f"{session.subject_id}: {family} unavailable ({exc})",
+                  RuntimeWarning, stacklevel=3)
     return {name: float("nan") for name in names}
 
 
 def extract_hrv_features(session: Session, dsp_cfg: DspConfig,
                          feat_cfg: FeatureConfig) -> dict[str, float]:
     bvp = session.channel(ChannelKind.BVP)
-    out = {}
     try:
         detrended = dsp.detrend(bvp.samples, dsp_cfg.detrend_lambda)
         band = dsp.design_butterworth(
@@ -72,20 +76,16 @@ def extract_hrv_features(session: Session, dsp_cfg: DspConfig,
             refractory_s=feat_cfg.peak_refractory_s))
         nn = hrv.peaks_to_nn(peaks, bvp.sample_rate)
     except (*_FAMILY_FAILURES, NoPeaksFound, TooFewIntervals) as exc:
-        warnings.warn(f"{session.subject_id}: HRV features unavailable "
-                      f"({exc})", RuntimeWarning, stacklevel=2)
-        out.update(_nan_family(hrv.HRV_TIME_NAMES))
-        out.update(_nan_family(hrv.HRV_FREQ_NAMES))
-        return out
-    out.update(hrv.hrv_time_features(nn).as_features())
+        return _family_unavailable(session, "HRV features", exc,
+                                   hrv.HRV_TIME_NAMES + hrv.HRV_FREQ_NAMES)
+    out = hrv.hrv_time_features(nn).as_features()
     try:
         out.update(hrv.hrv_freq_features(
             nn, interp_rate_hz=dsp_cfg.nn_interp_rate_hz,
             welch_overlap=dsp_cfg.welch_overlap).as_features())
     except (SpanTooShort, TooFewIntervals) as exc:
-        warnings.warn(f"{session.subject_id}: HRV spectrum unavailable "
-                      f"({exc})", RuntimeWarning, stacklevel=2)
-        out.update(_nan_family(hrv.HRV_FREQ_NAMES))
+        out.update(_family_unavailable(session, "HRV spectrum", exc,
+                                       hrv.HRV_FREQ_NAMES))
     return out
 
 
@@ -96,9 +96,8 @@ def extract_eda_features(session: Session,
         decomp = eda.decompose_eda(channel, tonic_cutoff_hz=feat_cfg.eda_tonic_hz,
                                    clean_cutoff_hz=feat_cfg.eda_clean_hz)
     except _FAMILY_FAILURES as exc:
-        warnings.warn(f"{session.subject_id}: EDA features unavailable "
-                      f"({exc})", RuntimeWarning, stacklevel=2)
-        return _nan_family(eda.EDA_FEATURE_NAMES)
+        return _family_unavailable(session, "EDA features", exc,
+                                   eda.EDA_FEATURE_NAMES)
     events = eda.detect_scr(decomp, min_amplitude=feat_cfg.scr_min_amplitude)
     return eda.eda_features(decomp, events)
 
@@ -117,9 +116,8 @@ def extract_acc_features(session: Session,
             inactivity_threshold=feat_cfg.acc_inactivity_threshold,
         ).as_features()
     except _FAMILY_FAILURES as exc:
-        warnings.warn(f"{session.subject_id}: ACC features unavailable "
-                      f"({exc})", RuntimeWarning, stacklevel=2)
-        return _nan_family(actigraphy.ACC_FEATURE_NAMES)
+        return _family_unavailable(session, "ACC features", exc,
+                                   actigraphy.ACC_FEATURE_NAMES)
 
 
 def extract_temp_features(session: Session) -> dict[str, float]:
@@ -127,9 +125,8 @@ def extract_temp_features(session: Session) -> dict[str, float]:
         return thermo.temp_features(
             session.channel(ChannelKind.TEMP)).as_features()
     except _FAMILY_FAILURES as exc:
-        warnings.warn(f"{session.subject_id}: TEMP features unavailable "
-                      f"({exc})", RuntimeWarning, stacklevel=2)
-        return _nan_family(thermo.TEMP_FEATURE_NAMES)
+        return _family_unavailable(session, "TEMP features", exc,
+                                   thermo.TEMP_FEATURE_NAMES)
 
 
 def extract_session_features(session: Session, dsp_cfg: DspConfig | None = None,
@@ -165,26 +162,63 @@ def write_features_csv(rows, path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _read_cell(cell: str, where: str) -> float:
+    """An empty cell is NaN; any other cell must be a finite number."""
+    if cell == "":
+        return float("nan")
+    try:
+        value = float(cell)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise WearbenchError(
+            f"{where}: expected a finite number or an empty cell, "
+            f"got {cell!r}")
+    return value
+
+
 def read_features_csv(path) -> list[SubjectFeatures]:
-    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines()
-             if ln.strip()]
-    header = lines[0].split(",")
-    if header[0] != "subject_id" or header[-1] != "label":
+    """The rows of a table in the :func:`write_features_csv` layout.
+
+    Raises ``WearbenchError``, naming the path and line, for a missing
+    header, a repeated column or subject id, a row of the wrong width, a
+    bad label, or a cell that is neither empty nor a finite number.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise WearbenchError(f"{path}: not UTF-8 text ({exc})") from None
+    lines = [(lineno, ln) for lineno, ln in enumerate(text.splitlines(),
+                                                      start=1) if ln.strip()]
+    header = lines[0][1].split(",") if lines else []
+    if header[:1] != ["subject_id"] or header[-1:] != ["label"]:
         raise WearbenchError(
             f"{path}: expected subject_id ... label columns")
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise WearbenchError(
+                f"{path}:{lines[0][0]}: column {name!r} appears twice")
     names = header[1:-1]
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    rows, first_line = [], {}
+    for lineno, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != len(header):
             raise WearbenchError(
                 f"{path}:{lineno}: expected {len(header)} cells, "
                 f"got {len(cells)}")
-        features = {}
-        for name, cell in zip(names, cells[1:-1]):
-            features[name] = float(cell) if cell != "" else float("nan")
-        rows.append(SubjectFeatures(subject_id=cells[0],
-                                    label=Label.from_string(cells[-1]),
+        subject_id = cells[0]
+        if subject_id in first_line:
+            raise WearbenchError(
+                f"{path}:{lineno}: subject_id {subject_id!r} repeats line "
+                f"{first_line[subject_id]}")
+        first_line[subject_id] = lineno
+        features = {name: _read_cell(cell, f"{path}:{lineno}: {name}")
+                    for name, cell in zip(names, cells[1:-1])}
+        try:
+            label = Label.from_string(cells[-1])
+        except ManifestError as exc:
+            raise WearbenchError(f"{path}:{lineno}: {exc}") from None
+        rows.append(SubjectFeatures(subject_id=subject_id, label=label,
                                     features=features))
     return rows
 

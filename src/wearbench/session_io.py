@@ -142,26 +142,13 @@ class ValidationReport:
 # --- channel CSV parsing -------------------------------------------------------
 
 
-def _parse_header_int(line: str, lineno: int) -> int:
+def _parse_header(line: str, lineno: int) -> tuple[str, float]:
+    """The first token of a header line and its value."""
     token = line.split(",")[0].strip()
     try:
-        value = float(token)
+        return token, float(token)
     except ValueError:
         raise MalformedHeader(f"line {lineno}: cannot parse {token!r}") from None
-    if not math.isfinite(value) or value != int(value):
-        raise MalformedHeader(f"line {lineno}: {token!r} is not an integer")
-    return int(value)
-
-
-def _parse_header_float(line: str, lineno: int) -> float:
-    token = line.split(",")[0].strip()
-    try:
-        value = float(token)
-    except ValueError:
-        raise MalformedHeader(f"line {lineno}: cannot parse {token!r}") from None
-    if not math.isfinite(value) or value <= 0:
-        raise MalformedHeader(f"line {lineno}: sample rate must be positive")
-    return value
 
 
 def parse_channel_csv(content: str, kind: ChannelKind) -> SignalChannel:
@@ -176,14 +163,18 @@ def parse_channel_csv(content: str, kind: ChannelKind) -> SignalChannel:
     lines = [ln for ln in lines if ln.strip() != ""]
     if len(lines) < 2:
         raise MalformedHeader("need two header lines (start time, sample rate)")
-    start_time = _parse_header_int(lines[0], 1)
-    sample_rate = _parse_header_float(lines[1], 2)
+    token, start_time = _parse_header(lines[0], 1)
+    if not math.isfinite(start_time) or start_time != int(start_time):
+        raise MalformedHeader(f"line 1: {token!r} is not an integer")
+    _, sample_rate = _parse_header(lines[1], 2)
+    if not math.isfinite(sample_rate) or sample_rate <= 0:
+        raise MalformedHeader("line 2: sample rate must be positive")
     body = lines[2:]
     if not body:
         raise EmptyBody(f"{kind.value}: no sample rows after header")
 
     samples = _parse_body(body, kind)
-    return SignalChannel(kind=kind, start_time=start_time,
+    return SignalChannel(kind=kind, start_time=int(start_time),
                          sample_rate=sample_rate, samples=samples)
 
 
@@ -283,20 +274,29 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def load_manifest(path) -> list[tuple[str, Label]]:
-    """Read the ``subject_id,label`` manifest, preserving row order."""
+    """Read the ``subject_id,label`` manifest, preserving row order.
+
+    Each subject id may appear once; a repeat would put one subject in
+    two LOOCV folds.
+    """
     path = Path(path)
-    lines = [ln.strip() for ln in path.read_text(encoding="utf-8").splitlines()
-             if ln.strip()]
+    lines = [(lineno, ln.strip()) for lineno, ln in enumerate(
+        path.read_text(encoding="utf-8").splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ManifestError(f"{path}: empty manifest")
-    header = [c.strip().lower() for c in lines[0].split(",")]
+    header = [c.strip().lower() for c in lines[0][1].split(",")]
     if header != ["subject_id", "label"]:
         raise ManifestError(f"{path}: expected header 'subject_id,label'")
-    entries = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    entries, first_line = [], {}
+    for lineno, line in lines[1:]:
         parts = [c.strip() for c in line.split(",")]
         if len(parts) != 2 or not parts[0]:
             raise ManifestError(f"{path}:{lineno}: expected 'subject_id,label'")
+        if parts[0] in first_line:
+            raise ManifestError(
+                f"{path}:{lineno}: subject_id {parts[0]!r} repeats line "
+                f"{first_line[parts[0]]}")
+        first_line[parts[0]] = lineno
         entries.append((parts[0], Label.from_string(parts[1])))
     return entries
 

@@ -12,7 +12,13 @@ from pathlib import Path
 
 import numpy as np
 
+from test_dsp import frequency_response
 from test_hrv import assert_matches_oracle, random_nn_series
+from test_models import (
+    best_gini_split,
+    exhaustive_best_split_1d,
+    mlp_loss_and_grad,
+)
 
 from wearbench import cli, dsp, eda, hrv, models, pipeline, synth
 from wearbench.mlbench import Confusion, compute_metrics
@@ -70,8 +76,7 @@ def test_criterion_2_dsp_analytic_suite():
                                    4.0),
         ]
         for design in designs:
-            mags = np.abs(dsp.frequency_response(design,
-                                                 list(design.cutoffs_hz)))
+            mags = np.abs(frequency_response(design, list(design.cutoffs_hz)))
             db = 20.0 * np.log10(mags)
             assert np.all(np.abs(db - (-3.01)) < 0.1), design
 
@@ -204,7 +209,7 @@ def test_criterion_5_classifier_sanity():
         x = rng.normal(size=(4, 3))
         y = np.array([0.0, 1.0, 1.0, 0.0])
         params = models.init_mlp_params(3, 5, seed=1)
-        _, grads = models.mlp_loss_and_grad(params, x, y)
+        _, grads = mlp_loss_and_grad(params, x, y)
         h = 1e-6
         for key in params:
             flat = params[key]
@@ -213,9 +218,9 @@ def test_criterion_5_classifier_sanity():
                 idx = it.multi_index
                 orig = float(flat[idx])
                 flat[idx] = orig + h
-                lp, _ = models.mlp_loss_and_grad(params, x, y)
+                lp, _ = mlp_loss_and_grad(params, x, y)
                 flat[idx] = orig - h
-                lm, _ = models.mlp_loss_and_grad(params, x, y)
+                lm, _ = mlp_loss_and_grad(params, x, y)
                 flat[idx] = orig
                 fd = (lp - lm) / (2 * h)
                 g = float(grads[key][idx])
@@ -235,7 +240,6 @@ def test_criterion_5_classifier_sanity():
             assert knn.predict(q[None, :])[0] == expect
 
         # CART root split vs exhaustive enumeration, exact
-        from test_models import exhaustive_best_split_1d
         rng = np.random.default_rng(8)
         checked = 0
         while checked < 40:
@@ -245,7 +249,7 @@ def test_criterion_5_classifier_sanity():
             if len(set(labels)) < 2:
                 continue
             oracle = exhaustive_best_split_1d(values, labels)
-            got = models.best_gini_split(values, labels)
+            got = best_gini_split(values, labels)
             if oracle is None:
                 assert got is None
             else:

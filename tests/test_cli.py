@@ -1,17 +1,36 @@
+import contextlib
 import hashlib
+import io
 import json
 import re
 import shutil
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wearbench import cli, pipeline, synth
 from wearbench.actigraphy import ACC_FEATURE_NAMES
+from wearbench.mlbench import SubjectFeatures
+from wearbench.session_io import Label
 
 
 def run(*argv) -> int:
     return cli.main(list(argv))
+
+
+def set_cell(lines, row, name, value):
+    cells = [line.split(",") for line in lines]
+    cells[row][cells[0].index(name)] = value
+    return [",".join(c) for c in cells]
+
+
+def drop_columns(lines, names):
+    cells = [line.split(",") for line in lines]
+    keep = [j for j, name in enumerate(cells[0]) if name not in names]
+    return [",".join(c[j] for j in keep) for c in cells]
 
 
 @pytest.fixture(scope="module")
@@ -275,6 +294,28 @@ class TestBenchCommand:
                    "--features", "bogus", "--models", "knn")
         assert code == 2
 
+    @pytest.mark.parametrize("selector,edit", [
+        ("all", lambda lines: lines + lines[1:]),
+        ("temp", lambda lines: set_cell(lines, 1, "TEMP_mean", "abc")),
+        ("hrv_time", lambda lines: set_cell(lines, 1, "HRV_SDNNI1", "inf")),
+        ("temp", lambda lines: []),
+        ("acc", lambda lines: drop_columns(lines, ACC_FEATURE_NAMES)),
+    ], ids=["doubled rows", "non-numeric cell", "inf cell", "empty file",
+            "no acc columns"])
+    def test_bad_features_table_exits_2(self, small_cohort, tmp_path, capsys,
+                                        selector, edit):
+        out = tmp_path / "out"
+        out.mkdir()
+        lines = (small_cohort / "out" / "features.csv").read_text()
+        (out / "features.csv").write_text(
+            "".join(line + "\n" for line in edit(lines.splitlines())))
+        code = run("--out", str(out), "--seed", "5", "bench",
+                   "--features", selector, "--models", "knn")
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and str(out / "features.csv") in err[0]
+        assert [p.name for p in out.iterdir()] == ["features.csv"]
+
 
 class TestReportCommand:
     def test_rerenders_tables_from_saved_json(self, small_cohort, tmp_path):
@@ -311,6 +352,24 @@ class TestReportCommand:
     def test_empty_out_dir_gives_exit_4(self, tmp_path):
         (tmp_path / "empty").mkdir()
         assert run("--out", str(tmp_path / "empty"), "report") == 4
+
+    @pytest.mark.parametrize("content", [
+        b"{", b"{}", b"[]", b"\xff\xfe{}",
+        b'{"model": "kNN", "metrics": {}}',
+        json.dumps({"model": {"display_name": "kNN"},
+                    "metrics": {"accuracy": "high", "precision": 1.0,
+                                "recall": 1.0, "f1": 1.0}}).encode(),
+    ], ids=["truncated", "empty object", "array", "not UTF-8",
+            "model not an object", "text metric"])
+    def test_malformed_report_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "bench_temp_knn.json"
+        path.write_bytes(content)
+        code = run("--out", str(tmp_path), "report",
+                   "--features", "temp", "--models", "knn")
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and str(path) in err[0]
+        assert not (tmp_path / "bench_temp.md").exists()
 
 
 class TestConfig:
@@ -414,6 +473,109 @@ class TestConfig:
 
     def test_no_command_prints_help(self, capsys):
         assert run() == 2
+
+
+FUZZ_CELLS = ["", "abc", "inf", "-inf", "nan", "1e999", "-0.0", "1e308",
+              "0", " ", "1,2", "unipolar", "bipolar", "S001", "subject_id",
+              "label", "TEMP_mean"]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3), max_leaves=6)
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A 3+3 subject features.csv and the kNN report bench makes of it."""
+    root = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(3)
+    rows = [SubjectFeatures(f"S{i + 1:03d}",
+                            Label.UNIPOLAR if i < 3 else Label.BIPOLAR,
+                            {name: float(v) for name, v in zip(
+                                pipeline.FEATURE_COLUMNS,
+                                rng.normal(size=len(pipeline.FEATURE_COLUMNS)))})
+            for i in range(6)]
+    pipeline.write_features_csv(rows, root / "features.csv")
+    assert run("--out", str(root), "bench", "--features", "temp",
+               "--models", "knn") == 0
+    return {"table": (root / "features.csv").read_text().splitlines(),
+            "report": (root / "bench_temp_knn.json").read_text()}
+
+
+def run_quietly(directory: Path, files: dict, *argv):
+    """Write ``files`` into a fresh directory under ``directory``, run the
+    CLI there, and return the exit code and the stderr lines."""
+    with tempfile.TemporaryDirectory(dir=directory) as out:
+        for name, text in files.items():
+            Path(out, name).write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli.main(["--out", out, "--seed", "5", *argv])
+    return code, err.getvalue().splitlines()
+
+
+class TestMutatedInputs:
+    """Mutated tables and reports end in a typed exit with one stderr
+    line, never a traceback."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_mutated_features_table(self, fuzz_base, tmp_path_factory, data):
+        rows = [line.split(",") for line in fuzz_base["table"]]
+        for _ in range(data.draw(st.integers(1, 3))):
+            op = data.draw(st.sampled_from(
+                ["cell", "truncate", "duplicate", "drop column", "drop row"]))
+            i = data.draw(st.integers(0, len(rows) - 1))
+            width = max(len(r) for r in rows)
+            if op == "cell" and rows[i]:
+                j = data.draw(st.integers(0, len(rows[i]) - 1))
+                rows[i][j] = data.draw(st.sampled_from(FUZZ_CELLS))
+            elif op == "truncate":
+                line = ",".join(rows[i])
+                rows[i] = line[:data.draw(st.integers(0, len(line)))].split(",")
+            elif op == "duplicate":
+                rows.insert(data.draw(st.integers(0, len(rows))), list(rows[i]))
+            elif op == "drop column" and width > 0:
+                j = data.draw(st.integers(0, width - 1))
+                rows = [r[:j] + r[j + 1:] for r in rows]
+            elif op == "drop row" and len(rows) > 1:
+                del rows[i]
+        code, err = run_quietly(
+            tmp_path_factory.getbasetemp(),
+            {"features.csv": "".join(",".join(r) + "\n" for r in rows)},
+            "bench", "--features", "temp", "--models", "knn")
+        assert code in (0, 2, 3, 4)
+        assert code == 0 or len(err) == 1, err
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_mutated_report(self, fuzz_base, tmp_path_factory, data):
+        text = fuzz_base["report"]
+        op = data.draw(st.sampled_from(["truncate", "replace", "delete"]))
+        if op == "truncate":
+            text = text[:data.draw(st.integers(0, len(text) - 1))]
+        else:
+            report = json.loads(text)
+            path = data.draw(st.sampled_from(
+                [("model",), ("model", "display_name"), ("metrics",)]
+                + [("metrics", k) for k in ("accuracy", "precision",
+                                            "recall", "f1")]))
+            parent = report
+            for key in path[:-1]:
+                parent = parent[key]
+            if op == "delete":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(json_values)
+            text = json.dumps(report)
+        code, err = run_quietly(tmp_path_factory.getbasetemp(),
+                                {"bench_temp_knn.json": text},
+                                "report", "--features", "temp",
+                                "--models", "knn")
+        assert code in (0, 2, 3, 4)
+        assert code == 0 or len(err) == 1, err
 
 
 class TestEndToEndDeterminism:

@@ -16,6 +16,17 @@ from wearbench.errors import (
 MINUS_3DB = 10 ** (-3.01 / 20)
 
 
+def frequency_response(design, freqs_hz):
+    """Complex response of the cascade evaluated on the unit circle."""
+    f = np.asarray(freqs_hz, dtype=float)
+    z1 = np.exp(-2j * math.pi * f / design.sample_rate_hz)
+    z2 = z1 * z1
+    h = np.ones_like(z1, dtype=complex)
+    for b0, b1, b2, _, a1, a2 in design.sos:
+        h *= (b0 + b1 * z1 + b2 * z2) / (1.0 + a1 * z1 + a2 * z2)
+    return h
+
+
 # --- scalar oracles: the per-sample loops the blocked kernel replaced ------------
 
 
@@ -270,7 +281,7 @@ class TestButterworthDesign:
     def test_lowpass_half_power_at_cutoff(self):
         design = dsp.design_butterworth(5, dsp.FilterKind.LOW_PASS, (10.0,),
                                         32.0)
-        h = abs(dsp.frequency_response(design, [10.0])[0])
+        h = abs(frequency_response(design, [10.0])[0])
         assert h == pytest.approx(0.7079, rel=0.01)
         assert h == pytest.approx(MINUS_3DB, abs=0.01)
 
@@ -278,22 +289,22 @@ class TestButterworthDesign:
         design = dsp.design_butterworth(5, dsp.FilterKind.LOW_PASS, (10.0,),
                                         32.0)
         freqs = np.linspace(10.0, 15.9, 60)
-        mags = np.abs(dsp.frequency_response(design, freqs))
+        mags = np.abs(frequency_response(design, freqs))
         assert mags[0] > mags[-1]
         assert np.all(np.diff(mags) < 1e-12)
-        assert abs(dsp.frequency_response(design, [14.0])[0]) < mags[0]
+        assert abs(frequency_response(design, [14.0])[0]) < mags[0]
 
     def test_bandpass_response(self):
         design = dsp.design_butterworth(2, dsp.FilterKind.BAND_PASS,
                                         (0.7, 3.5), 64.0)
-        mags = np.abs(dsp.frequency_response(design, [0.05, 1.5]))
+        mags = np.abs(frequency_response(design, [0.05, 1.5]))
         assert mags[0] < 0.05
         assert mags[1] > 0.9
 
     def test_bandpass_half_power_at_both_edges(self):
         design = dsp.design_butterworth(2, dsp.FilterKind.BAND_PASS,
                                         (0.7, 3.5), 64.0)
-        mags = np.abs(dsp.frequency_response(design, [0.7, 3.5]))
+        mags = np.abs(frequency_response(design, [0.7, 3.5]))
         assert mags == pytest.approx([MINUS_3DB, MINUS_3DB], abs=0.012)
 
     @pytest.mark.parametrize("order,kind,cutoffs,fs", [
@@ -309,7 +320,7 @@ class TestButterworthDesign:
     def test_stability_and_cutoff_accuracy(self, order, kind, cutoffs, fs):
         design = dsp.design_butterworth(order, kind, cutoffs, fs)
         assert np.all(np.abs(design.poles()) < 1.0)
-        mags = np.abs(dsp.frequency_response(design, list(cutoffs)))
+        mags = np.abs(frequency_response(design, list(cutoffs)))
         db = 20 * np.log10(mags)
         assert np.all(np.abs(db - (-3.01)) < 0.1)
 
@@ -318,7 +329,7 @@ class TestButterworthDesign:
         design = dsp.design_butterworth(5, dsp.FilterKind.LOW_PASS, (10.0,),
                                         32.0)
         freqs = np.linspace(0.1, 15.9, 200)
-        mine = np.abs(dsp.frequency_response(design, freqs))
+        mine = np.abs(frequency_response(design, freqs))
         b, a = sps.butter(5, 10.0, fs=32.0)
         _, h = sps.freqz(b, a, worN=freqs, fs=32.0)
         assert np.max(np.abs(mine - np.abs(h))) < 1e-8
@@ -331,7 +342,7 @@ class TestButterworthDesign:
         design = dsp.design_butterworth(order, dsp.FilterKind.LOW_PASS,
                                         (cutoff,), fs)
         assert np.all(np.abs(design.poles()) < 1.0)
-        mag = abs(dsp.frequency_response(design, [cutoff])[0])
+        mag = abs(frequency_response(design, [cutoff])[0])
         assert 20 * math.log10(mag) == pytest.approx(-3.01, abs=0.1)
 
     @given(order=st.integers(1, 4), lo=st.floats(0.03, 0.4),
@@ -346,7 +357,7 @@ class TestButterworthDesign:
         design = dsp.design_butterworth(order, dsp.FilterKind.BAND_PASS,
                                         (f1, f2), fs)
         assert np.all(np.abs(design.poles()) < 1.0)
-        mags = np.abs(dsp.frequency_response(design, [f1, f2]))
+        mags = np.abs(frequency_response(design, [f1, f2]))
         assert np.all(np.abs(20 * np.log10(mags) - (-3.01)) < 0.1)
 
     def test_invalid_inputs(self):

@@ -75,6 +75,14 @@ def exhaustive_best_split_1d(values, labels):
     return best
 
 
+def best_gini_split(x_col, y, min_samples_leaf=1):
+    """Best (threshold, weighted Gini impurity) for one feature, or None,
+    from the split search the trees use."""
+    return models._column_splits(np.asarray(x_col, dtype=float)[:, None],
+                                 np.asarray(y), min_samples_leaf,
+                                 models._GINI)[0]
+
+
 def _scalar_gini(counts):
     n = counts.sum()
     if n == 0:
@@ -161,7 +169,7 @@ class TestSplitSearch:
         for j in range(x.shape[1]):
             assert gini[j] == scalar_best_gini_split(x[:, j], y, msl)
             assert sse[j] == scalar_best_sse_split(x[:, j], r, msl)
-            assert models.best_gini_split(x[:, j], y, msl) == gini[j]
+            assert best_gini_split(x[:, j], y, msl) == gini[j]
 
     @settings(max_examples=300, deadline=None)
     @given(duplicate_heavy())
@@ -222,7 +230,7 @@ class TestDecisionTree:
             if len(set(labels)) < 2:
                 continue
             oracle = exhaustive_best_split_1d(values, labels)
-            got = models.best_gini_split(values, labels)
+            got = best_gini_split(values, labels)
             if oracle is None:
                 assert got is None
                 continue
@@ -339,6 +347,21 @@ class TestSvm:
             models.SvmClassifier(kernel="poly")
 
 
+def mlp_loss_and_grad(params, x, y):
+    """Binary cross-entropy and the gradient training uses
+    (``models._mlp_backprop``) for one net, as a stack of one."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    buffers = models._mlp_buffers(1, *x.shape, params["w1"].shape[1])
+    p, grads = models._mlp_backprop({k: v[None] for k, v in params.items()},
+                                    x[None], y[None], buffers)
+    p = p[0]
+    eps = 1e-12
+    loss = -float(np.mean(y * np.log(np.clip(p, eps, None))
+                          + (1.0 - y) * np.log(np.clip(1.0 - p, eps, None))))
+    return loss, {k: g[0] for k, g in grads.items()}
+
+
 def oracle_mlp_loss_and_grad(params, x, y):
     """Per-net loss and gradient, as computed before fold stacking."""
     n = x.shape[0]
@@ -405,7 +428,7 @@ class TestMlp:
         x = rng.normal(size=(4, 3))
         y = np.array([0.0, 1.0, 1.0, 0.0])
         params = models.init_mlp_params(3, 5, seed=1)
-        _, grads = models.mlp_loss_and_grad(params, x, y)
+        _, grads = mlp_loss_and_grad(params, x, y)
         h = 1e-6
         for key in params:
             flat = params[key]
@@ -414,9 +437,9 @@ class TestMlp:
                 idx = it.multi_index
                 orig = float(flat[idx])
                 flat[idx] = orig + h
-                lp, _ = models.mlp_loss_and_grad(params, x, y)
+                lp, _ = mlp_loss_and_grad(params, x, y)
                 flat[idx] = orig - h
-                lm, _ = models.mlp_loss_and_grad(params, x, y)
+                lm, _ = mlp_loss_and_grad(params, x, y)
                 flat[idx] = orig
                 fd = (lp - lm) / (2 * h)
                 g = float(grads[key][idx])
@@ -470,7 +493,7 @@ class TestMlp:
         x = rng.normal(size=(9, 4))
         y = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1], dtype=float)
         params = models.init_mlp_params(4, 6, seed=2)
-        loss, grads = models.mlp_loss_and_grad(params, x, y)
+        loss, grads = mlp_loss_and_grad(params, x, y)
         expect_loss, expect = oracle_mlp_loss_and_grad(params, x, y)
         assert loss == expect_loss
         for key in expect:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wearbench import pipeline, synth
+from wearbench.errors import WearbenchError
 from wearbench.hrv import HRV_FREQ_NAMES, HRV_TIME_NAMES
 from wearbench.mlbench import SubjectFeatures
 from wearbench.pipeline import FEATURE_COLUMNS
@@ -58,6 +59,16 @@ class TestExtractSessionFeatures:
             assert tuple(feats) == FEATURE_COLUMNS
 
 
+CSV_HEADER = "subject_id," + ",".join(FEATURE_COLUMNS) + ",label"
+
+
+def csv_row(subject_id, label="unipolar", **cells):
+    """A features.csv row with every cell 1.5 except those in ``cells``."""
+    return ",".join([subject_id]
+                    + [cells.get(name, "1.5") for name in FEATURE_COLUMNS]
+                    + [label])
+
+
 class TestFeatureCsv:
     def test_round_trip_preserves_values_and_nan(self, tmp_path):
         rows = [
@@ -92,6 +103,35 @@ class TestFeatureCsv:
         path.write_text(header + "\nS001,1.0,unipolar\n")
         from wearbench.errors import WearbenchError
         with pytest.raises(WearbenchError):
+            pipeline.read_features_csv(path)
+
+    @pytest.mark.parametrize("lines,message", [
+        ([], r"features\.csv: expected subject_id \.\.\. label columns"),
+        ([csv_row("S001")],
+         r"features\.csv: expected subject_id \.\.\. label columns"),
+        ([CSV_HEADER, csv_row("S001"), csv_row("S002", TEMP_mean="abc")],
+         r"features\.csv:3: TEMP_mean: expected a finite number or an empty "
+         r"cell, got 'abc'"),
+        ([CSV_HEADER, csv_row("S001", HRV_SDNNI1="inf")],
+         r"features\.csv:2: HRV_SDNNI1: .* got 'inf'"),
+        ([CSV_HEADER, csv_row("S001", HRV_MeanNN="nan")],
+         r"features\.csv:2: HRV_MeanNN: .* got 'nan'"),
+        ([CSV_HEADER, csv_row("S001", EDA_Tonic_Mean="1e999")],
+         r"features\.csv:2: EDA_Tonic_Mean: .* got '1e999'"),
+        ([CSV_HEADER, csv_row("S001"), "", csv_row("S002"),
+          csv_row("S001", label="bipolar")],
+         r"features\.csv:5: subject_id 'S001' repeats line 2"),
+        ([CSV_HEADER, csv_row("S001", label="mixed")],
+         r"features\.csv:2: unknown label 'mixed'"),
+        (["subject_id,TEMP_mean,TEMP_mean,label", "S001,1,2,unipolar"],
+         r"features\.csv:1: column 'TEMP_mean' appears twice"),
+    ], ids=["empty file", "no header", "non-numeric cell", "inf cell",
+            "nan cell", "overflowing cell", "repeated subject id",
+            "unknown label", "repeated column"])
+    def test_bad_table_rejected(self, tmp_path, lines, message):
+        path = tmp_path / "features.csv"
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(WearbenchError, match=message):
             pipeline.read_features_csv(path)
 
 

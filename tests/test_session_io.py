@@ -266,6 +266,10 @@ class TestManifest:
         path.write_text("subject_id,label\nA,mixed\n")
         with pytest.raises(ManifestError):
             load_manifest(path)
+        path.write_text("subject_id,label\nS001,unipolar\n\nS001,bipolar\n")
+        with pytest.raises(ManifestError, match=(
+                r"manifest\.csv:4: subject_id 'S001' repeats line 2")):
+            load_manifest(path)
 
 
 class TestValidation:
