@@ -26,11 +26,12 @@ from .config import (
     RunConfig,
     apply_env_overrides,
     config_from_dict,
+    finite_number,
     load_config_file,
 )
 from .errors import ConfigError, InvalidSpec, WearbenchError
 from .models import MODEL_KINDS_BY_NAME
-from .session_io import ValidationStatus, atomic_write_text
+from .session_io import ValidationStatus, atomic_write_text, read_text
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -129,6 +130,8 @@ def cmd_validate(cfg: RunConfig) -> int:
     pipeline.write_validation_json(reports, path)
     n_ok = sum(r.status is ValidationStatus.OK for r in reports)
     print(f"{n_ok}/{len(reports)} sessions pass validation -> {path}")
+    if n_ok == 0:
+        print("no session passes validation", file=sys.stderr)
     return EXIT_OK if n_ok > 0 else EXIT_EMPTY
 
 
@@ -139,6 +142,8 @@ def cmd_extract(cfg: RunConfig) -> int:
         dsp_cfg=cfg.dsp, feat_cfg=cfg.features, policy=cfg.validation)
     print(f"{n_ok} subjects -> {features_path}")
     print(f"validation -> {validation_path}")
+    if n_ok == 0:
+        print("no session passes validation", file=sys.stderr)
     return EXIT_OK if n_ok > 0 else EXIT_EMPTY
 
 
@@ -184,19 +189,19 @@ def cmd_bench(cfg: RunConfig) -> int:
 def _load_report(path: Path) -> dict:
     """A saved ``bench_*.json``, checked for the fields the table shows."""
     try:
-        report = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
+        report = json.loads(read_text(path))
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise WearbenchError(f"{path}: not valid JSON ({exc})") from None
     try:
         ok = isinstance(report["model"]["display_name"], str) and all(
-            type(report["metrics"][key]) in (int, float)
+            finite_number(report["metrics"][key])
             for key in ("accuracy", "precision", "recall", "f1"))
     except (KeyError, TypeError):
         ok = False
     if not ok:
         raise WearbenchError(
-            f"{path}: a bench report needs model.display_name and numeric "
-            "metrics.accuracy, precision, recall and f1")
+            f"{path}: a bench report needs model.display_name and finite "
+            "numeric metrics.accuracy, precision, recall and f1")
     return report
 
 
@@ -234,16 +239,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _merge_config(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.print_config:
-        print(json.dumps(cfg.to_json_dict(), indent=2, sort_keys=True))
-        return EXIT_OK
-    if not args.command:
-        parser.print_help()
-        return EXIT_CONFIG
-    try:
+        if args.print_config:
+            print(json.dumps(cfg.to_json_dict(), indent=2, sort_keys=True))
+            return EXIT_OK
+        if not args.command:
+            parser.print_help()
+            return EXIT_CONFIG
         return _COMMANDS[args.command](cfg)
     except (ConfigError, InvalidSpec) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

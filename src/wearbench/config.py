@@ -10,15 +10,13 @@ import dataclasses
 import json
 import os
 import sys
-import types
-import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
 from .mlbench import FEATURE_GROUPS
 from .models import MODEL_KINDS_BY_NAME
-from .session_io import ValidationPolicy
+from .session_io import ValidationPolicy, read_text
 
 ENV_PREFIX = "WEARBENCH_"
 
@@ -26,7 +24,7 @@ DEFAULT_MODELS = tuple(MODEL_KINDS_BY_NAME)
 ALL_SELECTORS = tuple(FEATURE_GROUPS)
 
 
-def _real(v) -> bool:
+def finite_number(v) -> bool:
     """A JSON number that fits a finite float: NaN, +-inf, numbers too
     large for a float, and bools all fail."""
     return type(v) in (int, float) and abs(v) <= sys.float_info.max
@@ -38,20 +36,24 @@ def _one_of(*choices):
 
 
 def _each_of(choices):
-    return (lambda v: all(x in choices for x in v),
+    return (lambda v: isinstance(v, (list, tuple))
+            and all(x in choices for x in v),
             f"a list drawn from {', '.join(choices)}")
 
 
-# a range is (check, what the value must be); every check fails NaN and +-inf
+# a range is (check, what the value must be); it is a field's only check,
+# so it also checks the type, and it fails NaN and +-inf
 _COUNT = (lambda v: type(v) is int and v >= 1, "an integer >= 1")
 _SEED = (lambda v: type(v) is int and v >= 0, "an integer >= 0")
 _DEPTH = (lambda v: v is None or _COUNT[0](v), "null or an integer >= 1")
-_RATE = (lambda v: _real(v) and v > 0, "a positive number")
-_NON_NEGATIVE = (lambda v: _real(v) and v >= 0, "a finite number >= 0")
-_FINITE = (_real, "a finite number")
-_FRACTION = (lambda v: _real(v) and 0 <= v < 1, "a number in [0, 1)")
-_BAND = (lambda v: all(map(_real, v)) and 0 < v[0] < v[1],
+_RATE = (lambda v: finite_number(v) and v > 0, "a positive number")
+_NON_NEGATIVE = (lambda v: finite_number(v) and v >= 0, "a finite number >= 0")
+_FINITE = (finite_number, "a finite number")
+_FRACTION = (lambda v: finite_number(v) and 0 <= v < 1, "a number in [0, 1)")
+_BAND = (lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+         and all(map(finite_number, v)) and 0 < v[0] < v[1],
          "[low, high] with 0 < low < high")
+_PATH = (lambda v: v is None or isinstance(v, str), "null or a string")
 
 # hyperparameters each model's grid may set -> range
 GRID_KEYS = {
@@ -69,6 +71,8 @@ GRID_KEYS = {
 def _check_grids(grids: dict) -> bool:
     """Model name -> non-empty list of points, each within ``GRID_KEYS``;
     raises a ConfigError that names the offending grid."""
+    if not isinstance(grids, dict):
+        return False
     for name, grid in grids.items():
         if name not in DEFAULT_MODELS:
             raise ConfigError(f"grid for unknown model {name!r}")
@@ -89,11 +93,11 @@ def _check_grids(grids: dict) -> bool:
     return True
 
 
-# top-level field -> range; the paths take any string
-TOP_LEVEL_RANGES = {"seed": _SEED}
+# top-level field -> range
+TOP_LEVEL_RANGES = {"data_root": _PATH, "manifest": _PATH, "out_dir": _PATH,
+                    "seed": _SEED}
 
-# section -> field -> range; a value is checked against its field's
-# annotation first, then against this table
+# section -> field -> range
 RANGES = {
     "dsp": {"detrend_lambda": _RATE, "bvp_band_hz": _BAND,
             "bvp_filter_order": _COUNT, "welch_overlap": _FRACTION,
@@ -177,37 +181,16 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
-def _matches(value, hint) -> bool:
-    """Whether a JSON value fits a field annotation. A list fits a tuple;
-    an int is also a float, and a bool is not a number."""
-    args = typing.get_args(hint)
-    if isinstance(hint, types.UnionType):
-        return any(_matches(value, a) for a in args)
-    if typing.get_origin(hint) is tuple:
-        return isinstance(value, (list, tuple)) and (
-            all(_matches(v, args[0]) for v in value) if args[-1] is Ellipsis
-            else len(value) == len(args) and all(map(_matches, value, args)))
-    if hint in (int, float):
-        return isinstance(value, (int, hint)) and not isinstance(value, bool)
-    return isinstance(value, hint)
-
-
 def _update_dataclass(instance, overrides: dict, context: str,
                       ranges: dict):
-    """``instance`` with ``overrides`` applied, each checked against the
-    annotation of its field and then against its range in ``ranges``."""
-    hints = typing.get_type_hints(type(instance))
-    unknown = set(overrides) - set(hints)
+    """``instance`` with ``overrides`` applied, each checked against its
+    field's range in ``ranges``."""
+    unknown = set(overrides) - set(ranges)
     if unknown:
         raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
     for key, value in overrides.items():
-        hint = hints[key]
-        if not _matches(value, hint):
-            name = hint.__name__ if isinstance(hint, type) else str(hint)
-            raise ConfigError(f"{context}.{key} must be {name}, "
-                              f"got {value!r}")
-        check, what = ranges.get(key, (None, None))
-        if check is not None and not check(value):
+        check, what = ranges[key]
+        if not check(value):
             raise ConfigError(f"{context}.{key} must be {what}, "
                               f"got {value!r}")
     return dataclasses.replace(instance, **{
@@ -237,10 +220,10 @@ def config_from_dict(data: dict, base: RunConfig | None = None) -> RunConfig:
 def load_config_file(path) -> RunConfig:
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(read_text(path))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") \
             from None
     return config_from_dict(data)

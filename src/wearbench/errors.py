@@ -12,7 +12,7 @@ class WearbenchError(Exception):
 # --- session parsing / validation -------------------------------------------
 
 class SessionFormatError(WearbenchError):
-    """A session file or manifest violates the on-disk format."""
+    """An input file (session, manifest, table, report) violates its format."""
 
 
 class MalformedHeader(SessionFormatError):

@@ -24,7 +24,6 @@ from . import actigraphy, dsp, eda, hrv, thermo
 from .config import DspConfig, FeatureConfig
 from .errors import (
     InvalidCutoff,
-    ManifestError,
     NoPeaksFound,
     SignalTooShort,
     SpanTooShort,
@@ -34,7 +33,6 @@ from .errors import (
 from .mlbench import FEATURE_GROUPS, SubjectFeatures
 from .session_io import (
     ChannelKind,
-    Label,
     Session,
     ValidationPolicy,
     ValidationReport,
@@ -42,6 +40,7 @@ from .session_io import (
     atomic_write_text,
     load_manifest,
     load_session,
+    read_subject_table,
     validate_session,
 )
 
@@ -180,47 +179,17 @@ def _read_cell(cell: str, where: str) -> float:
 def read_features_csv(path) -> list[SubjectFeatures]:
     """The rows of a table in the :func:`write_features_csv` layout.
 
-    Raises ``WearbenchError``, naming the path and line, for a missing
-    header, a repeated column or subject id, a row of the wrong width, a
-    bad label, or a cell that is neither empty nor a finite number.
+    Raises ``WearbenchError``, naming the path and line, for any defect
+    :func:`read_subject_table` rejects, or a cell that is neither empty
+    nor a finite number.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise WearbenchError(f"{path}: not UTF-8 text ({exc})") from None
-    lines = [(lineno, ln) for lineno, ln in enumerate(text.splitlines(),
-                                                      start=1) if ln.strip()]
-    header = lines[0][1].split(",") if lines else []
-    if header[:1] != ["subject_id"] or header[-1:] != ["label"]:
-        raise WearbenchError(
-            f"{path}: expected subject_id ... label columns")
-    for i, name in enumerate(header):
-        if name in header[:i]:
-            raise WearbenchError(
-                f"{path}:{lines[0][0]}: column {name!r} appears twice")
+    header, rows = read_subject_table(path, WearbenchError)
     names = header[1:-1]
-    rows, first_line = [], {}
-    for lineno, line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise WearbenchError(
-                f"{path}:{lineno}: expected {len(header)} cells, "
-                f"got {len(cells)}")
-        subject_id = cells[0]
-        if subject_id in first_line:
-            raise WearbenchError(
-                f"{path}:{lineno}: subject_id {subject_id!r} repeats line "
-                f"{first_line[subject_id]}")
-        first_line[subject_id] = lineno
-        features = {name: _read_cell(cell, f"{path}:{lineno}: {name}")
-                    for name, cell in zip(names, cells[1:-1])}
-        try:
-            label = Label.from_string(cells[-1])
-        except ManifestError as exc:
-            raise WearbenchError(f"{path}:{lineno}: {exc}") from None
-        rows.append(SubjectFeatures(subject_id=subject_id, label=label,
-                                    features=features))
-    return rows
+    return [SubjectFeatures(
+        subject_id=subject_id, label=label,
+        features={name: _read_cell(cell, f"{path}:{lineno}: {name}")
+                  for name, cell in zip(names, cells)})
+        for lineno, subject_id, cells, label in rows]
 
 
 def write_validation_json(reports, path) -> None:

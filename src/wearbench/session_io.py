@@ -12,7 +12,8 @@ Each channel file is UTF-8 text (LF or CRLF):
   (width 3 for ACC, width 1 otherwise).
 
 Labels live in a separate manifest CSV with header ``subject_id,label`` and
-case-insensitive labels ``unipolar`` / ``bipolar``.
+case-insensitive labels ``unipolar`` / ``bipolar``. The manifest is a subject
+table (:func:`read_subject_table`) with no columns between the two.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from .errors import (
     ManifestError,
     MissingChannelFile,
     NonFiniteSample,
+    SessionFormatError,
     WidthMismatch,
 )
 
@@ -139,6 +141,17 @@ class ValidationReport:
             raise ValueError("status must be EXCLUDED iff reasons are present")
 
 
+def read_text(path, name=None) -> str:
+    """The UTF-8 text of ``path``; other bytes raise ``SessionFormatError``
+    naming the file as ``name`` (the path by default)."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SessionFormatError(
+            f"{name or path}: not UTF-8 text ({exc.reason} at byte "
+            f"{exc.start})") from None
+
+
 # --- channel CSV parsing -------------------------------------------------------
 
 
@@ -241,7 +254,8 @@ def load_session(directory, subject_id: str, label: Label) -> Session:
         path = directory / f"{kind.value}.csv"
         if not path.is_file():
             raise MissingChannelFile(f"{subject_id}: missing {path.name}")
-        channels[kind] = parse_channel_csv(path.read_text(encoding="utf-8"), kind)
+        channels[kind] = parse_channel_csv(
+            read_text(path, f"{subject_id}: {path.name}"), kind)
     return Session(subject_id=subject_id, channels=channels, label=label)
 
 
@@ -270,35 +284,56 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-# --- manifest -----------------------------------------------------------------------
+# --- manifest and subject tables ---------------------------------------------
+
+
+def read_subject_table(path, error=ManifestError):
+    """The header and rows of a ``subject_id,...,label`` CSV, with each
+    row as ``(lineno, subject_id, middle cells, label)``.
+
+    Cells are stripped; blank lines are skipped but counted. Raises
+    ``error``, naming the path and line, for a missing header, a repeated
+    column, a row of the wrong width, a subject id that is not a plain
+    name or repeats one (a repeat would put one subject in two LOOCV
+    folds), or an unknown label.
+    """
+    lines = [(lineno, [c.strip() for c in ln.split(",")]) for lineno, ln
+             in enumerate(read_text(path).splitlines(), start=1) if ln.strip()]
+    header = lines[0][1] if lines else []
+    ends = [name.lower() for name in header[:1] + header[-1:]]
+    if ends != ["subject_id", "label"]:
+        raise error(f"{path}: expected subject_id ... label columns")
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise error(f"{path}:{lines[0][0]}: column {name!r} appears twice")
+    rows, first_line = [], {}
+    for lineno, cells in lines[1:]:
+        if len(cells) != len(header):
+            raise error(f"{path}:{lineno}: expected {len(header)} cells, "
+                        f"got {len(cells)}")
+        subject_id = cells[0]
+        # an id that names another directory (``./S002``) would alias it
+        if Path(subject_id).name != subject_id or subject_id in ("", ".."):
+            raise error(f"{path}:{lineno}: subject_id {subject_id!r} is not "
+                        "a plain name")
+        if subject_id in first_line:
+            raise error(f"{path}:{lineno}: subject_id {subject_id!r} repeats "
+                        f"line {first_line[subject_id]}")
+        first_line[subject_id] = lineno
+        try:
+            label = Label.from_string(cells[-1])
+        except ManifestError as exc:
+            raise error(f"{path}:{lineno}: {exc}") from None
+        rows.append((lineno, subject_id, cells[1:-1], label))
+    return header, rows
 
 
 def load_manifest(path) -> list[tuple[str, Label]]:
-    """Read the ``subject_id,label`` manifest, preserving row order.
-
-    Each subject id may appear once; a repeat would put one subject in
-    two LOOCV folds.
-    """
-    path = Path(path)
-    lines = [(lineno, ln.strip()) for lineno, ln in enumerate(
-        path.read_text(encoding="utf-8").splitlines(), start=1) if ln.strip()]
-    if not lines:
-        raise ManifestError(f"{path}: empty manifest")
-    header = [c.strip().lower() for c in lines[0][1].split(",")]
-    if header != ["subject_id", "label"]:
+    """Read the ``subject_id,label`` manifest, preserving row order."""
+    header, rows = read_subject_table(path)
+    if len(header) != 2:
         raise ManifestError(f"{path}: expected header 'subject_id,label'")
-    entries, first_line = [], {}
-    for lineno, line in lines[1:]:
-        parts = [c.strip() for c in line.split(",")]
-        if len(parts) != 2 or not parts[0]:
-            raise ManifestError(f"{path}:{lineno}: expected 'subject_id,label'")
-        if parts[0] in first_line:
-            raise ManifestError(
-                f"{path}:{lineno}: subject_id {parts[0]!r} repeats line "
-                f"{first_line[parts[0]]}")
-        first_line[parts[0]] = lineno
-        entries.append((parts[0], Label.from_string(parts[1])))
-    return entries
+    return [(subject_id, label) for _, subject_id, _, label in rows]
 
 
 def write_manifest(entries, path) -> None:

@@ -32,6 +32,11 @@ TEMP_RATE = 4.0
 SCR_RISE_S = 1.0
 SCR_DECAY_S = 4.0
 
+# noise and baseline levels shared by every session
+BVP_NOISE = 0.01
+EDA_BASELINE_US = 2.0
+EDA_NOISE_US = 0.001
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -48,11 +53,7 @@ class SynthSpec:
     acc_inactive_fraction: float = 0.08
     temp_baseline_c: float = 36.0
     temp_trend_c_per_s: float = 0.0
-    temp_noise_c: float = 0.0
     label: Label = Label.UNIPOLAR
-    bvp_noise: float = 0.01
-    eda_baseline_us: float = 2.0
-    eda_noise_us: float = 0.001
 
     def validate(self) -> None:
         if self.duration_s <= 0:
@@ -116,7 +117,7 @@ def _bvp_channel(spec: SynthSpec, beats: np.ndarray,
         hi = min(n, int(math.floor((tb + half) * BVP_RATE)) + 1)
         tau = t[lo:hi] - tb
         signal[lo:hi] += np.cos(math.pi * tau / width) ** 2
-    signal += rng.normal(0.0, spec.bvp_noise, n)
+    signal += rng.normal(0.0, BVP_NOISE, n)
     return SignalChannel(ChannelKind.BVP, start_time, BVP_RATE, signal)
 
 
@@ -139,10 +140,10 @@ def _eda_channel(spec: SynthSpec, rng: np.random.Generator,
                  start_time: int) -> SignalChannel:
     n = int(round(spec.duration_s * EDA_RATE))
     t = np.arange(n) / EDA_RATE
-    signal = spec.eda_baseline_us + 0.1 * np.sin(2.0 * math.pi * 0.004 * t)
+    signal = EDA_BASELINE_US + 0.1 * np.sin(2.0 * math.pi * 0.004 * t)
     for onset, amplitude in spec.scr_events:
         signal += _scr_bump(t, onset, amplitude)
-    signal += rng.normal(0.0, spec.eda_noise_us, n)
+    signal += rng.normal(0.0, EDA_NOISE_US, n)
     return SignalChannel(ChannelKind.EDA, start_time, EDA_RATE, signal)
 
 
@@ -164,13 +165,10 @@ def _acc_channel(spec: SynthSpec, rng: np.random.Generator,
     return SignalChannel(ChannelKind.ACC, start_time, ACC_RATE, samples)
 
 
-def _temp_channel(spec: SynthSpec, rng: np.random.Generator,
-                  start_time: int) -> SignalChannel:
+def _temp_channel(spec: SynthSpec, start_time: int) -> SignalChannel:
     n = int(round(spec.duration_s * TEMP_RATE))
     t = np.arange(n) / TEMP_RATE
     signal = spec.temp_baseline_c + spec.temp_trend_c_per_s * t
-    if spec.temp_noise_c > 0:
-        signal = signal + rng.normal(0.0, spec.temp_noise_c, n)
     return SignalChannel(ChannelKind.TEMP, start_time, TEMP_RATE, signal)
 
 
@@ -186,7 +184,7 @@ def generate_session(spec: SynthSpec,
         ChannelKind.BVP: _bvp_channel(spec, beats, rng, start_time),
         ChannelKind.EDA: _eda_channel(spec, rng, start_time),
         ChannelKind.ACC: _acc_channel(spec, rng, start_time),
-        ChannelKind.TEMP: _temp_channel(spec, rng, start_time),
+        ChannelKind.TEMP: _temp_channel(spec, start_time),
     }
     session = Session(subject_id=subject_id, channels=channels, label=spec.label)
     truth = GroundTruth(
@@ -242,7 +240,6 @@ def _subject_spec(rng: np.random.Generator, cohort: CohortSpec,
         seed=int(rng.integers(0, 2 ** 62)),
         duration_s=duration,
         heart_rate_bpm=float(rng.uniform(66.0, 78.0)) + off.heart_rate_bpm,
-        hrv_mod_freq_hz=0.1,
         hrv_mod_depth_ms=float(rng.uniform(20.0, 40.0)),
         scr_events=tuple(
             (float(t), float(a)) for t, a in zip(onsets, amplitudes)),

@@ -5,6 +5,7 @@ import json
 import re
 import shutil
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +209,62 @@ class TestExtractCommand:
     def test_missing_settings_is_config_error(self):
         assert run("extract") == 2
 
+    @pytest.mark.parametrize("command", ["validate", "extract"])
+    def test_all_excluded_prints_one_stderr_line(self, tmp_path, capsys,
+                                                 command):
+        data = tmp_path / "data"
+        synth.generate_cohort(data, synth.CohortSpec(
+            n_unipolar=1, n_bipolar=1, seed=4, duration_s=30.0))
+        capsys.readouterr()
+        code = run("--data-root", str(data),
+                   "--manifest", str(data / "manifest.csv"),
+                   "--out", str(tmp_path / "out"), command)
+        assert code == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "no session passes validation"]
+
+    @pytest.mark.parametrize("extra,message", [
+        (b"S001,unipolar\xff\n", r"manifest\.csv: not UTF-8 text"),
+        (b"\nS009,mixed\n", r"manifest\.csv:9: unknown label 'mixed'$"),
+        (b"./S002,unipolar\n",
+         r"manifest\.csv:8: subject_id '\./S002' is not a plain name"),
+        (b"S004/,bipolar\n",
+         r"manifest\.csv:8: subject_id 'S004/' is not a plain name"),
+    ], ids=["not UTF-8", "unknown label", "dot-slash alias",
+            "trailing-slash alias"])
+    @pytest.mark.parametrize("command", ["validate", "extract"])
+    def test_bad_manifest_exits_2(self, small_cohort, tmp_path, capsys,
+                                  command, extra, message):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_bytes(
+            (small_cohort / "data" / "manifest.csv").read_bytes() + extra)
+        code = run("--data-root", str(small_cohort / "data"),
+                   "--manifest", str(manifest),
+                   "--out", str(tmp_path / "out"), command)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and re.search(message, err[0]), err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_utf8_channel_excludes_only_that_subject(
+            self, small_cohort, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(small_cohort / "data", data)
+        with open(data / "S001" / "TEMP.csv", "ab") as handle:
+            handle.write(b"\xff\n")
+        code = run("--data-root", str(data),
+                   "--manifest", str(data / "manifest.csv"),
+                   "--out", str(tmp_path / "out"), "validate")
+        assert code == 0
+        assert "5/6 sessions pass validation" in capsys.readouterr().out
+        text = (tmp_path / "out" / "validation.json").read_text()
+        assert str(tmp_path) not in text
+        subjects = json.loads(text)["subjects"]
+        assert len(subjects[0]["reasons"]) == 1
+        assert subjects[0]["reasons"][0].startswith(
+            "unreadable session: S001: TEMP.csv: not UTF-8 text")
+        assert all(s["status"] == "ok" for s in subjects[1:])
+
 
 class TestValidateCommand:
     def test_validate_writes_report(self, small_cohort, tmp_path, capsys):
@@ -359,8 +416,13 @@ class TestReportCommand:
         json.dumps({"model": {"display_name": "kNN"},
                     "metrics": {"accuracy": "high", "precision": 1.0,
                                 "recall": 1.0, "f1": 1.0}}).encode(),
+        *(b'{"model": {"display_name": "kNN"}, "metrics": {"accuracy": '
+          + value + b', "precision": 1.0, "recall": 1.0, "f1": 1.0}}'
+          for value in (b"NaN", b"Infinity", b"1e999")),
+        b"[" * 100_000 + b"]" * 100_000,
     ], ids=["truncated", "empty object", "array", "not UTF-8",
-            "model not an object", "text metric"])
+            "model not an object", "text metric", "NaN metric",
+            "infinite metric", "overflowing metric", "nested too deep"])
     def test_malformed_report_exits_2(self, tmp_path, capsys, content):
         path = tmp_path / "bench_temp_knn.json"
         path.write_bytes(content)
@@ -474,6 +536,23 @@ class TestConfig:
     def test_no_command_prints_help(self, capsys):
         assert run() == 2
 
+    @pytest.mark.parametrize("make,code,message", [
+        (lambda path: path.write_bytes(b'{"seed": 1}\xff'), 2,
+         r"^error: .*cfg\.json: not UTF-8 text"),
+        (lambda path: path.mkdir(), 3, r"^I/O error: .*cfg\.json"),
+        (lambda path: path.write_text("[" * 100_000 + "]" * 100_000), 2,
+         r"^configuration error: .*cfg\.json is not valid JSON"),
+    ], ids=["not UTF-8", "directory", "nested too deep"])
+    def test_unreadable_config_file(self, tmp_path, capsys, make, code,
+                                    message):
+        make(tmp_path / "cfg.json")
+        assert run("--config", str(tmp_path / "cfg.json"),
+                   "--print-config") == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and re.search(message, err[0]), err
+
 
 FUZZ_CELLS = ["", "abc", "inf", "-inf", "nan", "1e999", "-0.0", "1e308",
               "0", " ", "1,2", "unipolar", "bipolar", "S001", "subject_id",
@@ -576,6 +655,71 @@ class TestMutatedInputs:
                                 "--models", "knn")
         assert code in (0, 2, 3, 4)
         assert code == 0 or len(err) == 1, err
+
+
+@pytest.fixture(scope="module")
+def session_base(tmp_path_factory):
+    """A 2+2 subject x 70 s cohort that the session fuzz test copies."""
+    root = tmp_path_factory.mktemp("sessions")
+    synth.generate_cohort(root, synth.CohortSpec(
+        n_unipolar=2, n_bipolar=2, seed=9, duration_s=70.0))
+    return root
+
+
+CHANNEL_FILES = ["BVP.csv", "EDA.csv", "ACC.csv", "TEMP.csv"]
+
+
+class TestMutatedSessions:
+    """Mutated session directories and manifests end in a typed exit with
+    one stderr line from ``validate`` and ``extract``, never a traceback."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_mutated_session_directories(self, session_base,
+                                         tmp_path_factory, data):
+        subjects = ["S001", "S002", "S003", "S004"]
+        pick = st.sampled_from([(sid, name) for sid in subjects
+                                for name in CHANNEL_FILES])
+        with tempfile.TemporaryDirectory(
+                dir=tmp_path_factory.getbasetemp()) as tmp:
+            root = Path(tmp, "data")
+            shutil.copytree(session_base, root)
+            for _ in range(data.draw(st.integers(1, 3))):
+                op = data.draw(st.sampled_from(
+                    ["delete", "empty", "not UTF-8", "swap", "alias"]))
+                a = root.joinpath(*data.draw(pick))
+                b = root.joinpath(*data.draw(pick))
+                if op == "delete":
+                    a.unlink(missing_ok=True)
+                elif op == "empty" and a.exists():
+                    a.write_bytes(b"")
+                elif op == "not UTF-8" and a.exists():
+                    with open(a, "ab") as handle:
+                        handle.write(data.draw(st.sampled_from(
+                            [b"\xff", b"\xc3\n", b"1.0\x80\n"])))
+                elif op == "swap" and a.exists() and b.exists():
+                    a_bytes = a.read_bytes()
+                    a.write_bytes(b.read_bytes())
+                    b.write_bytes(a_bytes)
+                elif op == "alias":
+                    sid = data.draw(st.sampled_from(subjects))
+                    alias = data.draw(st.sampled_from(
+                        [f"./{sid}", f"{sid}/", f"{sid}/."]))
+                    with open(root / "manifest.csv", "a") as handle:
+                        handle.write(f"{alias},bipolar\n")
+            for command in ("validate", "extract"):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(err), \
+                        warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    code = cli.main([
+                        "--data-root", str(root),
+                        "--manifest", str(root / "manifest.csv"),
+                        "--out", str(Path(tmp, command)), command])
+                lines = err.getvalue().splitlines()
+                assert code in (0, 2, 3, 4), command
+                assert code == 0 or len(lines) == 1, (command, lines)
 
 
 class TestEndToEndDeterminism:

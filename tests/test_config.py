@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from wearbench.config import (
     RANGES,
+    TOP_LEVEL_RANGES,
     RunConfig,
     apply_env_overrides,
     config_from_dict,
@@ -42,6 +43,8 @@ def test_every_section_field_has_exactly_one_range():
         names = {f.name for f in dataclasses.fields(getattr(DEFAULTS,
                                                             section))}
         assert set(ranges) == names, section
+    top_level = {f.name for f in dataclasses.fields(DEFAULTS)} - set(RANGES)
+    assert set(TOP_LEVEL_RANGES) == top_level
 
 
 def test_defaults_pass_their_own_checks():

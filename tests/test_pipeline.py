@@ -125,12 +125,18 @@ class TestFeatureCsv:
          r"features\.csv:2: unknown label 'mixed'"),
         (["subject_id,TEMP_mean,TEMP_mean,label", "S001,1,2,unipolar"],
          r"features\.csv:1: column 'TEMP_mean' appears twice"),
+        ([CSV_HEADER, csv_row("S001"), csv_row("./S001")],
+         r"features\.csv:3: subject_id '\./S001' is not a plain name"),
+        ([CSV_HEADER, csv_row("S001", label="bipolar\udcff")],
+         r"features\.csv: not UTF-8 text"),
     ], ids=["empty file", "no header", "non-numeric cell", "inf cell",
             "nan cell", "overflowing cell", "repeated subject id",
-            "unknown label", "repeated column"])
+            "unknown label", "repeated column", "path alias id",
+            "not UTF-8"])
     def test_bad_table_rejected(self, tmp_path, lines, message):
         path = tmp_path / "features.csv"
-        path.write_text("".join(line + "\n" for line in lines))
+        path.write_bytes("".join(line + "\n" for line in lines).encode(
+            "utf-8", "surrogateescape"))
         with pytest.raises(WearbenchError, match=message):
             pipeline.read_features_csv(path)
 

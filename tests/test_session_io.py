@@ -200,6 +200,17 @@ class TestSessionDirectories:
             b = back.channels[kind].samples
             assert np.allclose(a, b, atol=5e-7)  # 6-decimal serialization
 
+    def test_non_utf8_channel_names_subject_and_file(self, tmp_path):
+        spec = synth.SynthSpec(seed=23, duration_s=70.0)
+        session, _ = synth.generate_session(spec, subject_id="S001")
+        write_session(session, tmp_path / "S001")
+        with open(tmp_path / "S001" / "TEMP.csv", "ab") as handle:
+            handle.write(b"\xff\n")
+        with pytest.raises(SessionFormatError,
+                           match=r"^S001: TEMP\.csv: not UTF-8 text") as info:
+            load_session(tmp_path / "S001", "S001", session.label)
+        assert str(tmp_path) not in str(info.value)
+
     def test_missing_channel_file(self, tmp_path):
         spec = synth.SynthSpec(seed=22, duration_s=70.0)
         session, _ = synth.generate_session(spec, subject_id="S002")
@@ -269,6 +280,39 @@ class TestManifest:
         path.write_text("subject_id,label\nS001,unipolar\n\nS001,bipolar\n")
         with pytest.raises(ManifestError, match=(
                 r"manifest\.csv:4: subject_id 'S001' repeats line 2")):
+            load_manifest(path)
+
+
+    @pytest.mark.parametrize("content,message", [
+        (b"subject_id,label\nS001,unipolar\n\nS002,mixed\n",
+         r"manifest\.csv:4: unknown label 'mixed'$"),
+        (b"subject_id,label\nS001,unipolar\xff\n",
+         r"manifest\.csv: not UTF-8 text"),
+        (b"subject_id,label\nS002,bipolar\n./S002,bipolar\n",
+         r"manifest\.csv:3: subject_id '\./S002' is not a plain name"),
+        (b"subject_id,label\nS004,bipolar\nS004/,bipolar\n",
+         r"manifest\.csv:3: subject_id 'S004/' is not a plain name"),
+        (b"subject_id,label\nsub/S001,unipolar\n",
+         r"manifest\.csv:2: subject_id 'sub/S001' is not a plain name"),
+        (b"subject_id,label\n..,unipolar\n",
+         r"manifest\.csv:2: subject_id '\.\.' is not a plain name"),
+        (b"subject_id,label\n.,unipolar\n",
+         r"manifest\.csv:2: subject_id '\.' is not a plain name"),
+        (b"subject_id,label\n,unipolar\n",
+         r"manifest\.csv:2: subject_id '' is not a plain name"),
+        (b"subject_id,label\nS001\n",
+         r"manifest\.csv:2: expected 2 cells, got 1"),
+        (b"subject_id,TEMP_mean,label\nS001,1.5,unipolar\n",
+         r"manifest\.csv: expected header 'subject_id,label'"),
+        (b"", r"manifest\.csv: expected subject_id \.\.\. label columns"),
+    ], ids=["unknown label", "not UTF-8", "dot-slash alias", "trailing-slash "
+            "alias", "nested path", "parent directory", "current directory",
+            "empty id", "short row", "feature column", "empty file"])
+    def test_bad_manifest_rejected(self, tmp_path, content, message):
+        path = tmp_path / "manifest.csv"
+        path.write_bytes(content)
+        # ManifestError, or for bytes that are not UTF-8 its base class
+        with pytest.raises(SessionFormatError, match=message):
             load_manifest(path)
 
 
