@@ -88,10 +88,10 @@ def _merge_config(args) -> RunConfig:
                                        "seed") if k in given}
     overrides["synth"] = {k: given[k] for k in _SYNTH_FLAGS if k in given}
     bench = overrides["bench"] = {}
-    if given.get("features"):
+    if "features" in given:
         bench["selectors"] = [
             s.strip() for s in given["features"].split(",") if s.strip()]
-    if given.get("models"):
+    if "models" in given:
         bench["models"] = [
             m.strip().lower() for m in given["models"].split(",") if m.strip()]
     return config_from_dict(overrides, base=cfg)

@@ -36,9 +36,9 @@ def _one_of(*choices):
 
 
 def _each_of(choices):
-    return (lambda v: isinstance(v, (list, tuple))
-            and all(x in choices for x in v),
-            f"a list drawn from {', '.join(choices)}")
+    return (lambda v: isinstance(v, (list, tuple)) and len(v) > 0
+            and all(x in choices for x in v) and len(set(v)) == len(v),
+            f"a non-empty list of distinct values from {', '.join(choices)}")
 
 
 # a range is (check, what the value must be); it is a field's only check,

@@ -8,9 +8,9 @@ Because the same LOOCV both selects and scores, reports carry an explicit
 optimistic-bias flag.
 
 Each fold is standardised once per search, and every grid point trains on
-the same fold stack. An MLP grid point trains all its folds as one stacked
-fit, with the same bits as one fit per fold; every other model trains
-fold by fold.
+the same fold stack. An SVM or MLP grid point trains all its folds as one
+stacked fit, with the same bits as one fit per fold; kNN and the tree
+models train fold by fold.
 """
 from __future__ import annotations
 
@@ -252,8 +252,9 @@ def _loocv_predictions(folds: _Folds, spec: ModelSpec, seed: int,
                        grid_index: int) -> np.ndarray:
     seeds = [_fold_seed(seed, grid_index, fold)
              for fold in range(folds.x_train.shape[0])]
-    if spec.kind is ModelKind.MLP:
-        # one stacked fit; each fold's net equals its own fit bit for bit
+    # kNN stacks too, but perfbench pins its per-fold train and predict calls
+    if spec.kind in (ModelKind.SVM, ModelKind.MLP):
+        # one stacked fit; each fold's model equals its own fit bit for bit
         model = train(spec, folds.x_train, folds.y_train, seed=seeds)
         return model.predict(folds.x_test)[:, 0]
     return np.array([

@@ -34,8 +34,11 @@ class ModelSpec:
 
 
 def _check_labels(y: np.ndarray) -> None:
-    if np.unique(y).size < 2:
-        raise DegenerateLabels("training labels contain a single class")
+    """Raise unless labels (n,), or each fold of a stack (f, n), hold two
+    classes."""
+    for labels in np.atleast_2d(y):
+        if np.unique(labels).size < 2:
+            raise DegenerateLabels("training labels contain a single class")
 
 
 def _majority(labels: np.ndarray) -> int:
@@ -47,7 +50,11 @@ def _majority(labels: np.ndarray) -> int:
 
 
 class KnnClassifier:
-    """Majority vote of the k nearest training rows (Euclidean)."""
+    """Majority vote of the k nearest training rows (Euclidean).
+
+    After a fit on a fold stack ``x`` (f, n, d), ``y`` (f, n), ``predict``
+    takes (f, m, d) queries and votes each fold's queries among its rows.
+    """
 
     def __init__(self, k: int = 5):
         if k < 1:
@@ -57,18 +64,20 @@ class KnnClassifier:
         self._y: np.ndarray | None = None
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "KnnClassifier":
-        _check_labels(y)
         self._x = np.asarray(x, dtype=float)
         self._y = np.asarray(y, dtype=int)
+        _check_labels(self._y)
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        d = np.sum((self._x[None, :, :] - x[:, None, :]) ** 2, axis=2)
-        order = np.argsort(d, axis=1, kind="stable")[:, :self.k]
-        ones = np.sum(self._y[order] == 1, axis=1)
+        d = np.sum((self._x[..., None, :, :] - x[..., :, None, :]) ** 2,
+                   axis=-1)
+        order = np.argsort(d, axis=-1, kind="stable")[..., :self.k]
+        votes = np.take_along_axis(self._y[..., None, :], order, axis=-1)
+        ones = np.sum(votes == 1, axis=-1)
         # ties resolve to class 0
-        return (ones > order.shape[1] - ones).astype(int)
+        return (ones > order.shape[-1] - ones).astype(int)
 
 
 # --- CART trees --------------------------------------------------------------------
@@ -351,12 +360,23 @@ class GradientBoostingClassifier:
 _SVM_MAX_ITER = 20000
 
 
+def _if_elif(a, b, *cases):
+    """``(a, b)`` after an if/elif chain over ``(condition, a_new, b_new)``
+    cases, taken element by element: the first true condition wins."""
+    for condition, a_new, b_new in reversed(cases):
+        a, b = np.where(condition, a_new, a), np.where(condition, b_new, b)
+    return a, b
+
+
 class SvmClassifier:
     """Soft-margin SVM trained by most-violating-pair dual optimization.
 
     Kernels: ``"linear"`` or ``"rbf"`` (``exp(-gamma ||a - b||^2)``).
-    Optimization stops when the maximal KKT violation drops below ``tol``;
-    hitting the iteration cap is not an error (best-so-far is kept).
+    ``fit`` takes rows (n, d) or a fold stack ``x`` (f, n, d), ``y``
+    (f, n), whose folds run the SMO in lock-step, each ending bit for bit
+    where it would alone. A fold stops when its maximal KKT violation
+    drops below ``tol`` or after ``_SVM_MAX_ITER`` pair updates, which is
+    not an error; ``n_iter`` and ``hit_cap`` say which, per fold.
     """
 
     def __init__(self, c: float = 1.0, kernel: str = "linear",
@@ -373,83 +393,87 @@ class SvmClassifier:
         self._bias = 0.0
 
     def _kernel_matrix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        ab = np.matmul(a, np.swapaxes(b, -1, -2))
         if self.kernel == "linear":
-            return a @ b.T
-        aa = np.sum(a * a, axis=1)[:, None]
-        bb = np.sum(b * b, axis=1)[None, :]
-        sq = np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
-        return np.exp(-self.gamma * sq)
+            return ab
+        aa = np.sum(a * a, axis=-1)[..., :, None]
+        bb = np.sum(b * b, axis=-1)[..., None, :]
+        return np.exp(-self.gamma * np.maximum(aa + bb - 2.0 * ab, 0.0))
+
+    def _violations(self, s, alpha, grad):
+        """KKT violations of the rows free to move up, and down."""
+        up = ((s > 0) & (alpha < self.c)) | ((s < 0) & (alpha > 0))
+        low = ((s < 0) & (alpha < self.c)) | ((s > 0) & (alpha > 0))
+        viol = -s * grad
+        return np.where(up, viol, -np.inf), np.where(low, viol, np.inf)
 
     def fit(self, x, y) -> "SvmClassifier":
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=int)
+        stacked = x.ndim == 3
+        if not stacked:
+            x, y = x[None], y[None]
         _check_labels(y)
-        s = np.where(y == 1, 1.0, -1.0)
-        n = x.shape[0]
-        k = self._kernel_matrix(x, x)
-        q = (s[:, None] * s[None, :]) * k
-        alpha = np.zeros(n)
-        grad = -np.ones(n)
+        c, s = self.c, np.where(y == 1, 1.0, -1.0)
+        f, n = s.shape
+        q = (s[:, :, None] * s[:, None, :]) * self._kernel_matrix(x, x)
+        alpha, grad = np.zeros((f, n)), -np.ones((f, n))
+        n_iter, folds = np.zeros(f, dtype=int), np.arange(f)
 
         for _ in range(_SVM_MAX_ITER):
-            up = ((s > 0) & (alpha < self.c)) | ((s < 0) & (alpha > 0))
-            low = ((s < 0) & (alpha < self.c)) | ((s > 0) & (alpha > 0))
-            viol = -s * grad
-            up_vals = np.where(up, viol, -np.inf)
-            low_vals = np.where(low, viol, np.inf)
-            i = int(np.argmax(up_vals))
-            j = int(np.argmin(low_vals))
-            if up_vals[i] - low_vals[j] < self.tol:
+            up_vals, low_vals = self._violations(s, alpha, grad)
+            i, j = up_vals.argmax(axis=1), low_vals.argmin(axis=1)
+            # a fold whose gap is below tol does not move, so it stays so
+            live = ~(up_vals[folds, i] - low_vals[folds, j] < self.tol)
+            if not live.any():
                 break
-            if s[i] != s[j]:
-                quad = max(q[i, i] + q[j, j] + 2.0 * q[i, j], 1e-12)
-                delta = (-grad[i] - grad[j]) / quad
-                diff = alpha[i] - alpha[j]
-                ai, aj = alpha[i] + delta, alpha[j] + delta
-                if diff > 0 and aj < 0:
-                    aj, ai = 0.0, diff
-                elif diff <= 0 and ai < 0:
-                    ai, aj = 0.0, -diff
-                if diff > 0 and ai > self.c:
-                    ai, aj = self.c, self.c - diff
-                elif diff <= 0 and aj > self.c:
-                    aj, ai = self.c, self.c + diff
-            else:
-                quad = max(q[i, i] + q[j, j] - 2.0 * q[i, j], 1e-12)
-                delta = (grad[i] - grad[j]) / quad
-                total = alpha[i] + alpha[j]
-                ai, aj = alpha[i] - delta, alpha[j] + delta
-                if total > self.c:
-                    if ai > self.c:
-                        ai, aj = self.c, total - self.c
-                    elif aj > self.c:
-                        aj, ai = self.c, total - self.c
-                else:
-                    if aj < 0:
-                        aj, ai = 0.0, total
-                    elif ai < 0:
-                        ai, aj = 0.0, total
-            d_i, d_j = ai - alpha[i], aj - alpha[j]
-            alpha[i], alpha[j] = ai, aj
-            grad = grad + q[:, i] * d_i + q[:, j] * d_j
+            n_iter += live
+            r, i, j = folds[live], i[live], j[live]
+            a_i, a_j, g_i, g_j = alpha[r, i], alpha[r, j], grad[r, i], \
+                grad[r, j]
+            q_ii, q_jj, q_ij = q[r, i, i], q[r, j, j], q[r, i, j]
+            # s[i] != s[j]: alpha[i] - alpha[j] stays fixed
+            delta = (-g_i - g_j) / np.maximum(q_ii + q_jj + 2.0 * q_ij, 1e-12)
+            diff = a_i - a_j
+            ai, aj = a_i + delta, a_j + delta
+            ai, aj = _if_elif(ai, aj, ((diff > 0) & (aj < 0), diff, 0.0),
+                              ((diff <= 0) & (ai < 0), 0.0, -diff))
+            opposite = _if_elif(ai, aj, ((diff > 0) & (ai > c), c, c - diff),
+                                ((diff <= 0) & (aj > c), c + diff, c))
+            # s[i] == s[j]: alpha[i] + alpha[j] stays fixed
+            delta = (g_i - g_j) / np.maximum(q_ii + q_jj - 2.0 * q_ij, 1e-12)
+            total = a_i + a_j
+            ai, aj = a_i - delta, a_j + delta
+            over = total > c
+            same = _if_elif(ai, aj, (over & (ai > c), c, total - c),
+                            (over & (aj > c), total - c, c),
+                            (~over & (aj < 0), total, 0.0),
+                            (~over & (ai < 0), 0.0, total))
+            ai, aj = _if_elif(*opposite, (s[r, i] == s[r, j], *same))
+            alpha[r, i], alpha[r, j] = ai, aj
+            grad[r] = grad[r] + q[r, :, i] * (ai - a_i)[:, None] \
+                + q[r, :, j] * (aj - a_j)[:, None]
 
-        free = (alpha > 1e-12) & (alpha < self.c - 1e-12)
-        if np.any(free):
-            bias = float(np.mean((-s * grad)[free]))
-        else:
-            up = ((s > 0) & (alpha < self.c)) | ((s < 0) & (alpha > 0))
-            low = ((s < 0) & (alpha < self.c)) | ((s > 0) & (alpha > 0))
-            viol = -s * grad
-            hi = np.max(np.where(up, viol, -np.inf))
-            lo = np.min(np.where(low, viol, np.inf))
-            bias = float((hi + lo) / 2.0)
+        up_vals, low_vals = self._violations(s, alpha, grad)
+        free = (alpha > 1e-12) & (alpha < c - 1e-12)
+        bias = np.array([
+            np.mean((-s[k] * grad[k])[free[k]]) if np.any(free[k])
+            else (np.max(up_vals[k]) + np.min(low_vals[k])) / 2.0
+            for k in range(f)])
+        if not stacked:
+            x, s, alpha, bias, n_iter = (x[0], s[0], alpha[0],
+                                         float(bias[0]), int(n_iter[0]))
         self._x, self._sy, self._alpha, self._bias = x, s, alpha, bias
+        self.n_iter, self.hit_cap = n_iter, n_iter == _SVM_MAX_ITER
         return self
 
     def decision_function(self, x) -> np.ndarray:
+        """Scores of rows ``x``, or (f, m) scores of a stack ``x``
+        (f, m, d) after a stacked fit, fold i scored by model i."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         k = self._kernel_matrix(x, self._x)
-        return k @ (self._alpha * self._sy) + self._bias
+        scores = np.matmul(k, (self._alpha * self._sy)[..., None])[..., 0]
+        return scores + np.expand_dims(self._bias, -1)
 
     def predict(self, x) -> np.ndarray:
         return (self.decision_function(x) > 0.0).astype(int)
@@ -535,8 +559,7 @@ class MlpClassifier:
         if np.ndim(seeds) != 1 or len(seeds) != x.shape[0]:
             raise ValueError(f"a stack of {x.shape[0]} folds needs one seed "
                              f"per fold, got {self.seed!r}")
-        for labels in y:
-            _check_labels(labels.astype(int))
+        _check_labels(y.astype(int))
         inits = [init_mlp_params(x.shape[2], self.hidden, s) for s in seeds]
         params = {k: np.stack([p[k] for p in inits]) for k in _MLP_PARAMS}
         del inits
@@ -589,8 +612,8 @@ def train(spec: ModelSpec, x: np.ndarray, y: np.ndarray,
     The hyperparameters are constructor arguments; the ones left out take
     the constructor defaults. ``seed`` feeds the models that use randomness
     (random forest bootstrap and MLP initialization); the rest ignore it.
-    The MLP also takes a fold stack ``x`` (f, n, d), ``y`` (f, n) with a
-    list of f seeds.
+    kNN, SVM and MLP also take a fold stack ``x`` (f, n, d), ``y``
+    (f, n), with a list of f seeds for the MLP.
     """
     hp = dict(spec.hyperparameters)
     if spec.kind in (ModelKind.RANDOM_FOREST, ModelKind.MLP):

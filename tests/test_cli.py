@@ -533,6 +533,43 @@ class TestConfig:
         assert len(captured.err.splitlines()) == 1
         assert sorted(out.iterdir()) == [features]
 
+    # models and selectors have no environment variable; flags and the
+    # config file are their only sources
+    @pytest.mark.parametrize("config,flags", [
+        ({}, ["--features", "temp", "--models", "knn,knn"]),
+        ({}, ["--features", "temp", "--models", ","]),
+        ({}, ["--features", "temp", "--models", ""]),
+        ({}, ["--features", "temp,acc,temp", "--models", "knn"]),
+        ({}, ["--features", "", "--models", "knn"]),
+        ({"bench": {"selectors": ["temp"], "models": []}}, []),
+        ({"bench": {"selectors": [], "models": ["knn"]}}, []),
+        ({"bench": {"selectors": ["temp"], "models": ["knn", "dt", "knn"]}},
+         []),
+        ({"bench": {"selectors": ["temp", "temp"], "models": ["knn"]}}, []),
+    ], ids=["flag repeated model", "flag no model", "flag empty models",
+            "flag repeated selector", "flag empty selectors",
+            "file empty models", "file empty selectors",
+            "file repeated model", "file repeated selector"])
+    def test_empty_or_repeated_models_and_selectors_exit_2(
+            self, config, flags, small_cohort, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        out.mkdir()
+        features = out / "features.csv"
+        features.write_bytes(
+            (small_cohort / "out" / "features.csv").read_bytes())
+        capsys.readouterr()
+        code = run("--config", str(cfg_path), "--out", str(out), "bench",
+                   *flags)
+        captured = capsys.readouterr()
+        assert code == 2
+        err = captured.err.splitlines()
+        assert len(err) == 1 and re.search(
+            r"bench\.(models|selectors) must be a non-empty list of "
+            r"distinct values", err[0]), err
+        assert sorted(out.iterdir()) == [features]
+
     def test_no_command_prints_help(self, capsys):
         assert run() == 2
 

@@ -367,8 +367,9 @@ class TestFoldStack:
         loocv_grid_search(matrix, kind, TWO_POINT_GRIDS[kind], seed=0)
         n = matrix.values.shape[0]
         assert calls["fit_standardizer"] == n
-        # an MLP grid point trains all folds in one stacked fit
-        assert calls["train"] == (2 if kind is ModelKind.MLP else 2 * n)
+        # an SVM or MLP grid point trains all folds in one stacked fit
+        stacked = kind in (ModelKind.SVM, ModelKind.MLP)
+        assert calls["train"] == (2 if stacked else 2 * n)
 
 
 class TestGrids:

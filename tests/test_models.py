@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,24 @@ def blobs():
     x = np.vstack([x0, x1])
     y = np.array([0] * 15 + [1] * 15)
     return x, y
+
+
+@st.composite
+def fold_stacks(draw):
+    """A stack of f folds, each with both classes, plus query rows; rounded
+    draws repeat values, so pair choices and clipping meet ties."""
+    f = draw(st.integers(1, 6))
+    n = draw(st.integers(4, 20))
+    d = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.normal(size=(f, n, d)) * draw(st.sampled_from([0.1, 1.0, 10.0]))
+    if draw(st.booleans()):
+        x = np.round(x)
+    y = (rng.random((f, n)) < draw(st.sampled_from([0.2, 0.5]))).astype(int)
+    y[:, :2] = [0, 1]
+    for fold in y:
+        rng.shuffle(fold)
+    return x, y, np.round(rng.normal(size=(f, 3, d)), 1)
 
 
 class TestKnn:
@@ -49,6 +68,22 @@ class TestKnn:
     def test_degenerate_labels(self):
         with pytest.raises(DegenerateLabels):
             models.KnnClassifier(k=1).fit(np.zeros((3, 1)), np.zeros(3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(stack=fold_stacks(), k=st.integers(1, 7))
+    def test_stacked_predict_equals_per_fold_fit(self, stack, k):
+        x, y, queries = stack
+        got = models.KnnClassifier(k=k).fit(x, y).predict(queries)
+        assert got.shape == queries.shape[:2]
+        for fold in range(len(x)):
+            alone = models.KnnClassifier(k=k).fit(x[fold], y[fold])
+            assert np.array_equal(got[fold], alone.predict(queries[fold]))
+
+    def test_one_single_class_fold_raises(self):
+        x = np.zeros((3, 4, 1))
+        y = np.array([[0, 1, 0, 1], [0, 0, 0, 0], [1, 0, 1, 0]])
+        with pytest.raises(DegenerateLabels):
+            models.KnnClassifier(k=1).fit(x, y)
 
 
 def exhaustive_best_split_1d(values, labels):
@@ -345,6 +380,140 @@ class TestSvm:
     def test_unknown_kernel(self):
         with pytest.raises(ValueError):
             models.SvmClassifier(kernel="poly")
+
+    @settings(max_examples=150, deadline=None)
+    @given(stack=fold_stacks(), kernel=st.sampled_from(["linear", "rbf"]),
+           c=st.sampled_from([0.01, 0.1, 1.0, 10.0]),
+           gamma=st.sampled_from([0.05, 0.5, 5.0]),
+           cap=st.sampled_from([None, None, 1, 4, 15]))
+    def test_stacked_fit_equals_per_fold_oracle(self, stack, kernel, c,
+                                                gamma, cap):
+        x, y, queries = stack
+        cap = cap or models._SVM_MAX_ITER
+        with mock.patch.object(models, "_SVM_MAX_ITER", cap):
+            svm = models.SvmClassifier(c=c, kernel=kernel,
+                                       gamma=gamma).fit(x, y)
+            expects = [oracle_svm_fit(x[fold], y[fold], c=c, kernel=kernel,
+                                      gamma=gamma) for fold in range(len(x))]
+        scores = svm.decision_function(queries)
+        assert scores.shape == queries.shape[:2]
+        for fold, (alpha, bias, n_iter, decide) in enumerate(expects):
+            assert np.array_equal(svm._alpha[fold], alpha), fold
+            assert svm._bias[fold] == bias, fold
+            assert svm.n_iter[fold] == n_iter, fold
+            assert svm.hit_cap[fold] == (n_iter == cap), fold
+            assert np.array_equal(scores[fold], decide(queries[fold])), fold
+
+    def test_capped_and_converged_folds_in_one_stack(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(6, 16, 3))
+        y = np.tile([0, 1], (6, 8))
+        uncapped = models.SvmClassifier(c=10.0).fit(x, y)
+        free = uncapped.n_iter
+        assert not np.any(uncapped.hit_cap)
+        cap = int(np.median(free))
+        monkeypatch.setattr(models, "_SVM_MAX_ITER", cap)
+        svm = models.SvmClassifier(c=10.0).fit(x, y)
+        assert np.array_equal(svm.n_iter, np.minimum(free, cap))
+        assert 0 < np.sum(svm.hit_cap) < len(x)
+        for fold in range(len(x)):
+            alpha, bias, n_iter, _ = oracle_svm_fit(x[fold], y[fold], c=10.0)
+            assert np.array_equal(svm._alpha[fold], alpha)
+            assert svm._bias[fold] == bias and svm.n_iter[fold] == n_iter
+
+    def test_rows_fit_keeps_row_shapes(self, blobs):
+        x, y = blobs
+        svm = models.SvmClassifier(kernel="rbf", gamma=0.5).fit(x, y)
+        alpha, bias, n_iter, decide = oracle_svm_fit(x, y, kernel="rbf",
+                                                     gamma=0.5)
+        assert np.array_equal(svm._alpha, alpha) and svm._bias == bias
+        assert type(svm._bias) is float and svm._alpha.shape == y.shape
+        assert svm.n_iter == n_iter and svm.hit_cap is False
+        assert np.array_equal(svm.decision_function(x), decide(x))
+        assert np.array_equal(svm.decision_function(x[3]), decide(x[3:4]))
+
+    def test_one_single_class_fold_raises(self):
+        x = np.random.default_rng(0).normal(size=(3, 6, 2))
+        y = np.array([[0, 1] * 3, [1] * 6, [1, 0] * 3])
+        with pytest.raises(DegenerateLabels):
+            models.SvmClassifier().fit(x, y)
+
+
+def oracle_svm_kernel(a, b, kernel, gamma):
+    if kernel == "linear":
+        return a @ b.T
+    aa = np.sum(a * a, axis=1)[:, None]
+    bb = np.sum(b * b, axis=1)[None, :]
+    sq = np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
+    return np.exp(-gamma * sq)
+
+
+def oracle_svm_fit(x, y, c=1.0, kernel="linear", gamma=0.1, tol=1e-3):
+    """Most-violating-pair SMO on one fold with scalar pair updates, as
+    ``SvmClassifier.fit`` ran before fold stacking. Returns ``alpha``, the
+    bias, the number of pair updates and the decision function."""
+    s = np.where(y == 1, 1.0, -1.0)
+    q = (s[:, None] * s[None, :]) * oracle_svm_kernel(x, x, kernel, gamma)
+    alpha = np.zeros(len(y))
+    grad = -np.ones(len(y))
+    n_iter = 0
+    for _ in range(models._SVM_MAX_ITER):
+        up = ((s > 0) & (alpha < c)) | ((s < 0) & (alpha > 0))
+        low = ((s < 0) & (alpha < c)) | ((s > 0) & (alpha > 0))
+        viol = -s * grad
+        up_vals = np.where(up, viol, -np.inf)
+        low_vals = np.where(low, viol, np.inf)
+        i = int(np.argmax(up_vals))
+        j = int(np.argmin(low_vals))
+        if up_vals[i] - low_vals[j] < tol:
+            break
+        if s[i] != s[j]:
+            quad = max(q[i, i] + q[j, j] + 2.0 * q[i, j], 1e-12)
+            delta = (-grad[i] - grad[j]) / quad
+            diff = alpha[i] - alpha[j]
+            ai, aj = alpha[i] + delta, alpha[j] + delta
+            if diff > 0 and aj < 0:
+                aj, ai = 0.0, diff
+            elif diff <= 0 and ai < 0:
+                ai, aj = 0.0, -diff
+            if diff > 0 and ai > c:
+                ai, aj = c, c - diff
+            elif diff <= 0 and aj > c:
+                aj, ai = c, c + diff
+        else:
+            quad = max(q[i, i] + q[j, j] - 2.0 * q[i, j], 1e-12)
+            delta = (grad[i] - grad[j]) / quad
+            total = alpha[i] + alpha[j]
+            ai, aj = alpha[i] - delta, alpha[j] + delta
+            if total > c:
+                if ai > c:
+                    ai, aj = c, total - c
+                elif aj > c:
+                    aj, ai = c, total - c
+            else:
+                if aj < 0:
+                    aj, ai = 0.0, total
+                elif ai < 0:
+                    ai, aj = 0.0, total
+        d_i, d_j = ai - alpha[i], aj - alpha[j]
+        alpha[i], alpha[j] = ai, aj
+        grad = grad + q[:, i] * d_i + q[:, j] * d_j
+        n_iter += 1
+
+    free = (alpha > 1e-12) & (alpha < c - 1e-12)
+    if np.any(free):
+        bias = float(np.mean((-s * grad)[free]))
+    else:
+        up = ((s > 0) & (alpha < c)) | ((s < 0) & (alpha > 0))
+        low = ((s < 0) & (alpha < c)) | ((s > 0) & (alpha > 0))
+        viol = -s * grad
+        hi = np.max(np.where(up, viol, -np.inf))
+        lo = np.min(np.where(low, viol, np.inf))
+        bias = float((hi + lo) / 2.0)
+
+    def decide(rows):
+        return oracle_svm_kernel(rows, x, kernel, gamma) @ (alpha * s) + bias
+    return alpha, bias, n_iter, decide
 
 
 def mlp_loss_and_grad(params, x, y):
