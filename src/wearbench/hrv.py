@@ -132,7 +132,7 @@ def peaks_to_nn(peaks, sample_rate_hz: float) -> NNSeries:
 
     accepted: list[float] = []
     pending = 0.0
-    for d in raw:
+    for d in raw.tolist():
         c = pending + d
         if c < NN_MIN_MS:
             pending = c
@@ -141,8 +141,11 @@ def peaks_to_nn(peaks, sample_rate_hz: float) -> NNSeries:
             pending = 0.0
             continue
         if accepted:
-            recent = accepted[-5:]
-            med = float(np.median(recent))
+            # the median of the last five, with np.median's bits
+            recent = sorted(accepted[-5:])
+            mid = len(recent) // 2
+            med = recent[mid] if len(recent) % 2 \
+                else (recent[mid - 1] + recent[mid]) / 2.0
             if c < (1.0 - NN_MAX_DEVIATION) * med:
                 pending = c
                 continue

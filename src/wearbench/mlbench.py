@@ -23,7 +23,7 @@ from .actigraphy import ACC_FEATURE_NAMES
 from .eda import EDA_FEATURE_NAMES
 from .errors import ClassUnderpopulated, EmptyConfusion
 from .hrv import HRV_FREQ_NAMES, HRV_TIME_NAMES
-from .models import ModelKind, ModelSpec, predict, train
+from .models import SEEDED_KINDS, ModelKind, ModelSpec, predict, train
 from .session_io import Label
 from .thermo import TEMP_FEATURE_NAMES
 
@@ -250,8 +250,9 @@ def _build_folds(matrix: FeatureMatrix) -> _Folds:
 
 def _loocv_predictions(folds: _Folds, spec: ModelSpec, seed: int,
                        grid_index: int) -> np.ndarray:
-    seeds = [_fold_seed(seed, grid_index, fold)
-             for fold in range(folds.x_train.shape[0])]
+    n = folds.x_train.shape[0]
+    seeds = ([_fold_seed(seed, grid_index, fold) for fold in range(n)]
+             if spec.kind in SEEDED_KINDS else [0] * n)
     # kNN stacks too, but perfbench pins its per-fold train and predict calls
     if spec.kind in (ModelKind.SVM, ModelKind.MLP):
         # one stacked fit; each fold's model equals its own fit bit for bit

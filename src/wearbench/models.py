@@ -508,10 +508,10 @@ def _mlp_backprop(params: dict, x: np.ndarray, y: np.ndarray,
 
     ``x`` is (f, n, d) and ``y`` (f, n); ``params`` holds ``w1`` (f, d, h),
     ``b1`` (f, h), ``w2`` (f, h, 1) and ``b2`` (f, 1). The products are
-    batched ``np.matmul`` calls, which run BLAS once per slice, so each
-    net's gradient equals the one it gets alone, bit for bit. The
-    (f, n, h) and (f, d, h) arrays are written into ``buffers``, which
-    the returned ``w1`` gradient shares.
+    batched ``np.matmul`` calls, which run BLAS once per slice, and
+    element-wise NumPy operations, so each net's gradient equals the one
+    it gets alone, bit for bit. The (f, n, h) and (f, d, h) arrays are
+    written into ``buffers``, which the returned ``w1`` gradient shares.
     """
     z1 = np.matmul(x, params["w1"], out=buffers["a1"])
     z1 += params["b1"][:, None, :]
@@ -519,7 +519,8 @@ def _mlp_backprop(params: dict, x: np.ndarray, y: np.ndarray,
     a1 = np.maximum(z1, 0.0, out=z1)  # the ReLU overwrites z1
     p = _sigmoid((a1 @ params["w2"])[..., 0] + params["b2"])
     dz2 = ((p - y) / x.shape[1])[..., None]
-    dz1 = np.matmul(dz2, params["w2"].transpose(0, 2, 1), out=buffers["dz1"])
+    # the outer product of dz2 and w2, as a broadcast multiply
+    dz1 = np.multiply(dz2, params["w2"].transpose(0, 2, 1), out=buffers["dz1"])
     dz1 *= active
     grads = {
         "w1": np.matmul(x.transpose(0, 2, 1), dz1, out=buffers["w1"]),
@@ -605,6 +606,10 @@ _CLASSIFIERS = {
 }
 
 
+# the kinds whose fit reads ``train``'s seed
+SEEDED_KINDS = (ModelKind.RANDOM_FOREST, ModelKind.MLP)
+
+
 def train(spec: ModelSpec, x: np.ndarray, y: np.ndarray,
           seed: int | list[int] = 0):
     """Instantiate and fit the classifier named by ``spec``.
@@ -616,7 +621,7 @@ def train(spec: ModelSpec, x: np.ndarray, y: np.ndarray,
     (f, n), with a list of f seeds for the MLP.
     """
     hp = dict(spec.hyperparameters)
-    if spec.kind in (ModelKind.RANDOM_FOREST, ModelKind.MLP):
+    if spec.kind in SEEDED_KINDS:
         hp["seed"] = seed
     return _CLASSIFIERS[spec.kind](**hp).fit(x, y)
 

@@ -11,6 +11,11 @@ Each channel file is UTF-8 text (LF or CRLF):
 * lines 3+ -- one comma-separated sample vector per line
   (width 3 for ACC, width 1 otherwise).
 
+Blank lines are skipped. A body of plain decimal rows is parsed from its
+text in one NumPy call; any other body, and any body NumPy rejects, goes
+through a row loop, which alone raises the body errors and numbers their
+rows.
+
 Labels live in a separate manifest CSV with header ``subject_id,label`` and
 case-insensitive labels ``unipolar`` / ``bipolar``. The manifest is a subject
 table (:func:`read_subject_table`) with no columns between the two.
@@ -18,9 +23,10 @@ table (:func:`read_subject_table`) with no columns between the two.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import os
+import re
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -164,51 +170,82 @@ def _parse_header(line: str, lineno: int) -> tuple[str, float]:
         raise MalformedHeader(f"line {lineno}: cannot parse {token!r}") from None
 
 
+# the first two lines that are not blank (``\s`` is ``str.isspace``)
+_HEADER = re.compile(r"\s*(\S.*)\n\s*(\S.*)\n?")
+
+
 def parse_channel_csv(content: str, kind: ChannelKind) -> SignalChannel:
     """Parse one channel file's text into a :class:`SignalChannel`.
 
-    Raises ``MalformedHeader`` for unparseable metadata lines,
+    The header is the first two non-blank lines. A well-formed body is
+    parsed from its text in one NumPy call (:func:`_parse_body_bulk`);
+    any other body goes through :func:`_parse_body_rows`, the only source
+    of body errors and their row numbers (blank lines are skipped and not
+    counted). Raises ``MalformedHeader`` for unparseable metadata lines,
     ``WidthMismatch`` for rows of the wrong width, ``NonFiniteSample`` for
     values that are not finite numbers, and ``EmptyBody`` when no sample
     rows follow the header.
     """
-    lines = content.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    lines = [ln for ln in lines if ln.strip() != ""]
-    if len(lines) < 2:
+    text = content.replace("\r\n", "\n").replace("\r", "\n")
+    header = _HEADER.match(text)
+    if header is None:
         raise MalformedHeader("need two header lines (start time, sample rate)")
-    token, start_time = _parse_header(lines[0], 1)
+    token, start_time = _parse_header(header[1], 1)
     if not math.isfinite(start_time) or start_time != int(start_time):
         raise MalformedHeader(f"line 1: {token!r} is not an integer")
-    _, sample_rate = _parse_header(lines[1], 2)
+    _, sample_rate = _parse_header(header[2], 2)
     if not math.isfinite(sample_rate) or sample_rate <= 0:
         raise MalformedHeader("line 2: sample rate must be positive")
-    body = lines[2:]
-    if not body:
-        raise EmptyBody(f"{kind.value}: no sample rows after header")
 
-    samples = _parse_body(body, kind)
+    body = text[header.end():]
+    samples = _parse_body_bulk(body, kind)
+    if samples is None:
+        rows = [ln for ln in body.split("\n") if ln.strip()]
+        if not rows:
+            raise EmptyBody(f"{kind.value}: no sample rows after header")
+        samples = _parse_body_rows(rows, kind)
     return SignalChannel(kind=kind, start_time=int(start_time),
                          sample_rate=sample_rate, samples=samples)
 
 
-def _parse_body(body: list[str], kind: ChannelKind) -> np.ndarray:
-    """Sample rows as an (n,) or (n, 3) array, parsed in bulk.
+# the characters of a plain decimal token; any other character in a body
+# (whitespace, ``_``, ``x``, letters of ``nan``/``inf``, non-ASCII digits)
+# sends it to the row loop, since ``float`` and ``np.fromstring`` disagree
+# on such tokens (``np.fromstring`` reads a cell of spaces as -1)
+_DROP_DECIMAL = str.maketrans("", "", "0123456789+-.eE")
 
-    Any defect sends the body through :func:`_parse_body_rows`, which
-    raises the error of the first bad row.
+
+def _parse_body_bulk(body: str, kind: ChannelKind) -> np.ndarray | None:
+    """The sample rows of ``body`` (LF line ends) as an (n,) or (n, 3)
+    array, or None when the body is not plainly well formed.
+
+    The body must hold only decimal tokens, and its commas and newlines,
+    in order, must be ``width - 1`` commas then a newline on every row.
+    Then ``np.fromstring`` reads it in one call, and the result counts
+    when it is all finite and has exactly ``width`` values per row. An
+    empty token (a blank line or cell) makes NumPy stop early: it raises
+    ``ValueError``, or in older NumPy versions warns
+    ``DeprecationWarning`` and returns the values read so far; both give
+    None, so no warning reaches the caller.
     """
-    width = kind.width
-    if all(line.count(",") == width - 1 for line in body):
-        tokens = (body if width == 1
-                  else itertools.chain.from_iterable(
-                      line.split(",") for line in body))
-        try:
-            values = np.fromiter(map(float, tokens), float, len(body) * width)
-        except ValueError:
-            values = None
-        if values is not None and np.isfinite(values).all():
-            return values if width == 1 else values.reshape(-1, width)
-    return _parse_body_rows(body, kind)
+    separators = body.translate(_DROP_DECIMAL)
+    if not body.endswith("\n"):
+        separators += "\n"
+    row_end = "," * (kind.width - 1) + "\n"
+    n_rows = separators.count(row_end)
+    if n_rows * len(row_end) != len(separators):
+        return None
+    del separators
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            # a last newline becomes a trailing comma, which NumPy allows
+            values = np.fromstring(body.replace("\n", ","), sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+    if values.size != n_rows * kind.width or not np.isfinite(values).all():
+        return None
+    return values if kind.width == 1 else values.reshape(-1, kind.width)
 
 
 def _parse_body_rows(body: list[str], kind: ChannelKind) -> np.ndarray:

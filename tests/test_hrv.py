@@ -206,7 +206,87 @@ class TestPeakDetection:
             hrv.detect_pulse_peaks(flat)
 
 
+def oracle_peaks_to_nn(peaks, sample_rate_hz):
+    """The rejection walk over NumPy scalars, with ``np.median`` of the
+    last five accepted intervals."""
+    peaks = np.asarray(peaks, dtype=float).ravel()
+    if peaks.size < 3:
+        raise TooFewIntervals(f"need >= 3 peaks, got {peaks.size}")
+    times = peaks / float(sample_rate_hz)
+    raw = np.diff(times) * 1000.0
+    accepted, pending = [], 0.0
+    for d in raw:
+        c = pending + d
+        if c < hrv.NN_MIN_MS:
+            pending = c
+            continue
+        if c > hrv.NN_MAX_MS:
+            pending = 0.0
+            continue
+        if accepted:
+            med = float(np.median(accepted[-5:]))
+            if c < (1.0 - hrv.NN_MAX_DEVIATION) * med:
+                pending = c
+                continue
+            if c > (1.0 + hrv.NN_MAX_DEVIATION) * med:
+                pending = 0.0
+                continue
+        accepted.append(c)
+        pending = 0.0
+    if len(accepted) < 2:
+        raise TooFewIntervals(
+            f"only {len(accepted)} intervals survive artifact rejection")
+    intervals = np.asarray(accepted)
+    peak_times = times[0] + np.concatenate([[0.0], np.cumsum(intervals)]) / 1000.0
+    return NNSeries(intervals_ms=intervals, peak_times_s=peak_times)
+
+
+# interval kinds in ms: normal, short (< 250), long (> 2500), and 30-90%
+# below or above a normal beat, so the running-median rule fires
+_INTERVAL_MS = st.one_of(
+    st.floats(600.0, 1100.0), st.floats(1.0, 249.0),
+    st.floats(2501.0, 4000.0), st.floats(250.0, 560.0),
+    st.floats(1350.0, 2500.0))
+
+
+@st.composite
+def peak_trains(draw):
+    """Peak positions (samples) from mixed intervals, at a drawn rate; the
+    first accepted beats give median windows of one to five intervals."""
+    fs = draw(st.sampled_from([4.0, 32.0, 64.0, 100.0]))
+    gaps = draw(st.lists(_INTERVAL_MS, min_size=0, max_size=40))
+    peaks = np.cumsum([draw(st.floats(0.0, 500.0))] + gaps) * fs / 1000.0
+    return (np.round(peaks) if draw(st.booleans()) else peaks), fs
+
+
+def _nn_outcome(walk, peaks, fs):
+    try:
+        nn = walk(peaks, fs)
+    except TooFewIntervals as exc:
+        return str(exc)
+    return nn.intervals_ms.tobytes(), nn.peak_times_s.tobytes()
+
+
 class TestPeaksToNN:
+    @given(train=peak_trains())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_np_median_oracle_bit_for_bit(self, train):
+        peaks, fs = train
+        assert _nn_outcome(hrv.peaks_to_nn, peaks, fs) == \
+            _nn_outcome(oracle_peaks_to_nn, peaks, fs)
+
+    @pytest.mark.parametrize("last_ms", [1500.0, 750.0])
+    def test_even_window_median_is_the_mean_of_the_middle_pair(self,
+                                                               last_ms):
+        # the median of 1000 and 1250 ms is 1125: 1500 ms is more than 30%
+        # above it (not above 1250) and 750 ms more than 30% below it (not
+        # below 1000), so both are rejected
+        peaks = np.cumsum([0.0, 1000.0, 1250.0, last_ms])
+        nn = hrv.peaks_to_nn(peaks, 1000.0)
+        assert np.allclose(nn.intervals_ms, [1000.0, 1250.0])
+        assert nn.intervals_ms.tobytes() == \
+            oracle_peaks_to_nn(peaks, 1000.0).intervals_ms.tobytes()
+
     def test_uniform_spacing(self):
         nn = hrv.peaks_to_nn([0, 64, 128, 192], 64.0)
         assert np.allclose(nn.intervals_ms, [1000.0, 1000.0, 1000.0])

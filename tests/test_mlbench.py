@@ -352,7 +352,7 @@ class TestFoldStack:
 
     @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
     def test_each_fold_standardised_once_per_search(self, kind, monkeypatch):
-        calls = {"fit_standardizer": 0, "train": 0}
+        calls = {"fit_standardizer": 0, "train": 0, "_fold_seed": 0}
 
         def counting(name, original):
             def wrapper(*args, **kwargs):
@@ -370,6 +370,9 @@ class TestFoldStack:
         # an SVM or MLP grid point trains all folds in one stacked fit
         stacked = kind in (ModelKind.SVM, ModelKind.MLP)
         assert calls["train"] == (2 if stacked else 2 * n)
+        # only RF and MLP read a fold seed, so only they derive one
+        seeded = kind in (ModelKind.RANDOM_FOREST, ModelKind.MLP)
+        assert calls["_fold_seed"] == (2 * n if seeded else 0)
 
 
 class TestGrids:

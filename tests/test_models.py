@@ -160,9 +160,12 @@ def scalar_best_sse_split(x_col, r, min_samples_leaf=1):
         if xs[i] == xs[i + 1]:
             continue
         n_left = i + 1
-        sse_left = csum2[i] - csum[i] ** 2 / n_left
+        # squares as products: ``**`` on a NumPy scalar calls C ``pow``,
+        # which can miss x * x by an ulp (1.5000000000000007 ** 2)
+        left, right = csum[i], total - csum[i]
+        sse_left = csum2[i] - left * left / n_left
         n_right = n - n_left
-        sse_right = (total2 - csum2[i]) - (total - csum[i]) ** 2 / n_right
+        sse_right = (total2 - csum2[i]) - right * right / n_right
         score = sse_left + sse_right
         if best is None or score < best[1] - 1e-12:
             best = ((xs[i] + xs[i + 1]) / 2.0, score)
@@ -553,6 +556,27 @@ def oracle_mlp_loss_and_grad(params, x, y):
     return loss, grads
 
 
+def oracle_mlp_backprop(params, x, y, buffers):
+    """``models._mlp_backprop`` with the output-to-hidden gradient as a
+    batched (n, 1) x (1, h) ``np.matmul``, as before the broadcast
+    multiply."""
+    z1 = np.matmul(x, params["w1"], out=buffers["a1"])
+    z1 += params["b1"][:, None, :]
+    active = np.greater(z1, 0.0, out=buffers["active"])
+    a1 = np.maximum(z1, 0.0, out=z1)
+    p = models._sigmoid((a1 @ params["w2"])[..., 0] + params["b2"])
+    dz2 = ((p - y) / x.shape[1])[..., None]
+    dz1 = np.matmul(dz2, params["w2"].transpose(0, 2, 1), out=buffers["dz1"])
+    dz1 *= active
+    grads = {
+        "w1": np.matmul(x.transpose(0, 2, 1), dz1, out=buffers["w1"]),
+        "b1": dz1.sum(axis=1),
+        "w2": a1.transpose(0, 2, 1) @ dz2,
+        "b2": dz2.sum(axis=1),
+    }
+    return p, grads
+
+
 def oracle_mlp_fit(x, y, hidden=16, learning_rate=0.01, epochs=500,
                    momentum=0.9, seed=0):
     """The one-net-at-a-time training loop: the parameters it ends with."""
@@ -656,6 +680,25 @@ class TestMlp:
                     (fold, key)
             assert np.array_equal(scores[fold],
                                   oracle_mlp_decision(expect, queries[fold]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(stack=mlp_fold_stacks(), hidden=st.integers(1, 8),
+           epochs=st.integers(1, 30),
+           learning_rate=st.sampled_from([0.001, 0.01, 0.5]))
+    def test_stacked_fit_bytes_equal_matmul_backprop(self, stack, hidden,
+                                                     epochs, learning_rate):
+        # bytes, not values: a signed zero may differ inside dz1, and must
+        # not reach a parameter
+        x, y, seeds, _ = stack
+        fits = []
+        for backprop in (models._mlp_backprop, oracle_mlp_backprop):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(models, "_mlp_backprop", backprop)
+                fits.append(models.MlpClassifier(
+                    hidden=hidden, epochs=epochs, learning_rate=learning_rate,
+                    seed=seeds).fit(x, y)._params)
+        for key in ("w1", "b1", "w2", "b2"):
+            assert fits[0][key].tobytes() == fits[1][key].tobytes(), key
 
     def test_gradient_equals_per_net_oracle(self):
         rng = np.random.default_rng(3)

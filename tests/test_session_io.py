@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,10 +113,30 @@ def _parse_outcome(content, kind):
         return type(exc), str(exc)
 
 
+def _row_loop_parse(content, kind):
+    """The line-list parse the bulk tier sits in front of: every non-blank
+    line, two header lines, then the row loop over the rest."""
+    lines = content.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = [ln for ln in lines if ln.strip() != ""]
+    if len(lines) < 2:
+        raise MalformedHeader("need two header lines (start time, sample rate)")
+    token, start_time = session_io._parse_header(lines[0], 1)
+    if not np.isfinite(start_time) or start_time != int(start_time):
+        raise MalformedHeader(f"line 1: {token!r} is not an integer")
+    _, sample_rate = session_io._parse_header(lines[1], 2)
+    if not np.isfinite(sample_rate) or sample_rate <= 0:
+        raise MalformedHeader("line 2: sample rate must be positive")
+    if not lines[2:]:
+        raise EmptyBody(f"{kind.value}: no sample rows after header")
+    return SignalChannel(kind, int(start_time), sample_rate,
+                         session_io._parse_body_rows(lines[2:], kind))
+
+
 def _row_loop_outcome(content, kind):
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(session_io, "_parse_body", session_io._parse_body_rows)
-        return _parse_outcome(content, kind)
+    try:
+        return _row_loop_parse(content, kind).samples
+    except SessionFormatError as exc:
+        return type(exc), str(exc)
 
 
 def _same_outcome(a, b):
@@ -136,6 +158,12 @@ class TestBulkParse:
         (ChannelKind.ACC, "1,2,3\n4,-inf,6\n", NonFiniteSample),
         (ChannelKind.ACC, "1,2,3\n4,5,abc\n", NonFiniteSample),
         (ChannelKind.ACC, "1,2,nan\n1,2\n", NonFiniteSample),
+        # the right number of commas in all, but not on each row
+        (ChannelKind.ACC, "1,2,3,4\n5,6\n", WidthMismatch),
+        (ChannelKind.EDA, "1\n \n2\n, \n", WidthMismatch),
+        (ChannelKind.EDA, "1\n2\n 1, \n", WidthMismatch),
+        (ChannelKind.ACC, "1, ,3\n", NonFiniteSample),
+        (ChannelKind.EDA, "1\n0x10\n", NonFiniteSample),
         (ChannelKind.EDA, "\n\n", EmptyBody),
     ])
     def test_errors_match_row_loop(self, kind, body, error):
@@ -158,17 +186,63 @@ class TestBulkParse:
             assert np.ravel(bulk)[-1] == value
             assert np.signbit(np.ravel(bulk)[-1]) == np.signbit(value)
 
+    # an empty row is a blank line, a row of " " or "\t" a whitespace-only
+    # line; "0x10" through "1e400" are tokens that ``float`` and
+    # ``np.fromstring`` read differently, or only one of them reads
     @given(rows=st.lists(st.lists(st.sampled_from(
-        ["1", "-2.5", " 3", "1e3", "1_0", "nan", "inf", "x", "", "0.000001"]),
-        min_size=1, max_size=4), min_size=1, max_size=12),
-        acc=st.booleans())
-    @settings(max_examples=200, deadline=None)
-    def test_random_bodies_match_row_loop(self, rows, acc):
+        ["1", "-2.5", " 3", "1e3", "1_0", "nan", "inf", "x", "", "0.000001",
+         "0x10", "1_000", "\uff11", "infinity", " ", "\t", "+.5", "5.", "1e",
+         "-0.0", "1E-3", "00012", "1e400", "1.2.3", "--1"]),
+        min_size=0, max_size=4), min_size=1, max_size=12),
+        acc=st.booleans(), newline=st.sampled_from(["\n", "\r\n", "\r"]),
+        lead=st.sampled_from(["", "\n", " \n\t\n", "\x1c\n\x0c"]),
+        last=st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_random_bodies_match_row_loop(self, rows, acc, newline, lead,
+                                          last):
         kind = ChannelKind.ACC if acc else ChannelKind.EDA
-        header = "0\n32,32,32\n" if acc else "0\n4.0\n"
-        content = header + "\n".join(",".join(r) for r in rows) + "\n"
+        header = ["0", "32,32,32" if acc else "4.0"]
+        lines = header + [",".join(r) for r in rows]
+        content = lead + newline.join(lines) + (newline if last else "")
         assert _same_outcome(_parse_outcome(content, kind),
                              _row_loop_outcome(content, kind))
+
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=1, max_size=30),
+           fmt=st.sampled_from([repr, "{:.6f}".format, "{:g}".format,
+                                "{:E}".format]),
+           acc=st.booleans(), last=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_plain_bodies_take_the_bulk_tier(self, values, fmt, acc, last):
+        kind = ChannelKind.ACC if acc else ChannelKind.EDA
+        width = kind.width
+        values = values[:len(values) // width * width] or [0.0] * width
+        body = "\n".join(",".join(fmt(v) for v in values[i:i + width])
+                         for i in range(0, len(values), width))
+        body += "\n" if last else ""
+        assert session_io._parse_body_bulk(body, kind) is not None
+        content = ("0\n32,32,32\n" if acc else "0\n4.0\n") + body
+        assert _same_outcome(_parse_outcome(content, kind),
+                             _row_loop_outcome(content, kind))
+
+    @pytest.mark.parametrize("partial", [[1.0], [1.0, 2.0]])
+    def test_numpy_deprecation_warning_is_a_rejection(self, monkeypatch,
+                                                      partial):
+        # older NumPy warns on unmatched data and returns what it read
+        def warning_fromstring(text, sep):
+            warnings.warn("string or file could not be read to its end due "
+                          "to unmatched data", DeprecationWarning)
+            return np.array(partial)
+
+        monkeypatch.setattr(session_io.np, "fromstring", warning_fromstring)
+        content = "0\n4.0\n1\n2.5\n"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert session_io._parse_body_bulk("1\n2.5\n",
+                                               ChannelKind.EDA) is None
+            assert np.array_equal(parse_channel_csv(content, ChannelKind.EDA)
+                                  .samples, [1.0, 2.5])
+        assert caught == []
 
 
 class TestBulkSerialize:
