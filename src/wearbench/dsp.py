@@ -14,10 +14,11 @@ from block to block, so Python runs about 2 sqrt(n) steps instead of n.
 * An SOS section is an FIR numerator, computed with array operations,
   followed by the kernel.
 * The smoothness-priors detrend (Tarvainen et al. 2002, IEEE TBME 49(2))
-  solves ``(I + lam^2 D2'D2) x = b`` by Cholesky. The matrix is Toeplitz
-  inside, so the factor's rows converge to constants; each triangular sweep
-  runs the rows before convergence and the last two rows one at a time, and
-  the constant interior through the kernel.
+  solves ``(I + lam^2 D2'D2) x = b`` by Cholesky, taking each matrix entry
+  from the band formula. The matrix is Toeplitz inside, so the factor's rows
+  converge to constants; each triangular sweep runs the rows before
+  convergence and the last two rows one at a time, and the constant
+  interior through the kernel.
 """
 from __future__ import annotations
 
@@ -90,67 +91,58 @@ def detrend(signal, lam: float = 500.0) -> np.ndarray:
     the second-difference operator; larger ``lam`` removes only slower
     components. The residual has exactly zero mean (constants are in the
     null space of D2), and any straight line is removed entirely.
+
+    The Cholesky factor of ``A = I + lam^2 D2'D2`` takes its entries from
+    the band formula. One refinement pass follows; its residual forms
+    ``A v`` as ``v + lam^2 D2'(D2 v)``, so no terms of size lam^2 v cancel.
     """
     x = np.asarray(signal, dtype=float).ravel()
     n = x.size
     if n < 3:
         raise SignalTooShort(f"detrend needs >= 3 samples, got {n}")
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
     lam2 = lam * lam
-    m = n - 2
-    # bands of I + lam^2 * D2'D2 (pentadiagonal, symmetric positive definite)
-    d0 = np.zeros(n)
-    d0[0:m] += 1.0
-    d0[1:m + 1] += 4.0
-    d0[2:m + 2] += 1.0
-    d1 = np.zeros(n - 1)
-    d1[0:m] += -2.0
-    d1[1:m + 1] += -2.0
-    d2 = np.zeros(n - 2)
-    d2[0:m] += 1.0
-    d0 = 1.0 + lam2 * d0
-    d1 = lam2 * d1
-    d2 = lam2 * d2
-    rows, k = _detrend_cholesky(d0, d1, d2)
+    rows, k = _detrend_cholesky(n, lam2)
     trend = _detrend_solve(rows, k, x)
     # one refinement pass: the system is stiff for large lam
-    resid = x - _pentadiag_matvec(d0, d1, d2, trend)
+    resid = x - trend - lam2 * np.convolve(np.diff(trend, 2), [1.0, -2.0, 1.0])
     trend = trend + _detrend_solve(rows, k, resid)
     return x - trend
 
 
-def _pentadiag_matvec(d0, d1, d2, v):
-    out = d0 * v
-    out[:-1] += d1 * v[1:]
-    out[1:] += d1 * v[:-1]
-    out[:-2] += d2 * v[2:]
-    out[2:] += d2 * v[:-2]
-    return out
+def _detrend_row(j, n, lam2):
+    """Entries (j, j), (j, j+1), (j, j+2) of ``I + lam2 D2'D2``.
+
+    D2 has rows 0..n-3, and row r puts ``1, -2, 1`` on columns r..r+2.
+    ``first``, ``mid`` and ``last`` say whether column j is the first,
+    middle or last column of some row (rows j, j-1 and j-2).
+    """
+    first, mid, last = j < n - 2, 1 <= j <= n - 2, j >= 2
+    return (1.0 + lam2 * (first + 4 * mid + last), lam2 * (-2 * (first + mid)),
+            lam2 * first)
 
 
-def _detrend_cholesky(d0, d1, d2):
-    """Cholesky factor of the detrend matrix from its three bands.
+def _detrend_cholesky(n, lam2):
+    """Cholesky factor of the n x n detrend matrix ``I + lam2 D2'D2``.
 
     Row j of the factor L is ``(L[j, j], L[j+1, j], L[j+2, j])``, computed in
-    Python floats. The bands are constant from row 2 to row n-3, so the rows
+    Python floats from the entries :func:`_detrend_row` gives. The matrix
+    is constant along its diagonals from row 2 to row n-3, so the rows
     converge to a fixed point. At the first row k that agrees with the one
     before it within a few ulps, rows k..n-3 are all taken equal to row k and
     only the last two rows are computed. Returns ``(rows, k)``: ``rows``
     holds rows 0..k followed by rows n-2 and n-1. When the rows never
     converge, ``k == n - 3`` and ``rows`` is the whole factor.
     """
-    n = d0.size
-    a0 = d0.tolist()
-    a1 = d1.tolist() + [0.0]
-    a2 = d2.tolist() + [0.0, 0.0]
     rows = []
     prev2 = prev1 = (1.0, 0.0, 0.0)
     k = None
     j = 0
     while j < n:
-        l0 = math.sqrt(a0[j] - prev1[1] * prev1[1] - prev2[2] * prev2[2])
-        row = (l0, (a1[j] - prev1[2] * prev1[1]) / l0, a2[j] / l0)
+        a0, a1, a2 = _detrend_row(j, n, lam2)
+        l0 = math.sqrt(a0 - prev1[1] * prev1[1] - prev2[2] * prev2[2])
+        row = (l0, (a1 - prev1[2] * prev1[1]) / l0, a2 / l0)
         rows.append(row)
         if k is None and 2 <= j < n - 5 and all(
                 abs(v - p) <= 4.0 * math.ulp(v) for v, p in zip(row, prev1)):

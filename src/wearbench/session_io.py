@@ -118,8 +118,8 @@ class Session:
         missing = [k.value for k in ALL_KINDS if k not in self.channels]
         extra = [k for k in self.channels if k not in ALL_KINDS]
         if missing or extra:
-            raise ValueError(
-                f"session must have exactly the four kinds; missing={missing}")
+            raise ValueError(f"session must have exactly the four kinds; "
+                             f"missing={missing}, extra={extra}")
 
     def channel(self, kind: ChannelKind) -> SignalChannel:
         return self.channels[kind]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,22 +99,40 @@ def solve_pentadiag_spd(d0, d1, d2, b):
     return out
 
 
-def detrend_bands(n, lam):
-    """The three bands of I + lam^2 D2'D2."""
+def detrend_matrix(n, lam):
+    """The dense n x n matrix I + lam^2 D2'D2."""
     d2_op = np.zeros((n - 2, n))
     for k in range(n - 2):
         d2_op[k, k:k + 3] = (1.0, -2.0, 1.0)
-    dense = np.eye(n) + lam ** 2 * d2_op.T @ d2_op
+    return np.eye(n) + lam ** 2 * d2_op.T @ d2_op
+
+
+def detrend_bands(n, lam):
+    """The three bands of I + lam^2 D2'D2."""
+    dense = detrend_matrix(n, lam)
     return (np.diag(dense).copy(), np.diag(dense, 1).copy(),
             np.diag(dense, 2).copy())
 
 
 def oracle_detrend(x, lam):
-    """Exact factor and full-length sweeps, with the same refinement pass."""
-    d0, d1, d2 = detrend_bands(x.size, lam)
+    """Exact factor and full-length sweeps, with one refinement pass whose
+    residual is the dense matrix product."""
+    dense = detrend_matrix(x.size, lam)
+    d0, d1, d2 = (np.diag(dense, i) for i in range(3))
     trend = solve_pentadiag_spd(d0, d1, d2, x)
-    resid = x - dsp._pentadiag_matvec(d0, d1, d2, trend)
+    resid = x - dense @ trend
     trend = trend + solve_pentadiag_spd(d0, d1, d2, resid)
+    return x - trend
+
+
+def refined_dense_detrend(x, lam, passes):
+    """Dense solve, refined ``passes`` times with a long-double residual."""
+    dense = detrend_matrix(x.size, lam)
+    wide = dense.astype(np.longdouble)
+    trend = np.linalg.solve(dense, x)
+    for _ in range(passes):
+        resid = x.astype(np.longdouble) - wide @ trend
+        trend = trend + np.linalg.solve(dense, resid.astype(float))
     return x - trend
 
 
@@ -213,6 +232,19 @@ class TestDetrend:
         with pytest.raises(SignalTooShort):
             dsp.detrend([1.0, 2.0], 500.0)
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_lambda_that_is_not_positive_and_finite(self, lam):
+        with pytest.raises(ValueError, match="lambda must be positive"):
+            dsp.detrend(np.arange(10.0), lam)
+
+    @pytest.mark.parametrize("lam", [1.0, 50.0, 500.0])
+    @pytest.mark.parametrize("n", [*range(3, 13), 40])
+    def test_band_formula_matches_dense_bands(self, n, lam):
+        want = np.zeros((n, 3))  # entries past the matrix edge are zero
+        want[:, 0], want[:-1, 1], want[:-2, 2] = detrend_bands(n, lam)
+        got = np.array([dsp._detrend_row(j, n, lam * lam) for j in range(n)])
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("n,lam", [
         (3, 500.0), (4, 50.0), (7, 500.0), (10, 1.0), (60, 50.0), (300, 1.0),
         (600, 500.0), (3000, 500.0),
@@ -226,7 +258,7 @@ class TestDetrend:
 
     def test_factor_rows_converge_for_long_signals(self):
         n, lam = 3000, 500.0
-        rows, k = dsp._detrend_cholesky(*detrend_bands(n, lam))
+        rows, k = dsp._detrend_cholesky(n, lam * lam)
         assert 2 <= k < n - 5
         assert len(rows) == k + 3
         d0, d1, d2 = detrend_bands(n, lam)
@@ -238,7 +270,7 @@ class TestDetrend:
         assert l0 * l2 == pytest.approx(d2[n // 2], rel=1e-14)
 
     def test_short_signal_keeps_exact_factor(self):
-        rows, k = dsp._detrend_cholesky(*detrend_bands(40, 500.0))
+        rows, k = dsp._detrend_cholesky(40, 500.0 * 500.0)
         assert k == 40 - 3
         assert len(rows) == 40
 
@@ -252,13 +284,32 @@ class TestDetrend:
                  + np.diag(d2, 2) + np.diag(d2, -2))
         trend = np.linalg.solve(dense, x)
         # one refinement with the residual in extended precision
-        wide = [np.asarray(v, dtype=np.longdouble) for v in (d0, d1, d2)]
-        resid = (x.astype(np.longdouble)
-                 - dsp._pentadiag_matvec(*wide, trend.astype(np.longdouble)))
+        resid = x.astype(np.longdouble) - dense.astype(np.longdouble) @ trend
         trend = trend + np.linalg.solve(dense, resid.astype(float))
         expected = x - trend
         got = dsp.detrend(x, lam)
         assert np.max(np.abs(got - expected)) <= 1e-8 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n", [5, 40, 460, 1500])
+    def test_near_exact_solution_at_large_lambda(self, n):
+        # the residual takes D2 v before scaling by lam^2, so the refinement
+        # pass does not lose digits to terms of size lam^2 v that cancel
+        rng = np.random.default_rng(n)
+        x = np.cumsum(rng.normal(size=n)) + rng.normal(size=n)
+        want = refined_dense_detrend(x, 500.0, passes=4)
+        got = dsp.detrend(x, 500.0)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(x))
+
+    def test_memory_stays_within_ten_signal_copies(self):
+        n = 100_000
+        x = np.cumsum(np.random.default_rng(5).normal(size=n))
+        tracemalloc.start()
+        try:
+            dsp.detrend(x, 500.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 8 * n
 
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(3)

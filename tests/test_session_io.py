@@ -300,6 +300,13 @@ class TestSessionDirectories:
         with pytest.raises(ValueError):
             Session(subject_id="X", channels=channels, label=Label.UNIPOLAR)
 
+    def test_session_names_extra_channel_keys(self, make_session):
+        channels = dict(make_session().channels)
+        channels["PPG"] = channels[ChannelKind.BVP]
+        with pytest.raises(ValueError,
+                           match=r"missing=\[\], extra=\['PPG'\]$"):
+            Session(subject_id="X", channels=channels, label=Label.UNIPOLAR)
+
 
 class TestAtomicWrite:
     def test_stale_fixed_name_temp_does_not_block(self, tmp_path):
