@@ -8,9 +8,9 @@ Because the same LOOCV both selects and scores, reports carry an explicit
 optimistic-bias flag.
 
 Each fold is standardised once per search, and every grid point trains on
-the same fold stack. An SVM or MLP grid point trains all its folds as one
-stacked fit, with the same bits as one fit per fold; kNN and the tree
-models train fold by fold.
+the same fold stack. Every grid point but kNN's trains all its folds as one
+stacked fit, with the same bits as one fit per fold; kNN trains fold by
+fold.
 """
 from __future__ import annotations
 
@@ -98,31 +98,46 @@ def assemble_matrix(rows, selector: str) -> FeatureMatrix:
 
 @dataclass(frozen=True)
 class Standardizer:
+    """Per-column statistics of training rows, each taken after dividing
+    the column by its ``scales`` entry."""
     medians: np.ndarray
     means: np.ndarray
     stds: np.ndarray
+    scales: np.ndarray
 
 
-def fit_standardizer(train_rows: np.ndarray) -> Standardizer:
-    """Column medians (for imputation) and post-imputation z-score stats.
-
-    The std floor keeps constant columns from dividing by zero; they scale
-    to all-zeros instead.
-    """
-    x = np.asarray(train_rows, dtype=float)
+def _column_stats(x: np.ndarray) -> np.ndarray:
     with warnings.catch_warnings():
         # an all-NaN column legitimately yields a NaN median (handled below)
         warnings.simplefilter("ignore", category=RuntimeWarning)
         medians = np.nanmedian(x, axis=0)
     medians = np.where(np.isnan(medians), 0.0, medians)
     imputed = np.where(np.isnan(x), medians[None, :], x)
-    means = imputed.mean(axis=0)
-    stds = np.maximum(imputed.std(axis=0), 1e-9)
-    return Standardizer(medians=medians, means=means, stds=stds)
+    return np.stack([medians, imputed.mean(axis=0),
+                     np.maximum(imputed.std(axis=0), 1e-9)])
+
+
+def fit_standardizer(train_rows: np.ndarray) -> Standardizer:
+    """Column medians (for imputation) and post-imputation z-score stats.
+
+    The std floor keeps constant columns from dividing by zero; they scale
+    to all-zeros instead. A column whose statistics overflow is divided by
+    its largest magnitude first, which leaves its z-scores as they are and
+    its statistics finite; every other column keeps a scale of 1.
+    """
+    x = np.asarray(train_rows, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = _column_stats(x)
+    scales = np.ones(x.shape[1])
+    huge = ~np.all(np.isfinite(stats), axis=0)
+    if huge.any():
+        scales[huge] = np.nanmax(np.abs(x[:, huge]), axis=0)
+        stats[:, huge] = _column_stats(x[:, huge] / scales[huge])
+    return Standardizer(*stats, scales=scales)
 
 
 def apply_standardizer(s: Standardizer, rows: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(rows, dtype=float))
+    x = np.atleast_2d(np.asarray(rows, dtype=float)) / s.scales[None, :]
     x = np.where(np.isnan(x), s.medians[None, :], x)
     return (x - s.means[None, :]) / s.stds[None, :]
 
@@ -254,14 +269,14 @@ def _loocv_predictions(folds: _Folds, spec: ModelSpec, seed: int,
     seeds = ([_fold_seed(seed, grid_index, fold) for fold in range(n)]
              if spec.kind in SEEDED_KINDS else [0] * n)
     # kNN stacks too, but perfbench pins its per-fold train and predict calls
-    if spec.kind in (ModelKind.SVM, ModelKind.MLP):
-        # one stacked fit; each fold's model equals its own fit bit for bit
-        model = train(spec, folds.x_train, folds.y_train, seed=seeds)
-        return model.predict(folds.x_test)[:, 0]
-    return np.array([
-        predict(train(spec, x, y, seed=s), x_test)
-        for x, y, x_test, s in zip(folds.x_train, folds.y_train,
-                                   folds.x_test, seeds)], dtype=int)
+    if spec.kind is ModelKind.KNN:
+        return np.array([
+            predict(train(spec, x, y), x_test)
+            for x, y, x_test in zip(folds.x_train, folds.y_train,
+                                    folds.x_test)], dtype=int)
+    # one stacked fit; each fold's model equals its own fit bit for bit
+    model = train(spec, folds.x_train, folds.y_train, seed=seeds)
+    return model.predict(folds.x_test)[:, 0]
 
 
 def _pool_confusion(labels, preds, positive: int) -> Confusion:

@@ -41,9 +41,28 @@ def _check_labels(y: np.ndarray) -> None:
             raise DegenerateLabels("training labels contain a single class")
 
 
-def _majority(labels: np.ndarray) -> int:
-    # ties resolve to class 0
-    return int(np.sum(labels == 1) > np.sum(labels == 0))
+def _as_stack(x, y, y_dtype):
+    """``x``, ``y`` as a fold stack (f, n, d), (f, n), and whether they came
+    as one: rows (n, d) and labels (n,) are a stack of one."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=y_dtype)
+    return (x, y, True) if x.ndim == 3 else (x[None], y[None], False)
+
+
+def _queries(x, stacked: bool) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    return x if stacked else np.atleast_2d(x)[None]
+
+
+def _as_seed(seed):
+    return tuple(int(s) for s in seed) if np.ndim(seed) else int(seed)
+
+
+def _seeds_per_fold(seed, n_folds: int, stacked: bool):
+    seeds = seed if stacked else (seed,)
+    if np.ndim(seeds) != 1 or len(seeds) != n_folds:
+        raise ValueError(f"a stack of {n_folds} folds needs one seed per "
+                         f"fold, got {seed!r}")
+    return seeds
 
 
 # --- k-nearest neighbours -------------------------------------------------------
@@ -83,12 +102,30 @@ class KnnClassifier:
 # --- CART trees --------------------------------------------------------------------
 
 
+def _per_size(values: np.ndarray, sizes: np.ndarray, reduce_rows) -> np.ndarray:
+    """``reduce_rows`` of each run of ``sizes`` consecutive ``values``, with
+    the bits it has on that run alone: NumPy sums a run pairwise, so runs
+    of one length are reduced as the rows of one block, never padded."""
+    out, starts = np.empty(len(sizes)), np.cumsum(sizes) - sizes
+    for size in np.unique(sizes).tolist():
+        which = np.flatnonzero(sizes == size)
+        out[which] = reduce_rows(values[starts[which, None] + np.arange(size)])
+    return out
+
+
+def _last_rows(a: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Row ``n[b] - 1`` of every lane ``(b, c)`` of an (N, B, C) block."""
+    return a[n - 1, np.arange(len(n))]
+
+
 @dataclass(frozen=True)
 class _Criterion:
     """How a tree scores its nodes and splits and what a leaf predicts."""
-    split_scores: object  # (n, k) target sorted by each column -> (n-1, k)
-    node_score: object  # target -> impurity of the node
-    leaf_value: object  # target -> prediction of a leaf
+    # (N, B, C) targets of B nodes sorted by C columns, node sizes (B,)
+    # -> the score of cutting after each row, (N - 1, B, C)
+    split_scores: object
+    node_score: object  # (k, size) targets of k nodes -> their impurities
+    leaf_value: object  # the same -> their predictions
     tol: float  # a later split point must beat the kept one by more than this
 
 
@@ -97,200 +134,306 @@ def _gini(zeros, ones, n):
     return 1.0 - (p0 * p0 + p1 * p1)
 
 
-def _gini_split_scores(ys: np.ndarray) -> np.ndarray:
+def _gini_split_scores(ys: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Weighted child Gini impurity of cutting after every row."""
-    n = ys.shape[0]
-    n_left = np.arange(1, n)[:, None]
+    n_left = np.arange(1, len(ys))[:, None, None]
     zeros, ones = np.cumsum(ys == 0, axis=0), np.cumsum(ys == 1, axis=0)
-    left = _gini(zeros[:-1], ones[:-1], n_left)
-    right = _gini(zeros[-1] - zeros[:-1], ones[-1] - ones[:-1], n - n_left)
-    return (n_left * left + (n - n_left) * right) / n
+    z, o = zeros[:-1], ones[:-1]
+    n_right = np.maximum(n[:, None] - n_left, 1)  # past a node: never read
+    left = _gini(z, o, n_left)
+    right = _gini(_last_rows(zeros, n) - z, _last_rows(ones, n) - o, n_right)
+    return (n_left * left + n_right * right) / n[:, None]
 
 
-def _sse_split_scores(rs: np.ndarray) -> np.ndarray:
+def _sse_split_scores(rs: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Summed child squared error of cutting after every row."""
-    n = rs.shape[0]
-    n_left = np.arange(1, n)[:, None]
+    n_left = np.arange(1, len(rs))[:, None, None]
     csum, csum2 = np.cumsum(rs, axis=0), np.cumsum(rs * rs, axis=0)
     c, c2 = csum[:-1], csum2[:-1]
     return (c2 - c ** 2 / n_left) \
-        + ((csum2[-1] - c2) - (csum[-1] - c) ** 2 / (n - n_left))
+        + ((_last_rows(csum2, n) - c2) - (_last_rows(csum, n) - c) ** 2
+           / np.maximum(n[:, None] - n_left, 1))
+
+
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    return rows.sum(axis=1)
 
 
 _GINI = _Criterion(
     _gini_split_scores,
-    lambda y: _gini(int(np.sum(y == 0)), int(np.sum(y == 1)), y.size),
-    _majority, 1e-15)
+    lambda y: _gini(np.sum(y == 0, axis=1), np.sum(y == 1, axis=1), y.shape[1]),
+    # ties resolve to class 0
+    lambda y: (np.sum(y == 1, axis=1) > np.sum(y == 0, axis=1)).astype(float),
+    1e-15)
 _SSE = _Criterion(
-    _sse_split_scores, lambda r: float(np.sum((r - r.mean()) ** 2)),
-    lambda r: float(r.mean()), 1e-12)
+    _sse_split_scores,
+    lambda r: np.sum((r - r.mean(axis=1, keepdims=True)) ** 2, axis=1),
+    lambda r: r.mean(axis=1), 1e-12)
+
+# the most (row, node, column) cells of one split-search block; its arrays
+# stay at 64 KiB, which the allocator reuses rather than maps afresh
+_BLOCK_CELLS = 1 << 13
 
 
-def _scan(scores: np.ndarray, tol: float) -> list:
-    """Per column, the ``(row, score)`` that a top-down scan keeps, or None.
-
-    The scan keeps the first finite score and replaces it only with a
-    score below ``kept - tol``, so on near-ties the earliest row wins. The
-    kept score always lies within ``tol`` of the running minimum, so only
-    rows that set a new strict running minimum can replace it; the scan
-    visits just those.
+def _scan(scores: np.ndarray, tol: float):
+    """Along axis 0, the row (-1 if none) and score that a top-down scan
+    keeps: the first finite score, replaced only by one below ``kept - tol``,
+    so on near-ties the earliest row wins. Only a row below the running
+    minimum can replace it; where each such row is more than ``tol`` below,
+    the scan ends at the first minimum, and only other lanes go row by row.
     """
-    record = np.empty(scores.shape, dtype=bool)
-    record[:1] = scores[:1] < np.inf
-    record[1:] = scores[1:] < np.minimum.accumulate(scores, axis=0)[:-1]
-    cols, rows = np.nonzero(record.T)
-    kept = [None] * scores.shape[1]
-    for c, i, s in zip(cols.tolist(), rows.tolist(),
-                       scores.T[record.T].tolist()):
-        if kept[c] is None or s < kept[c][1] - tol:
-            kept[c] = (i, s)
-    return kept
+    running = np.minimum.accumulate(scores, axis=0)
+    score = running[-1].copy()
+    row = np.sum(running > score, axis=0)
+    record = scores[1:] < running[:-1]
+    chained = np.any(record & ~(scores[1:] < running[:-1] - tol), axis=0)
+    if chained.any():
+        lanes = scores[:, chained]
+        kept, at = np.full(lanes.shape[1:], np.inf), np.full(lanes.shape[1:], -1)
+        for i in [0] + (1 + np.flatnonzero(
+                record[:, chained].any(axis=-1))).tolist():
+            take = lanes[i] < kept - tol
+            kept[take], at[take] = lanes[i][take], i
+        score[chained], row[chained] = kept, at
+    row[score == np.inf] = -1
+    return row, score
 
 
-def _column_splits(x: np.ndarray, target: np.ndarray, min_samples_leaf: int,
-                   criterion: _Criterion) -> list:
-    """Best ``(threshold, score)`` of every column of ``x``, or None.
+def _column_splits(x: np.ndarray, target: np.ndarray, ids: list,
+                   cols: np.ndarray | None, min_samples_leaf: int,
+                   criterion: _Criterion):
+    """(C, B) thresholds and scores (inf if none) of the best split of each
+    column ``cols[b]`` (default: all) of nodes b of rows ``ids[b]``.
 
-    Candidate thresholds are midpoints between consecutive distinct sorted
-    values that leave ``min_samples_leaf`` rows on each side; on near-ties
-    the lowest threshold wins.
+    Candidates are midpoints between consecutive distinct sorted values
+    that leave ``min_samples_leaf`` rows on each side and send a row each
+    way by ``x <= threshold``; on near-ties the lowest wins. Each node is
+    padded after its rows with NaN, which a stable sort puts last, so its
+    sorted rows, prefix sums and scores keep the bits they have alone.
     """
-    n = x.shape[0]
-    order = np.argsort(x, axis=0, kind="stable")
-    xs = np.take_along_axis(x, order, axis=0)
-    valid = xs[:-1] != xs[1:]
-    valid[:min_samples_leaf - 1] = False
-    valid[max(n - min_samples_leaf, 0):] = False
-    scores = np.where(valid, criterion.split_scores(target[order]), np.inf)
-    return [None if kept is None
-            else (float((xs[kept[0], c] + xs[kept[0] + 1, c]) / 2.0), kept[1])
-            for c, kept in enumerate(_scan(scores, criterion.tol))]
+    n = np.array([len(rows) for rows in ids])
+    real = np.arange(n.max()) < n[:, None]
+    rows = np.zeros(real.shape, dtype=np.intp)
+    rows[real] = np.concatenate(ids)
+    rows, real = rows.T, real.T  # (N, B)
+    xv = x[rows] if cols is None else x[rows[:, :, None], cols]
+    xv[~real] = np.nan
+    order = np.argsort(xv, axis=0, kind="stable")
+    lanes = np.arange(order[0].size).reshape(order.shape[1:])
+    xs = xv.ravel()[order * lanes.size + lanes]
+    ts = target[rows.ravel()[order * len(ids) + np.arange(len(ids))[:, None]]]
+    lo, hi = xs[:-1], xs[1:]
+    with np.errstate(invalid="ignore", over="ignore"):
+        mid = (lo + hi) / 2.0
+    i = np.arange(len(lo))[:, None, None]
+    valid = ((lo != hi) & (i >= min_samples_leaf - 1)
+             & (i < n[:, None] - min_samples_leaf)
+             & (mid >= xs[0]) & (mid < _last_rows(xs, n)))
+    row, score = _scan(np.where(valid, criterion.split_scores(ts, n), np.inf),
+                       criterion.tol)
+    return mid.ravel()[np.maximum(row, 0) * lanes.size + lanes].T, score.T
 
 
 class _Tree:
-    """Binary CART tree stored as flat arrays, grown depth-first.
+    """A stack of binary CART trees as flat arrays, grown in lock-step.
 
-    Node 0 is the root and nodes are numbered in pre-order. An inner node
-    sends rows with ``x[feature] <= threshold`` to ``left`` and the rest to
-    ``right``; ``left < 0`` marks a leaf, which predicts ``value``.
-    ``feature_sampler(d)``, if given, picks the candidate features of each
-    node that may split.
+    ``fit`` grows tree t on rows ``rows[t]`` (default: all) of fold
+    ``t * f // len(rows)`` of ``x`` (f, n, d), ``target`` (f, n); rows
+    (n, d) are a stack of one. Tree t numbers its nodes in pre-order from
+    ``roots[t]``. An inner node sends rows with ``x[feature] <= threshold``
+    to ``left``, the rest to ``right``; ``left < 0`` marks a leaf. At each
+    step every tree pops pending nodes, making leaves, up to the next one
+    to search, and one batch searches those nodes, so each tree ends bit
+    for bit as it grows alone. ``samplers[t](d)`` draws the features of
+    each node of tree t that searches, in its pre-order.
     """
 
     def __init__(self, criterion: _Criterion, max_depth: int | None = None,
-                 min_samples_leaf: int = 1, feature_sampler=None):
+                 min_samples_leaf: int = 1):
         self.criterion = criterion
         self.max_depth = max_depth
         self.min_samples_leaf = int(min_samples_leaf)
-        self.feature_sampler = feature_sampler
 
-    def fit(self, x: np.ndarray, target: np.ndarray) -> "_Tree":
-        nodes: list[list] = []
-        self._grow(np.asarray(x, dtype=float), target, 0, nodes)
-        (self.feature, self.threshold, self.left, self.right,
-         value) = (np.array(column) for column in zip(*nodes))
-        self.value = value.astype(float)
+    def fit(self, x, target, rows=None, samplers=None) -> "_Tree":
+        x, target = np.asarray(x, dtype=float), np.asarray(target)
+        if x.ndim == 2:
+            x, target = x[None], target[None]
+        f, n, d = x.shape
+        rows = np.tile(np.arange(n), (f, 1)) if rows is None else rows
+        ids = rows + (np.arange(len(rows)) * f // len(rows) * n)[:, None]
+        x, target = x.reshape(f * n, d), target.ravel()
+        nodes = [[] for _ in ids]  # per tree: [feature, threshold, left, right]
+        pending = [[(r, 0, None, 0)] for r in ids]  # (rows, depth, parent, side)
+        leaves = []  # (tree, node, rows)
+        max_depth = np.inf if self.max_depth is None else self.max_depth
+        while True:
+            batch = []  # (tree, node, rows, depth)
+            for t, stack in enumerate(pending):
+                while stack:
+                    r, depth, parent, side = stack.pop()
+                    if parent is not None:
+                        nodes[t][parent][2 + side] = len(nodes[t])
+                    nodes[t].append([0, 0.0, -1, -1])
+                    entry = (t, len(nodes[t]) - 1, r, depth)
+                    if depth >= max_depth \
+                            or r.size < 2 * self.min_samples_leaf:
+                        leaves.append(entry[:3])
+                    else:
+                        batch.append(entry)
+                        break
+            if not batch:
+                break
+            self._search(x, target, batch, samplers, nodes, leaves, pending)
+        sizes = np.array([len(tree) for tree in nodes])
+        self.roots = np.cumsum(sizes) - sizes
+        flat = np.array([node for tree in nodes for node in tree])
+        offset = np.repeat(self.roots, sizes)
+        self.feature, self.threshold = flat[:, 0].astype(np.intp), flat[:, 1]
+        self.left, self.right = (np.where(c >= 0, c + offset, -1)
+                                 .astype(np.intp) for c in flat[:, 2:].T)
+        self.value = np.zeros(len(flat))
+        self.value[[self.roots[t] + i for t, i, _ in leaves]] = _per_size(
+            target[np.concatenate([r for *_, r in leaves])],
+            np.array([r.size for *_, r in leaves]), self.criterion.leaf_value)
         return self
 
-    def _grow(self, x, target, depth: int, nodes: list) -> int:
-        index = len(nodes)
-        nodes.append([0, 0.0, -1, -1, 0.0])  # a leaf until a split is found
-        node_score = self.criterion.node_score(target)
-        best = None
-        if not ((self.max_depth is not None and depth >= self.max_depth)
-                or x.shape[0] < 2 * self.min_samples_leaf
-                or node_score <= 0.0):
-            features = [int(f) for f in (
-                self.feature_sampler(x.shape[1]) if self.feature_sampler
-                else range(x.shape[1]))]
-            for f, cand in zip(features, _column_splits(
-                    x[:, features], target, self.min_samples_leaf,
-                    self.criterion)):
-                if cand is not None and (best is None
-                                         or cand[1] < best[2] - 1e-15):
-                    best = (f, cand[0], cand[1])
-        if best is None or not best[2] < node_score - 1e-15:
-            nodes[index][4] = self.criterion.leaf_value(target)
-            return index
-        f, thr, _ = best
-        mask = x[:, f] <= thr
-        left = self._grow(x[mask], target[mask], depth + 1, nodes)
-        right = self._grow(x[~mask], target[~mask], depth + 1, nodes)
-        nodes[index][:4] = [f, thr, left, right]
-        return index
+    def _search(self, x, target, batch, samplers, nodes, leaves,
+                pending) -> None:
+        """Make leaves of a batch's pure nodes and search the rest in
+        blocks of like sizes; split those that beat their impurity, pushing
+        the children, and make leaves of the others."""
+        impurity = _per_size(target[np.concatenate([e[2] for e in batch])],
+                             np.array([e[2].size for e in batch]),
+                             self.criterion.node_score).tolist()
+        leaves += [e[:3] for e, s in zip(batch, impurity) if s <= 0.0]
+        batch = sorted((e + (s,) for e, s in zip(batch, impurity) if s > 0.0),
+                       key=lambda entry: entry[2].size)
+        if not batch:
+            return
+        cols = None if samplers is None else np.array(
+            [samplers[entry[0]](x.shape[1]) for entry in batch])
+        n_cols = x.shape[1] if cols is None else cols.shape[1]
+        blocks, lo = [], 0
+        for hi in range(1, len(batch) + 1):
+            # a block pads each node to its last, largest one
+            if hi == len(batch) or (hi + 1 - lo) * batch[hi][2].size \
+                    * n_cols > _BLOCK_CELLS:
+                blocks.append(_column_splits(
+                    x, target, [entry[2] for entry in batch[lo:hi]],
+                    None if cols is None else cols[lo:hi],
+                    self.min_samples_leaf, self.criterion))
+                lo = hi
+        threshold, scores = (np.concatenate(a, axis=1) for a in zip(*blocks))
+        col, best = _scan(scores, 1e-15)
+        # the first column wins near-ties; a split must beat its node
+        split = (col >= 0) & (best < np.array([e[4] for e in batch]) - 1e-15)
+        for b, (t, index, r, depth, _) in enumerate(batch):
+            if not split[b]:
+                leaves.append((t, index, r))
+                continue
+            f = int(col[b] if cols is None else cols[b, col[b]])
+            nodes[t][index][:2] = f, float(threshold[col[b], b])
+            go_left = x[r, f] <= nodes[t][index][1]
+            pending[t] += [(r[~go_left], depth + 1, index, 1),
+                           (r[go_left], depth + 1, index, 0)]
 
     def apply(self, x) -> np.ndarray:
-        """Index of the leaf each row of ``x`` lands in."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        node = np.zeros(x.shape[0], dtype=np.intp)
-        rows = np.flatnonzero(self.left[node] >= 0)
-        while rows.size:
-            at = node[rows]
-            go_left = x[rows, self.feature[at]] <= self.threshold[at]
-            node[rows] = np.where(go_left, self.left[at], self.right[at])
-            rows = rows[self.left[node[rows]] >= 0]
-        return node
+        """The leaf each query lands in: ``x`` (f, m, d) holds the queries
+        of each run of ``len(roots) // f`` trees; returns (trees, m)."""
+        f, m, d = np.shape(x)
+        queries = np.asarray(x, dtype=float).reshape(f * m, d)
+        query = np.repeat(np.arange(f * m).reshape(f, 1, m),
+                          len(self.roots) // f, axis=1).ravel()
+        node = np.repeat(self.roots, m)
+        live = np.flatnonzero(self.left[node] >= 0)
+        while live.size:
+            at = node[live]
+            go_left = queries[query[live], self.feature[at]] \
+                <= self.threshold[at]
+            node[live] = np.where(go_left, self.left[at], self.right[at])
+            live = live[self.left[node[live]] >= 0]
+        return node.reshape(-1, m)
 
     def predict(self, x) -> np.ndarray:
         return self.value[self.apply(x)]
 
 
 class DecisionTreeClassifier:
-    """CART with Gini impurity and axis-aligned binary splits."""
+    """CART with Gini impurity and axis-aligned binary splits.
+
+    A fold stack ``x`` (f, n, d), ``y`` (f, n) grows a tree per fold in one
+    lock-step; ``predict`` then takes (f, m, d) queries, one set per fold.
+    """
 
     def __init__(self, max_depth: int | None = None, min_samples_leaf: int = 1):
         self.max_depth = max_depth
         self.min_samples_leaf = int(min_samples_leaf)
         self.tree: _Tree | None = None
+        self._stacked = False
 
     def fit(self, x, y) -> "DecisionTreeClassifier":
-        y = np.asarray(y, dtype=int)
+        x, y, self._stacked = _as_stack(x, y, int)
         _check_labels(y)
         self.tree = _Tree(_GINI, self.max_depth,
                           self.min_samples_leaf).fit(x, y)
         return self
 
     def predict(self, x) -> np.ndarray:
-        return self.tree.predict(x).astype(int)
+        out = self.tree.predict(_queries(x, self._stacked)).astype(int)
+        return out if self._stacked else out[0]
+
+
+# the most trees a forest grows in one lock-step (but at least one fold's):
+# Python holds their nodes until all are done, and the memory stays
+_LOCKSTEP_TREES = 128
 
 
 class RandomForestClassifier:
-    """Bagged CART trees with sqrt(d) feature subsampling per split."""
+    """Bagged CART trees with sqrt(d) feature subsampling per split.
+
+    A fold stack (see :class:`DecisionTreeClassifier`) takes one ``seed``
+    per fold; its trees grow in lock-steps of whole folds, each tree's
+    bootstrap and feature draws coming from its own generator.
+    """
 
     def __init__(self, n_estimators: int = 100, max_depth: int | None = None,
-                 min_samples_leaf: int = 1, seed: int = 0):
+                 min_samples_leaf: int = 1, seed=0):
         self.n_estimators = int(n_estimators)
         self.max_depth = max_depth
         self.min_samples_leaf = int(min_samples_leaf)
-        self.seed = int(seed)
-        self._trees: list[_Tree] = []
+        self.seed = _as_seed(seed)
+        self._trees: list[_Tree] = []  # one stack per lock-step
+        self._stacked = False
 
     def fit(self, x, y) -> "RandomForestClassifier":
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=int)
+        x, y, self._stacked = _as_stack(x, y, int)
+        seeds = _seeds_per_fold(self.seed, len(x), self._stacked)
         _check_labels(y)
-        n, d = x.shape
-        m = max(1, int(round(math.sqrt(d))))
-        seeds = np.random.SeedSequence(self.seed).spawn(self.n_estimators)
+        m = max(1, int(round(math.sqrt(x.shape[2]))))
+        per = max(1, _LOCKSTEP_TREES // self.n_estimators)
         self._trees = []
-        for ss in seeds:
-            rng = np.random.default_rng(ss)
-            idx = rng.integers(0, n, n)
-
-            def sampler(n_features, rng=rng):
-                k = min(m, n_features)
-                return sorted(rng.choice(n_features, size=k, replace=False))
-
+        for lo in range(0, len(x), per):
+            rngs = [np.random.default_rng(ss) for seed in seeds[lo:lo + per]
+                    for ss in np.random.SeedSequence(seed).spawn(
+                        self.n_estimators)]
+            boots = np.array([rng.integers(0, x.shape[1], x.shape[1])
+                              for rng in rngs])
             self._trees.append(_Tree(
-                _GINI, self.max_depth, self.min_samples_leaf,
-                feature_sampler=sampler).fit(x[idx], y[idx]))
+                _GINI, self.max_depth, self.min_samples_leaf).fit(
+                    x[lo:lo + per], y[lo:lo + per], boots,
+                    [lambda d, rng=rng: sorted(rng.choice(
+                        d, size=min(m, d), replace=False)) for rng in rngs]))
         return self
 
     def predict(self, x) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        votes = sum((tree.predict(x) for tree in self._trees),
-                    np.zeros(x.shape[0]))
-        return (votes > len(self._trees) - votes).astype(int)
+        x = _queries(x, self._stacked)
+        per = len(self._trees[0].roots) // self.n_estimators
+        votes = np.concatenate([
+            stack.predict(x[i * per:(i + 1) * per])
+            .reshape(-1, self.n_estimators, x.shape[1]).sum(axis=1)
+            for i, stack in enumerate(self._trees)])
+        out = (votes > self.n_estimators - votes).astype(int)
+        return out if self._stacked else out[0]
 
 
 # --- gradient boosting ---------------------------------------------------------------
@@ -309,7 +452,9 @@ class GradientBoostingClassifier:
     """Stage-wise shallow regression trees on the logistic loss.
 
     Each stage fits residuals ``y - p`` and applies a per-leaf Newton step
-    ``sum(residual) / sum(p (1 - p))`` scaled by the learning rate.
+    ``sum(residual) / sum(p (1 - p))`` scaled by the learning rate. A fold
+    stack (see :class:`DecisionTreeClassifier`) grows each stage's trees,
+    one per fold, in one lock-step.
     """
 
     def __init__(self, n_estimators: int = 100, learning_rate: float = 0.1,
@@ -318,37 +463,39 @@ class GradientBoostingClassifier:
         self.learning_rate = float(learning_rate)
         self.max_depth = int(max_depth)
         self._trees: list[_Tree] = []
-        self._base_score = 0.0
+        self._base_score = np.zeros(1)
+        self._stacked = False
 
     def fit(self, x, y) -> "GradientBoostingClassifier":
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x, y, self._stacked = _as_stack(x, y, float)
         _check_labels(y.astype(int))
-        p0 = min(max(float(y.mean()), 1e-9), 1.0 - 1e-9)
-        self._base_score = math.log(p0 / (1.0 - p0))
-        scores = np.full(y.size, self._base_score)
+        self._base_score = np.array([
+            math.log(p0 / (1.0 - p0))
+            for p0 in np.clip(y.mean(axis=1), 1e-9, 1.0 - 1e-9).tolist()])
+        scores = np.repeat(self._base_score[:, None], y.shape[1], axis=1)
         self._trees = []
         for _ in range(self.n_estimators):
             p = _sigmoid(scores)
-            residual = y - p
-            hessian = p * (1.0 - p)
+            residual, hessian = y - p, p * (1.0 - p)
             tree = _Tree(_SSE, self.max_depth).fit(x, residual)
             leaf = tree.apply(x)
-            # replace leaf means with Newton steps
-            for node in np.unique(leaf).tolist():
-                rows = leaf == node
-                tree.value[node] = float(residual[rows].sum()) \
-                    / max(float(hessian[rows].sum()), 1e-12)
+            # replace leaf means with Newton steps, summing each leaf's rows
+            # in order
+            by_leaf = np.argsort(leaf, axis=None, kind="stable")
+            nodes, sizes = np.unique(leaf, return_counts=True)
+            tree.value[nodes] = _per_size(
+                residual.ravel()[by_leaf], sizes, _row_sums) / np.maximum(
+                    _per_size(hessian.ravel()[by_leaf], sizes, _row_sums), 1e-12)
             self._trees.append(tree)
             scores = scores + self.learning_rate * tree.value[leaf]
         return self
 
     def decision_scores(self, x) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        scores = np.full(x.shape[0], self._base_score)
+        x = _queries(x, self._stacked)
+        scores = np.repeat(self._base_score[:, None], x.shape[1], axis=1)
         for tree in self._trees:
             scores = scores + self.learning_rate * tree.predict(x)
-        return scores
+        return scores if self._stacked else scores[0]
 
     def predict(self, x) -> np.ndarray:
         return (_sigmoid(self.decision_scores(x)) > 0.5).astype(int)
@@ -408,11 +555,7 @@ class SvmClassifier:
         return np.where(up, viol, -np.inf), np.where(low, viol, np.inf)
 
     def fit(self, x, y) -> "SvmClassifier":
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=int)
-        stacked = x.ndim == 3
-        if not stacked:
-            x, y = x[None], y[None]
+        x, y, stacked = _as_stack(x, y, int)
         _check_labels(y)
         c, s = self.c, np.where(y == 1, 1.0, -1.0)
         f, n = s.shape
@@ -545,21 +688,13 @@ class MlpClassifier:
         self.hidden = int(hidden)
         self.learning_rate = float(learning_rate)
         self.epochs = int(epochs)
-        self.seed = tuple(int(s) for s in seed) if np.ndim(seed) \
-            else int(seed)
+        self.seed = _as_seed(seed)
         self._params: dict | None = None
         self._stacked = False
 
     def fit(self, x, y) -> "MlpClassifier":
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        self._stacked = x.ndim == 3
-        if not self._stacked:
-            x, y = x[None], y[None]
-        seeds = self.seed if self._stacked else (self.seed,)
-        if np.ndim(seeds) != 1 or len(seeds) != x.shape[0]:
-            raise ValueError(f"a stack of {x.shape[0]} folds needs one seed "
-                             f"per fold, got {self.seed!r}")
+        x, y, self._stacked = _as_stack(x, y, float)
+        seeds = _seeds_per_fold(self.seed, len(x), self._stacked)
         _check_labels(y.astype(int))
         inits = [init_mlp_params(x.shape[2], self.hidden, s) for s in seeds]
         params = {k: np.stack([p[k] for p in inits]) for k in _MLP_PARAMS}
@@ -581,9 +716,7 @@ class MlpClassifier:
     def decision_function(self, x) -> np.ndarray:
         """Logits of rows ``x``, or (f, m) logits of a stack ``x`` (f, m, d)
         after a stacked fit, fold i scored by net i."""
-        x = np.asarray(x, dtype=float)
-        if not self._stacked:
-            x = np.atleast_2d(x)[None]
+        x = _queries(x, self._stacked)
         p = self._params
         a1 = np.maximum(np.matmul(x, p["w1"]) + p["b1"][:, None, :], 0.0)
         z2 = (a1 @ p["w2"])[..., 0] + p["b2"]
@@ -617,8 +750,8 @@ def train(spec: ModelSpec, x: np.ndarray, y: np.ndarray,
     The hyperparameters are constructor arguments; the ones left out take
     the constructor defaults. ``seed`` feeds the models that use randomness
     (random forest bootstrap and MLP initialization); the rest ignore it.
-    kNN, SVM and MLP also take a fold stack ``x`` (f, n, d), ``y``
-    (f, n), with a list of f seeds for the MLP.
+    Every kind also takes a fold stack ``x`` (f, n, d), ``y`` (f, n), with
+    a list of f seeds for the random forest and the MLP.
     """
     hp = dict(spec.hyperparameters)
     if spec.kind in SEEDED_KINDS:

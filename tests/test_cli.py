@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import re
 import shutil
 import tempfile
@@ -372,6 +373,54 @@ class TestBenchCommand:
         assert code == 2
         assert len(err) == 1 and str(out / "features.csv") in err[0]
         assert [p.name for p in out.iterdir()] == ["features.csv"]
+
+
+def scale_cells(lines, scale):
+    """``lines`` of a features table with ``scale(name, value)`` applied to
+    each feature cell."""
+    names = lines[0].split(",")
+    out = [lines[0]]
+    for line in lines[1:]:
+        cells = line.split(",")
+        out.append(",".join(
+            repr(scale(name, float(cell)))
+            if name in pipeline.FEATURE_COLUMNS and cell else cell
+            for name, cell in zip(names, cells)))
+    return out
+
+
+class TestOverflowingTables:
+    """Finite tables whose column statistics overflow a float still give a
+    report: no traceback and no NumPy warning."""
+
+    @pytest.mark.parametrize("scale", [
+        lambda name, v: math.copysign(1e308, v),
+        lambda name, v: v * 1e160 if name == "HRV_SDNN" else v,
+    ], ids=["every cell 1e308", "one column times 1e160"])
+    def test_bench_reports_finite_metrics(self, fuzz_base, tmp_path, capsys,
+                                          scale):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "features.csv").write_text("".join(
+            line + "\n" for line in scale_cells(fuzz_base["table"], scale)))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"bench": {"grids": {
+            "rf": [{"n_estimators": 5}], "gb": [{"n_estimators": 5}],
+            "mlp": [{"hidden": 4, "epochs": 50}]}}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run("--config", str(cfg_path), "--out", str(out),
+                       "--seed", "5", "bench", "--features", "all")
+        err = capsys.readouterr().err.splitlines()
+        assert code in (0, 2, 4)
+        if code != 0:
+            assert len(err) == 1
+            return
+        for model in ("knn", "dt", "rf", "gb", "svm", "mlp"):
+            metrics = json.loads(
+                (out / f"bench_all_{model}.json").read_text())["metrics"]
+            assert all(math.isfinite(metrics[key]) for key in
+                       ("accuracy", "precision", "recall", "f1")), model
 
 
 class TestReportCommand:

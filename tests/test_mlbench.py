@@ -367,8 +367,8 @@ class TestFoldStack:
         loocv_grid_search(matrix, kind, TWO_POINT_GRIDS[kind], seed=0)
         n = matrix.values.shape[0]
         assert calls["fit_standardizer"] == n
-        # an SVM or MLP grid point trains all folds in one stacked fit
-        stacked = kind in (ModelKind.SVM, ModelKind.MLP)
+        # every grid point but kNN's trains all folds in one stacked fit
+        stacked = kind is not ModelKind.KNN
         assert calls["train"] == (2 if stacked else 2 * n)
         # only RF and MLP read a fold seed, so only they derive one
         seeded = kind in (ModelKind.RANDOM_FOREST, ModelKind.MLP)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -110,12 +111,20 @@ def exhaustive_best_split_1d(values, labels):
     return best
 
 
+def column_splits(x, target, min_samples_leaf, criterion):
+    """Per column of ``x``, the ``(threshold, score)`` the trees' split
+    search keeps for a node of every row, or None."""
+    threshold, score = models._column_splits(
+        x, target, [np.arange(len(x))], None, min_samples_leaf, criterion)
+    return [None if s == np.inf else (t, s)
+            for t, s in zip(threshold[:, 0].tolist(), score[:, 0].tolist())]
+
+
 def best_gini_split(x_col, y, min_samples_leaf=1):
     """Best (threshold, weighted Gini impurity) for one feature, or None,
     from the split search the trees use."""
-    return models._column_splits(np.asarray(x_col, dtype=float)[:, None],
-                                 np.asarray(y), min_samples_leaf,
-                                 models._GINI)[0]
+    return column_splits(np.asarray(x_col, dtype=float)[:, None],
+                         np.asarray(y), min_samples_leaf, models._GINI)[0]
 
 
 def _scalar_gini(counts):
@@ -172,6 +181,16 @@ def scalar_best_sse_split(x_col, r, min_samples_leaf=1):
     return best
 
 
+def gini_node_score(y):
+    """Oracle: a node's Gini impurity, as the per-node tree computed it."""
+    p0, p1 = int(np.sum(y == 0)) / y.size, int(np.sum(y == 1)) / y.size
+    return 1.0 - (p0 * p0 + p1 * p1)
+
+
+def sse_node_score(r):
+    return float(np.sum((r - r.mean()) ** 2))
+
+
 def scalar_node_split(x, target, min_samples_leaf, splitter, node_score):
     """Oracle: the first feature wins near-ties, and a node splits only if
     it improves on its own score by more than 1e-15."""
@@ -202,8 +221,8 @@ class TestSplitSearch:
     @given(duplicate_heavy())
     def test_every_column_matches_scalar_loops(self, case):
         x, y, r, msl = case
-        gini = models._column_splits(x, y, msl, models._GINI)
-        sse = models._column_splits(x, r, msl, models._SSE)
+        gini = column_splits(x, y, msl, models._GINI)
+        sse = column_splits(x, r, msl, models._SSE)
         for j in range(x.shape[1]):
             assert gini[j] == scalar_best_gini_split(x[:, j], y, msl)
             assert sse[j] == scalar_best_sse_split(x[:, j], r, msl)
@@ -213,14 +232,14 @@ class TestSplitSearch:
     @given(duplicate_heavy())
     def test_chosen_split_matches_scalar_cross_feature_rule(self, case):
         x, y, r, msl = case
-        for criterion, target, splitter in (
-                (models._GINI, y, scalar_best_gini_split),
-                (models._SSE, r, scalar_best_sse_split)):
+        for criterion, target, splitter, node_score in (
+                (models._GINI, y, scalar_best_gini_split, gini_node_score),
+                (models._SSE, r, scalar_best_sse_split, sse_node_score)):
             stump = models._Tree(criterion, 1, msl).fit(x, target)
             expect = None
-            if x.shape[0] >= 2 * msl and criterion.node_score(target) > 0.0:
+            if x.shape[0] >= 2 * msl and node_score(target) > 0.0:
                 expect = scalar_node_split(x, target, msl, splitter,
-                                           criterion.node_score(target))
+                                           node_score(target))
             if expect is None:
                 assert stump.left[0] < 0
             else:
@@ -239,7 +258,10 @@ class TestSplitSearch:
         scores = 0.25 + np.cumsum(np.where(np.isinf(steps), 0.0, steps),
                                   axis=0) * 0.6 * tol
         scores[np.isinf(steps)] = np.inf
-        for c, kept in enumerate(models._scan(scores, tol)):
+        rows, kept_scores = models._scan(scores, tol)
+        for c, (row, score) in enumerate(zip(rows.tolist(),
+                                             kept_scores.tolist())):
+            kept = None if row < 0 else (row, score)
             naive = None
             for i, s in enumerate(scores[:, c].tolist()):
                 if s == np.inf:
@@ -290,6 +312,25 @@ class TestDecisionTree:
         assert t.left[t.left[0]] < 0 and t.left[t.right[0]] < 0
 
 
+    @pytest.mark.parametrize("column", [
+        [-np.inf, np.inf, -np.inf, np.inf],
+        [1.7e308, 1.75e308, 1.7e308, 1.75e308],
+        [-1.7e308, -1.75e308, -1.7e308, -1.75e308],
+    ], ids=["nan midpoint", "midpoint overflows up", "midpoint overflows down"])
+    def test_no_split_leaves_a_child_empty(self, column):
+        # each midpoint sends every row one way, so no split is a candidate;
+        # the depth cap ends the run should one be taken anyway
+        x = np.array(column)[:, None]
+        y = np.array([0, 1, 0, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trees = [models.DecisionTreeClassifier(3).fit(x, y).tree,
+                     *models.GradientBoostingClassifier(3).fit(x, y)._trees,
+                     *models.RandomForestClassifier(3, 3, seed=1).fit(
+                         x, y)._trees]
+        assert all(np.all(tree.left < 0) for tree in trees)
+
+
 class TestRandomForest:
     def test_separable_and_deterministic(self, blobs):
         x, y = blobs
@@ -332,6 +373,211 @@ class TestGradientBoosting:
         y = np.array([0, 0, 0, 0, 0, 0, 1, 1, 1, 1])
         gb = models.GradientBoostingClassifier(n_estimators=1).fit(x, y)
         assert gb._base_score == pytest.approx(math.log(0.4 / 0.6))
+
+
+def oracle_tree(x, target, min_samples_leaf, max_depth, splitter,
+                node_score, leaf_value, sampler=None):
+    """Oracle: the recursive pre-order growth the lock-step kernel
+    replaced, on the scalar split loops. Returns the feature, threshold,
+    left, right and value arrays, and the leaf of each row."""
+    nodes, leaf_of = [], np.zeros(len(x), dtype=int)
+
+    def grow(rows, depth):
+        index = len(nodes)
+        nodes.append([0, 0.0, -1, -1, 0.0])
+        t = target[rows]
+        split = None
+        if not ((max_depth is not None and depth >= max_depth)
+                or rows.size < 2 * min_samples_leaf or node_score(t) <= 0.0):
+            features = [int(f) for f in (
+                sampler(x.shape[1]) if sampler else range(x.shape[1]))]
+            split = scalar_node_split(x[rows][:, features], t,
+                                      min_samples_leaf, splitter,
+                                      node_score(t))
+        if split is None:
+            nodes[index][4] = leaf_value(t)
+            leaf_of[rows] = index
+            return index
+        f, thr = features[split[0]], split[1]
+        go_left = x[rows, f] <= thr
+        left = grow(rows[go_left], depth + 1)
+        nodes[index][:4] = [f, thr, left, grow(rows[~go_left], depth + 1)]
+        return index
+
+    grow(np.arange(len(x)), 0)
+    return [np.array(column) for column in zip(*nodes)], leaf_of
+
+
+def oracle_decision_tree(x, y, min_samples_leaf, max_depth, sampler=None):
+    return oracle_tree(
+        x, y, min_samples_leaf, max_depth, scalar_best_gini_split,
+        gini_node_score, lambda t: float(np.sum(t == 1) > np.sum(t == 0)),
+        sampler)[0]
+
+
+def oracle_forest(x, y, n_estimators, max_depth, min_samples_leaf, seed):
+    """Oracle: each tree on its bootstrap, drawing its features from the
+    same generator, after the bootstrap, at each node that searches."""
+    n, d = x.shape
+    m = max(1, int(round(math.sqrt(d))))
+    trees = []
+    for ss in np.random.SeedSequence(seed).spawn(n_estimators):
+        rng = np.random.default_rng(ss)
+        idx = rng.integers(0, n, n)
+        trees.append(oracle_decision_tree(
+            x[idx], y[idx], min_samples_leaf, max_depth,
+            lambda k, rng=rng: sorted(rng.choice(k, size=min(m, k),
+                                                 replace=False))))
+    return trees
+
+
+def oracle_boosting(x, y, n_estimators, learning_rate, max_depth):
+    """Oracle: the stage loop with one Newton step per leaf."""
+    y = y.astype(float)
+    p0 = min(max(float(y.mean()), 1e-9), 1.0 - 1e-9)
+    scores = np.full(y.size, math.log(p0 / (1.0 - p0)))
+    trees = []
+    for _ in range(n_estimators):
+        p = models._sigmoid(scores)
+        residual, hessian = y - p, p * (1.0 - p)
+        arrays, leaf = oracle_tree(x, residual, 1, max_depth,
+                                   scalar_best_sse_split, sse_node_score,
+                                   lambda r: float(r.mean()))
+        for node in np.unique(leaf).tolist():
+            rows = leaf == node
+            arrays[4][node] = float(residual[rows].sum()) \
+                / max(float(hessian[rows].sum()), 1e-12)
+        trees.append(arrays)
+        scores = scores + learning_rate * arrays[4][leaf]
+    return trees
+
+
+def tree_arrays(stack, k):
+    """Tree k of a stack of trees, its node ids counted from its root."""
+    lo = stack.roots[k]
+    hi = stack.roots[k + 1] if k + 1 < len(stack.roots) \
+        else len(stack.feature)
+
+    def local(child):
+        return np.where(child[lo:hi] >= 0, child[lo:hi] - lo, -1)
+
+    return [stack.feature[lo:hi], stack.threshold[lo:hi], local(stack.left),
+            local(stack.right), stack.value[lo:hi]]
+
+
+def assert_same_arrays(got, expect):
+    for name, a, b in zip(("feature", "threshold", "left", "right", "value"),
+                          got, expect):
+        assert np.asarray(a, dtype=float).tobytes() \
+            == np.asarray(b, dtype=float).tobytes(), name
+
+
+@st.composite
+def tree_stacks(draw):
+    """A fold stack from ``fold_stacks``, or one of small integers, which
+    tie in most columns."""
+    if draw(st.booleans()):
+        return draw(fold_stacks())
+    f, n, d = (draw(st.integers(1, 4)), draw(st.integers(2, 16)),
+               draw(st.integers(1, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    y = rng.integers(0, 2, (f, n))
+    y[:, :2] = [0, 1]
+    return (rng.integers(-3, 4, (f, n, d)).astype(float), y,
+            rng.integers(-3, 4, (f, 3, d)).astype(float))
+
+
+class TestStackedTrees:
+    """A stack of folds grows every tree in one lock-step; each tree must
+    equal, bit for bit, the tree its fold grows alone and the recursive
+    oracle's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stack=tree_stacks(), msl=st.integers(1, 3),
+           max_depth=st.sampled_from([None, 1, 3]))
+    def test_decision_trees_equal_per_tree_fits(self, stack, msl, max_depth):
+        x, y, queries = stack
+        dt = models.DecisionTreeClassifier(max_depth, msl).fit(x, y)
+        preds = dt.predict(queries)
+        for fold in range(len(x)):
+            alone = models.DecisionTreeClassifier(max_depth, msl).fit(
+                x[fold], y[fold])
+            expect = oracle_decision_tree(x[fold], y[fold], msl, max_depth)
+            assert_same_arrays(tree_arrays(dt.tree, fold), expect)
+            assert_same_arrays(tree_arrays(alone.tree, 0), expect)
+            assert np.array_equal(preds[fold], alone.predict(queries[fold]))
+
+    @settings(max_examples=50, deadline=None)
+    @given(stack=tree_stacks(), msl=st.integers(1, 3),
+           max_depth=st.sampled_from([None, 1, 3]),
+           n_estimators=st.integers(1, 3), seed=st.integers(0, 1000))
+    def test_forests_equal_per_tree_fits(self, stack, msl, max_depth,
+                                         n_estimators, seed):
+        x, y, queries = stack
+        seeds = [seed + fold for fold in range(len(x))]
+        rf = models.RandomForestClassifier(n_estimators, max_depth, msl,
+                                           seed=seeds).fit(x, y)
+        preds = rf.predict(queries)
+        for fold in range(len(x)):
+            alone = models.RandomForestClassifier(
+                n_estimators, max_depth, msl, seed=seeds[fold]).fit(
+                    x[fold], y[fold])
+            expects = oracle_forest(x[fold], y[fold], n_estimators,
+                                    max_depth, msl, seeds[fold])
+            for tree, expect in enumerate(expects):
+                assert_same_arrays(
+                    tree_arrays(rf._trees[0], fold * n_estimators + tree),
+                    expect)
+                assert_same_arrays(tree_arrays(alone._trees[0], tree), expect)
+            assert np.array_equal(preds[fold], alone.predict(queries[fold]))
+
+    @settings(max_examples=50, deadline=None)
+    @given(stack=tree_stacks(), max_depth=st.sampled_from([1, 3]),
+           n_estimators=st.integers(1, 4),
+           learning_rate=st.sampled_from([0.1, 0.5]))
+    def test_boosted_trees_equal_per_tree_fits(self, stack, max_depth,
+                                               n_estimators, learning_rate):
+        x, y, queries = stack
+        gb = models.GradientBoostingClassifier(
+            n_estimators, learning_rate, max_depth).fit(x, y)
+        scores = gb.decision_scores(queries)
+        for fold in range(len(x)):
+            alone = models.GradientBoostingClassifier(
+                n_estimators, learning_rate, max_depth).fit(x[fold], y[fold])
+            expects = oracle_boosting(x[fold], y[fold], n_estimators,
+                                      learning_rate, max_depth)
+            for stage, expect in enumerate(expects):
+                assert_same_arrays(tree_arrays(gb._trees[stage], fold), expect)
+                assert_same_arrays(tree_arrays(alone._trees[stage], 0),
+                                   expect)
+            assert scores[fold].tobytes() \
+                == alone.decision_scores(queries[fold]).tobytes()
+
+    def test_forest_lock_steps_hold_whole_folds(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(5, 12, 3))
+        y = np.tile([0, 1], (5, 6))
+        one = models.RandomForestClassifier(3, seed=list(range(5))).fit(x, y)
+        monkeypatch.setattr(models, "_LOCKSTEP_TREES", 7)
+        split = models.RandomForestClassifier(3, seed=list(range(5))).fit(
+            x, y)
+        assert [len(stack.roots) for stack in split._trees] == [6, 6, 3]
+        for k in range(15):
+            stack, tree = divmod(k, 6)
+            assert_same_arrays(tree_arrays(split._trees[stack], tree),
+                               tree_arrays(one._trees[0], k))
+        assert np.array_equal(split.predict(x), one.predict(x))
+
+    @pytest.mark.parametrize("make", [
+        models.DecisionTreeClassifier,
+        lambda: models.RandomForestClassifier(3, seed=[1, 2, 3]),
+        lambda: models.GradientBoostingClassifier(3),
+    ], ids=["dt", "rf", "gb"])
+    def test_one_single_class_fold_raises(self, make):
+        x = np.random.default_rng(0).normal(size=(3, 6, 2))
+        y = np.array([[0, 1] * 3, [1] * 6, [1, 0] * 3])
+        with pytest.raises(DegenerateLabels):
+            make().fit(x, y)
 
 
 class TestSvm:
