@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -10,24 +9,11 @@ from . import dsp
 from .errors import ConstantInput, LengthMismatch, SignalTooShort
 from .session_io import SignalChannel
 
-@dataclass(frozen=True)
-class AccFeatures:
-    ACC_Mean: float
-    ACC_Max: float
-    ACC_Min: float
-    ACC_STD: float
-    ACC_Energy: float
-    ACC_Dominant_frequency: float
-    ACC_Inactivity_time: float
-    Symmetry_x_y: float
-    Symmetry_y_z: float
-    Symmetry_x_z: float
-
-    def as_features(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-ACC_FEATURE_NAMES = tuple(f.name for f in fields(AccFeatures))
+ACC_FEATURE_NAMES = (
+    "ACC_Mean", "ACC_Max", "ACC_Min", "ACC_STD", "ACC_Energy",
+    "ACC_Dominant_frequency", "ACC_Inactivity_time",
+    "Symmetry_x_y", "Symmetry_y_z", "Symmetry_x_z",
+)
 
 
 def acc_magnitude(x, y, z) -> np.ndarray:
@@ -53,7 +39,7 @@ def _abs_corr(a, b) -> float:
 
 
 def acc_features(acc: SignalChannel,
-                 inactivity_threshold: float = 0.12) -> AccFeatures:
+                 inactivity_threshold: float = 0.12) -> dict[str, float]:
     """Movement intensity, dynamics, and symmetry features.
 
     Expects an already low-pass-filtered channel. The dominant frequency is
@@ -61,7 +47,7 @@ def acc_features(acc: SignalChannel,
     (removing the mean keeps the ever-present DC component from winning);
     inactivity time counts magnitude samples under the threshold, in
     seconds. Symmetries are absolute Pearson correlations per axis pair;
-    a constant axis contributes 0.
+    a constant axis contributes 0. Returns the ``ACC_FEATURE_NAMES`` columns.
     """
     samples = np.asarray(acc.samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != 3:
@@ -79,15 +65,15 @@ def acc_features(acc: SignalChannel,
 
     below = int(np.count_nonzero(magnitude < inactivity_threshold))
 
-    return AccFeatures(
-        ACC_Mean=float(np.mean(magnitude)),
-        ACC_Max=float(np.max(magnitude)),
-        ACC_Min=float(np.min(magnitude)),
-        ACC_STD=float(np.std(magnitude, ddof=1)),
-        ACC_Energy=float(np.sum(magnitude ** 2) / n),
-        ACC_Dominant_frequency=float(dominant_hz),
-        ACC_Inactivity_time=below / fs,
-        Symmetry_x_y=_abs_corr(x, y),
-        Symmetry_y_z=_abs_corr(y, z),
-        Symmetry_x_z=_abs_corr(x, z),
-    )
+    return {
+        "ACC_Mean": float(np.mean(magnitude)),
+        "ACC_Max": float(np.max(magnitude)),
+        "ACC_Min": float(np.min(magnitude)),
+        "ACC_STD": float(np.std(magnitude, ddof=1)),
+        "ACC_Energy": float(np.sum(magnitude ** 2) / n),
+        "ACC_Dominant_frequency": float(dominant_hz),
+        "ACC_Inactivity_time": below / fs,
+        "Symmetry_x_y": _abs_corr(x, y),
+        "Symmetry_y_z": _abs_corr(y, z),
+        "Symmetry_x_z": _abs_corr(x, z),
+    }

@@ -68,28 +68,33 @@ GRID_KEYS = {
 }
 
 
+_GRID = (lambda v: isinstance(v, list) and len(v) > 0
+         and all(isinstance(point, dict) for point in v),
+         "a non-empty list of objects")
+
+
+def _check_fields(values: dict, ranges: dict, context: str) -> None:
+    """Raise a ConfigError naming ``context`` for a key of ``values`` that
+    ``ranges`` lacks, or a value outside its key's range."""
+    unknown = set(values) - set(ranges)
+    if unknown:
+        raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
+    for key, value in values.items():
+        check, what = ranges[key]
+        if not check(value):
+            raise ConfigError(f"{context}.{key} must be {what}, "
+                              f"got {value!r}")
+
+
 def _check_grids(grids: dict) -> bool:
     """Model name -> non-empty list of points, each within ``GRID_KEYS``;
     raises a ConfigError that names the offending grid."""
     if not isinstance(grids, dict):
         return False
+    _check_fields(grids, dict.fromkeys(DEFAULT_MODELS, _GRID), "bench.grids")
     for name, grid in grids.items():
-        if name not in DEFAULT_MODELS:
-            raise ConfigError(f"grid for unknown model {name!r}")
-        if not isinstance(grid, list) or not grid:
-            raise ConfigError(f"grid for {name!r} must be a non-empty list")
         for point in grid:
-            if not isinstance(point, dict):
-                raise ConfigError(f"grid entries for {name!r} must be objects")
-            for key, value in point.items():
-                if key not in GRID_KEYS[name]:
-                    raise ConfigError(
-                        f"grid for {name!r} sets unknown hyperparameter "
-                        f"{key!r}; allowed: {sorted(GRID_KEYS[name])}")
-                check, what = GRID_KEYS[name][key]
-                if not check(value):
-                    raise ConfigError(f"grid for {name!r}: {key} must be "
-                                      f"{what}, got {value!r}")
+            _check_fields(point, GRID_KEYS[name], f"bench.grids.{name}")
     return True
 
 
@@ -185,14 +190,7 @@ def _update_dataclass(instance, overrides: dict, context: str,
                       ranges: dict):
     """``instance`` with ``overrides`` applied, each checked against its
     field's range in ``ranges``."""
-    unknown = set(overrides) - set(ranges)
-    if unknown:
-        raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
-    for key, value in overrides.items():
-        check, what = ranges[key]
-        if not check(value):
-            raise ConfigError(f"{context}.{key} must be {what}, "
-                              f"got {value!r}")
+    _check_fields(overrides, ranges, context)
     return dataclasses.replace(instance, **{
         k: tuple(v) if isinstance(v, list) else v
         for k, v in overrides.items()})

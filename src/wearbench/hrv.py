@@ -2,14 +2,16 @@
 
 The pipeline is: band-passed pulse wave -> systolic peak indices ->
 artifact-rejected NN intervals -> 23 time-domain and 9 frequency-domain
-features. Definitions that admit more than one convention (percentile
+features. Each feature function returns its columns of the feature table
+as a dict keyed by column name, in ``HRV_TIME_NAMES`` or ``HRV_FREQ_NAMES``
+order. Definitions that admit more than one convention (percentile
 method, histogram binning, window assignment) are pinned here so an
 independent implementation can reproduce every value.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -166,37 +168,13 @@ def peaks_to_nn(peaks, sample_rate_hz: float) -> NNSeries:
 # --- time-domain features ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HrvTimeFeatures:
-    MeanNN: float
-    SDNN: float
-    SDANN1: float
-    SDANN2: float
-    SDNNI1: float
-    SDNNI2: float
-    RMSSD: float
-    SDRMSSD: float
-    SDSD: float
-    CVNN: float
-    MCVNN: float
-    CVSD: float
-    IQRNN: float
-    MinNN: float
-    MaxNN: float
-    MedianNN: float
-    MADNN: float
-    HTI: float
-    TINN: float
-    pNN50: float
-    pNN20: float
-    Prc20NN: float
-    Prc80NN: float
-
-    def as_features(self) -> dict[str, float]:
-        return {f"HRV_{f.name}": getattr(self, f.name) for f in fields(self)}
-
-
-HRV_TIME_NAMES = tuple(f"HRV_{f.name}" for f in fields(HrvTimeFeatures))
+HRV_TIME_NAMES = (
+    "HRV_MeanNN", "HRV_SDNN", "HRV_SDANN1", "HRV_SDANN2", "HRV_SDNNI1",
+    "HRV_SDNNI2", "HRV_RMSSD", "HRV_SDRMSSD", "HRV_SDSD", "HRV_CVNN",
+    "HRV_MCVNN", "HRV_CVSD", "HRV_IQRNN", "HRV_MinNN", "HRV_MaxNN",
+    "HRV_MedianNN", "HRV_MADNN", "HRV_HTI", "HRV_TINN", "HRV_pNN50",
+    "HRV_pNN20", "HRV_Prc20NN", "HRV_Prc80NN",
+)
 
 
 def _percentile(x: np.ndarray, q: float) -> float:
@@ -290,7 +268,7 @@ def _tinn(nn_ms: np.ndarray) -> float:
     return best_width
 
 
-def hrv_time_features(nn: NNSeries) -> HrvTimeFeatures:
+def hrv_time_features(nn: NNSeries) -> dict[str, float]:
     """The 23 time-domain features of an NN series.
 
     Standard deviations use N-1; percentiles interpolate linearly; MADNN
@@ -312,53 +290,40 @@ def hrv_time_features(nn: NNSeries) -> HrvTimeFeatures:
 
     windows1, windows2 = _windowed(nn, 1.0), _windowed(nn, 2.0)
 
-    return HrvTimeFeatures(
-        MeanNN=mean_nn,
-        SDNN=sdnn,
-        SDANN1=_sdann(windows1),
-        SDANN2=_sdann(windows2),
-        SDNNI1=_sdnni(windows1),
-        SDNNI2=_sdnni(windows2),
-        RMSSD=rmssd,
-        SDRMSSD=sdnn / rmssd if rmssd > 0 else 0.0,
-        SDSD=sdsd,
-        CVNN=sdnn / mean_nn,
-        MCVNN=madnn / median_nn,
-        CVSD=rmssd / mean_nn,
-        IQRNN=_percentile(x, 75) - _percentile(x, 25),
-        MinNN=float(np.min(x)),
-        MaxNN=float(np.max(x)),
-        MedianNN=median_nn,
-        MADNN=madnn,
-        HTI=_hti(x),
-        TINN=_tinn(x),
-        pNN50=100.0 * float(np.mean(np.abs(diffs) > 50.0)),
-        pNN20=100.0 * float(np.mean(np.abs(diffs) > 20.0)),
-        Prc20NN=_percentile(x, 20),
-        Prc80NN=_percentile(x, 80),
-    )
+    return {
+        "HRV_MeanNN": mean_nn,
+        "HRV_SDNN": sdnn,
+        "HRV_SDANN1": _sdann(windows1),
+        "HRV_SDANN2": _sdann(windows2),
+        "HRV_SDNNI1": _sdnni(windows1),
+        "HRV_SDNNI2": _sdnni(windows2),
+        "HRV_RMSSD": rmssd,
+        "HRV_SDRMSSD": sdnn / rmssd if rmssd > 0 else 0.0,
+        "HRV_SDSD": sdsd,
+        "HRV_CVNN": sdnn / mean_nn,
+        "HRV_MCVNN": madnn / median_nn,
+        "HRV_CVSD": rmssd / mean_nn,
+        "HRV_IQRNN": _percentile(x, 75) - _percentile(x, 25),
+        "HRV_MinNN": float(np.min(x)),
+        "HRV_MaxNN": float(np.max(x)),
+        "HRV_MedianNN": median_nn,
+        "HRV_MADNN": madnn,
+        "HRV_HTI": _hti(x),
+        "HRV_TINN": _tinn(x),
+        "HRV_pNN50": 100.0 * float(np.mean(np.abs(diffs) > 50.0)),
+        "HRV_pNN20": 100.0 * float(np.mean(np.abs(diffs) > 20.0)),
+        "HRV_Prc20NN": _percentile(x, 20),
+        "HRV_Prc80NN": _percentile(x, 80),
+    }
 
 
 # --- frequency-domain features ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HrvFreqFeatures:
-    TP: float
-    VLF: float
-    LF: float
-    HF: float
-    VHF: float
-    LF_HF_ratio: float
-    LFn: float
-    HFn: float
-    LnHF: float
-
-    def as_features(self) -> dict[str, float]:
-        return {f"HRV_{f.name}": getattr(self, f.name) for f in fields(self)}
-
-
-HRV_FREQ_NAMES = tuple(f"HRV_{f.name}" for f in fields(HrvFreqFeatures))
+HRV_FREQ_NAMES = (
+    "HRV_TP", "HRV_VLF", "HRV_LF", "HRV_HF", "HRV_VHF", "HRV_LF_HF_ratio",
+    "HRV_LFn", "HRV_HFn", "HRV_LnHF",
+)
 
 
 def _clamped_cubic_spline(tk: np.ndarray, yk: np.ndarray, tq: np.ndarray):
@@ -369,34 +334,22 @@ def _clamped_cubic_spline(tk: np.ndarray, yk: np.ndarray, tq: np.ndarray):
     """
     m = tk.size
     h = np.diff(tk)
-    # tridiagonal system rows: sub, diag, sup, rhs
-    diag = np.empty(m)
-    sub = np.empty(m - 1)
-    sup = np.empty(m - 1)
-    rhs = np.empty(m)
     slope = np.diff(yk) / h
-    diag[0] = h[0] / 3.0
-    sup[0] = h[0] / 6.0
-    rhs[0] = slope[0] - 0.0
-    for i in range(1, m - 1):
-        sub[i - 1] = h[i - 1] / 6.0
-        diag[i] = (h[i - 1] + h[i]) / 3.0
-        sup[i] = h[i] / 6.0
-        rhs[i] = slope[i] - slope[i - 1]
-    sub[m - 2] = h[m - 2] / 6.0
-    diag[m - 1] = h[m - 2] / 3.0
-    rhs[m - 1] = 0.0 - slope[m - 2]
+    # symmetric tridiagonal system: off-diagonals h / 6 on both sides
+    off = h / 6.0
+    diag = np.concatenate([h[:1], h[:-1] + h[1:], h[-1:]]) / 3.0
+    rhs = np.concatenate([slope[:1] - 0.0, np.diff(slope), 0.0 - slope[-1:]])
 
     # Thomas algorithm
     cp = np.empty(m - 1)
     dp = np.empty(m)
-    cp[0] = sup[0] / diag[0]
+    cp[0] = off[0] / diag[0]
     dp[0] = rhs[0] / diag[0]
     for i in range(1, m):
-        denom = diag[i] - sub[i - 1] * cp[i - 1]
+        denom = diag[i] - off[i - 1] * cp[i - 1]
         if i < m - 1:
-            cp[i] = sup[i] / denom
-        dp[i] = (rhs[i] - sub[i - 1] * dp[i - 1]) / denom
+            cp[i] = off[i] / denom
+        dp[i] = (rhs[i] - off[i - 1] * dp[i - 1]) / denom
     sec = np.empty(m)
     sec[m - 1] = dp[m - 1]
     for i in range(m - 2, -1, -1):
@@ -427,7 +380,7 @@ def interpolate_nn(nn: NNSeries, rate_hz: float = 4.0):
 
 
 def hrv_freq_features(nn: NNSeries, interp_rate_hz: float = 4.0,
-                      welch_overlap: float = 0.5) -> HrvFreqFeatures:
+                      welch_overlap: float = 0.5) -> dict[str, float]:
     """Band powers of the interpolated, mean-removed NN series (ms^2).
 
     Bands: VLF 0.0033-0.04 Hz, LF 0.04-0.15 Hz, HF 0.15-0.4 Hz, VHF from
@@ -452,14 +405,14 @@ def hrv_freq_features(nn: NNSeries, interp_rate_hz: float = 4.0,
     vhf = dsp.band_power(spec, HF_BAND[1], nyquist)
     tp = dsp.band_power(spec, VLF_BAND[0], nyquist)
 
-    return HrvFreqFeatures(
-        TP=tp,
-        VLF=vlf,
-        LF=lf,
-        HF=hf,
-        VHF=vhf,
-        LF_HF_ratio=lf / hf if hf > 0 else 0.0,
-        LFn=lf / tp if tp > 0 else 0.0,
-        HFn=hf / tp if tp > 0 else 0.0,
-        LnHF=math.log(max(hf, 1e-12)),
-    )
+    return {
+        "HRV_TP": tp,
+        "HRV_VLF": vlf,
+        "HRV_LF": lf,
+        "HRV_HF": hf,
+        "HRV_VHF": vhf,
+        "HRV_LF_HF_ratio": lf / hf if hf > 0 else 0.0,
+        "HRV_LFn": lf / tp if tp > 0 else 0.0,
+        "HRV_HFn": hf / tp if tp > 0 else 0.0,
+        "HRV_LnHF": math.log(max(hf, 1e-12)),
+    }

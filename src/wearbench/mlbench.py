@@ -136,10 +136,19 @@ def fit_standardizer(train_rows: np.ndarray) -> Standardizer:
     return Standardizer(*stats, scales=scales)
 
 
+# a z-score's magnitude cap: a model squaring and summing the differences
+# of 59 capped z-scores stays finite
+_Z_CAP = 1e150
+
+
 def apply_standardizer(s: Standardizer, rows: np.ndarray) -> np.ndarray:
+    """Imputed z-scores of ``rows``, clipped to +-``_Z_CAP``: a held-out
+    cell far outside its training column scores the cap, not an overflow."""
     x = np.atleast_2d(np.asarray(rows, dtype=float)) / s.scales[None, :]
     x = np.where(np.isnan(x), s.medians[None, :], x)
-    return (x - s.means[None, :]) / s.stds[None, :]
+    with np.errstate(over="ignore"):
+        z = (x - s.means[None, :]) / s.stds[None, :]
+    return np.clip(z, -_Z_CAP, _Z_CAP, out=z)
 
 
 # --- metrics -----------------------------------------------------------------------------

@@ -504,6 +504,7 @@ class GradientBoostingClassifier:
 # --- support vector machine ------------------------------------------------------------
 
 
+_SVM_TOL = 1e-3
 _SVM_MAX_ITER = 20000
 
 
@@ -522,18 +523,17 @@ class SvmClassifier:
     ``fit`` takes rows (n, d) or a fold stack ``x`` (f, n, d), ``y``
     (f, n), whose folds run the SMO in lock-step, each ending bit for bit
     where it would alone. A fold stops when its maximal KKT violation
-    drops below ``tol`` or after ``_SVM_MAX_ITER`` pair updates, which is
-    not an error; ``n_iter`` and ``hit_cap`` say which, per fold.
+    drops below ``_SVM_TOL`` or after ``_SVM_MAX_ITER`` pair updates, which
+    is not an error; ``n_iter`` and ``hit_cap`` say which, per fold.
     """
 
     def __init__(self, c: float = 1.0, kernel: str = "linear",
-                 gamma: float = 0.1, tol: float = 1e-3):
+                 gamma: float = 0.1):
         if kernel not in ("linear", "rbf"):
             raise ValueError(f"unknown kernel {kernel!r}")
         self.c = float(c)
         self.kernel = kernel
         self.gamma = float(gamma)
-        self.tol = float(tol)
         self._x: np.ndarray | None = None
         self._sy: np.ndarray | None = None
         self._alpha: np.ndarray | None = None
@@ -566,8 +566,8 @@ class SvmClassifier:
         for _ in range(_SVM_MAX_ITER):
             up_vals, low_vals = self._violations(s, alpha, grad)
             i, j = up_vals.argmax(axis=1), low_vals.argmin(axis=1)
-            # a fold whose gap is below tol does not move, so it stays so
-            live = ~(up_vals[folds, i] - low_vals[folds, j] < self.tol)
+            # a fold whose gap is below _SVM_TOL does not move, so it stays so
+            live = ~(up_vals[folds, i] - low_vals[folds, j] < _SVM_TOL)
             if not live.any():
                 break
             n_iter += live

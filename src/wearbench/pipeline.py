@@ -8,6 +8,9 @@ One subject in, 59 named scalars out:
 * ACC: low-pass of the three axes -> 10 movement features,
 * TEMP: 7 summary features.
 
+Each family function returns its columns of the table as a dict keyed by
+column name, so a session's row is the union of four dicts.
+
 A feature family that cannot be computed for an otherwise valid session
 (for example too few clean beats for a spectrum) is emitted as NaN and
 imputed later from each training fold.
@@ -77,11 +80,11 @@ def extract_hrv_features(session: Session, dsp_cfg: DspConfig,
     except (*_FAMILY_FAILURES, NoPeaksFound, TooFewIntervals) as exc:
         return _family_unavailable(session, "HRV features", exc,
                                    hrv.HRV_TIME_NAMES + hrv.HRV_FREQ_NAMES)
-    out = hrv.hrv_time_features(nn).as_features()
+    out = hrv.hrv_time_features(nn)
     try:
         out.update(hrv.hrv_freq_features(
             nn, interp_rate_hz=dsp_cfg.nn_interp_rate_hz,
-            welch_overlap=dsp_cfg.welch_overlap).as_features())
+            welch_overlap=dsp_cfg.welch_overlap))
     except (SpanTooShort, TooFewIntervals) as exc:
         out.update(_family_unavailable(session, "HRV spectrum", exc,
                                        hrv.HRV_FREQ_NAMES))
@@ -111,9 +114,7 @@ def extract_acc_features(session: Session,
         smoothed = dataclasses.replace(
             channel, samples=dsp.filtfilt(design, channel.samples))
         return actigraphy.acc_features(
-            smoothed,
-            inactivity_threshold=feat_cfg.acc_inactivity_threshold,
-        ).as_features()
+            smoothed, inactivity_threshold=feat_cfg.acc_inactivity_threshold)
     except _FAMILY_FAILURES as exc:
         return _family_unavailable(session, "ACC features", exc,
                                    actigraphy.ACC_FEATURE_NAMES)
@@ -121,8 +122,7 @@ def extract_acc_features(session: Session,
 
 def extract_temp_features(session: Session) -> dict[str, float]:
     try:
-        return thermo.temp_features(
-            session.channel(ChannelKind.TEMP)).as_features()
+        return thermo.temp_features(session.channel(ChannelKind.TEMP))
     except _FAMILY_FAILURES as exc:
         return _family_unavailable(session, "TEMP features", exc,
                                    thermo.TEMP_FEATURE_NAMES)

@@ -1,36 +1,24 @@
 """Skin-temperature features."""
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
 import numpy as np
 
 from .errors import SignalTooShort
 from .session_io import SignalChannel
 
-@dataclass(frozen=True)
-class TempFeatures:
-    TEMP_mean: float
-    TEMP_max: float
-    TEMP_min: float
-    TEMP_std: float
-    TEMP_range: float
-    TEMP_trend: float
-    TEMP_energy: float
-
-    def as_features(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+TEMP_FEATURE_NAMES = (
+    "TEMP_mean", "TEMP_max", "TEMP_min", "TEMP_std", "TEMP_range",
+    "TEMP_trend", "TEMP_energy",
+)
 
 
-TEMP_FEATURE_NAMES = tuple(f.name for f in fields(TempFeatures))
-
-
-def temp_features(temp: SignalChannel) -> TempFeatures:
+def temp_features(temp: SignalChannel) -> dict[str, float]:
     """Summary statistics, linear trend, and deviation energy.
 
     The trend is the ordinary-least-squares slope against time in seconds
     (degrees C per second); energy sums the squared deviations from the
-    mean, so energy == (N - 1) * std^2.
+    mean, so energy == (N - 1) * std^2. Returns the ``TEMP_FEATURE_NAMES``
+    columns.
     """
     x = np.asarray(temp.samples, dtype=float).ravel()
     if x.size < 2:
@@ -40,12 +28,12 @@ def temp_features(temp: SignalChannel) -> TempFeatures:
     xc = x - x.mean()
     slope = float(np.dot(tc, xc) / np.dot(tc, tc))
     std = float(np.std(x, ddof=1))
-    return TempFeatures(
-        TEMP_mean=float(np.mean(x)),
-        TEMP_max=float(np.max(x)),
-        TEMP_min=float(np.min(x)),
-        TEMP_std=std,
-        TEMP_range=float(np.max(x) - np.min(x)),
-        TEMP_trend=slope,
-        TEMP_energy=float(np.sum(xc ** 2)),
-    )
+    return {
+        "TEMP_mean": float(np.mean(x)),
+        "TEMP_max": float(np.max(x)),
+        "TEMP_min": float(np.min(x)),
+        "TEMP_std": std,
+        "TEMP_range": float(np.max(x) - np.min(x)),
+        "TEMP_trend": slope,
+        "TEMP_energy": float(np.sum(xc ** 2)),
+    }

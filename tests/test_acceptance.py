@@ -119,8 +119,8 @@ def test_criterion_3_feature_oracles():
             below = sum(1 for i in range(n)
                         if math.sqrt(xyz[i, 0] ** 2 + xyz[i, 1] ** 2
                                      + xyz[i, 2] ** 2) < thr)
-            assert abs(f.ACC_Energy - energy) <= 1e-9 * energy
-            assert f.ACC_Inactivity_time == below / 32.0
+            assert abs(f["ACC_Energy"] - energy) <= 1e-9 * energy
+            assert f["ACC_Inactivity_time"] == below / 32.0
 
         # TEMP energy identity
         from wearbench.thermo import temp_features
@@ -129,8 +129,8 @@ def test_criterion_3_feature_oracles():
             ch = SignalChannel(ChannelKind.TEMP, 0, 4.0,
                                rng.normal(36.0, 0.4, n))
             f = temp_features(ch)
-            expect = (n - 1) * f.TEMP_std ** 2
-            assert abs(f.TEMP_energy - expect) <= 1e-9 * max(expect, 1e-12)
+            expect = (n - 1) * f["TEMP_std"] ** 2
+            assert abs(f["TEMP_energy"] - expect) <= 1e-9 * max(expect, 1e-12)
 
         # EDA reconstruction is exact
         spec = synth.SynthSpec(seed=60, duration_s=120.0,
@@ -171,9 +171,9 @@ def test_criterion_4_ground_truth_recovery():
 
         lf_case = freq_features(0.10, 11)
         hf_case = freq_features(0.25, 12)
-        assert lf_case.LF > 5.0 * lf_case.HF
-        assert lf_case.LF_HF_ratio > 5.0
-        assert hf_case.HF > 5.0 * hf_case.LF
+        assert lf_case["HRV_LF"] > 5.0 * lf_case["HRV_HF"]
+        assert lf_case["HRV_LF_HF_ratio"] > 5.0
+        assert hf_case["HRV_HF"] > 5.0 * hf_case["HRV_LF"]
 
         # SCR amplitude within 10%
         spec = synth.SynthSpec(seed=5, duration_s=120.0,

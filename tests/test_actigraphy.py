@@ -34,17 +34,17 @@ class TestAccFeatures:
         ch = acc_channel(np.ones(n), np.zeros(n), np.zeros(n))
         with pytest.warns(RuntimeWarning):
             f = actigraphy.acc_features(ch, inactivity_threshold=0.5)
-        assert f.ACC_Mean == pytest.approx(1.0)
-        assert f.ACC_STD == pytest.approx(0.0)
-        assert f.ACC_Energy == pytest.approx(1.0)
-        assert f.ACC_Inactivity_time == 0.0
+        assert f["ACC_Mean"] == pytest.approx(1.0)
+        assert f["ACC_STD"] == pytest.approx(0.0)
+        assert f["ACC_Energy"] == pytest.approx(1.0)
+        assert f["ACC_Inactivity_time"] == 0.0
 
     def test_all_below_threshold(self):
         n = 320
         ch = acc_channel(np.full(n, 0.1), np.zeros(n), np.zeros(n))
         with pytest.warns(RuntimeWarning):
             f = actigraphy.acc_features(ch, inactivity_threshold=0.5)
-        assert f.ACC_Inactivity_time == pytest.approx(10.0)
+        assert f["ACC_Inactivity_time"] == pytest.approx(10.0)
 
     def test_dominant_frequency_fft_oracle(self):
         fs, n = 32.0, 1024
@@ -57,8 +57,8 @@ class TestAccFeatures:
         mag = np.sqrt(x * x)
         raw = np.abs(np.fft.rfft(mag - mag.mean()))
         expect = (1 + int(np.argmax(raw[1:]))) * fs / n
-        assert f.ACC_Dominant_frequency == pytest.approx(expect)
-        assert abs(f.ACC_Dominant_frequency - 2.0) <= fs / n
+        assert f["ACC_Dominant_frequency"] == pytest.approx(expect)
+        assert abs(f["ACC_Dominant_frequency"] - 2.0) <= fs / n
 
     def test_symmetry_pairs(self):
         rng = np.random.default_rng(0)
@@ -68,9 +68,9 @@ class TestAccFeatures:
         y = x.copy()
         z = rng.normal(size=n)
         f = actigraphy.acc_features(acc_channel(x, y, z), 0.1)
-        assert f.Symmetry_x_y == pytest.approx(1.0, abs=1e-6)
-        assert f.Symmetry_y_z < 0.3
-        assert f.Symmetry_x_z < 0.3
+        assert f["Symmetry_x_y"] == pytest.approx(1.0, abs=1e-6)
+        assert f["Symmetry_y_z"] < 0.3
+        assert f["Symmetry_x_z"] < 0.3
 
     def test_constant_axis_symmetry_zero(self):
         n = 256
@@ -79,9 +79,9 @@ class TestAccFeatures:
         with pytest.warns(RuntimeWarning):
             f = actigraphy.acc_features(
                 acc_channel(x, np.zeros(n), np.zeros(n)), 0.1)
-        assert f.Symmetry_x_y == 0.0
-        assert f.Symmetry_y_z == 0.0
-        assert f.Symmetry_x_z == 0.0
+        assert f["Symmetry_x_y"] == 0.0
+        assert f["Symmetry_y_z"] == 0.0
+        assert f["Symmetry_x_z"] == 0.0
 
     def test_energy_and_inactivity_naive_oracle(self):
         rng = np.random.default_rng(7)
@@ -97,9 +97,9 @@ class TestAccFeatures:
             below = sum(
                 1 for i in range(n)
                 if (x[i] ** 2 + y[i] ** 2 + z[i] ** 2) ** 0.5 < thr)
-            assert f.ACC_Energy == pytest.approx(energy, rel=1e-9)
-            assert f.ACC_Inactivity_time == pytest.approx(below / 32.0,
-                                                          rel=1e-9, abs=1e-12)
+            assert f["ACC_Energy"] == pytest.approx(energy, rel=1e-9)
+            assert f["ACC_Inactivity_time"] == pytest.approx(
+                below / 32.0, rel=1e-9, abs=1e-12)
 
     def test_axis_permutation(self):
         rng = np.random.default_rng(3)
@@ -110,11 +110,13 @@ class TestAccFeatures:
         for name in ("ACC_Mean", "ACC_Max", "ACC_Min", "ACC_STD",
                      "ACC_Energy", "ACC_Dominant_frequency",
                      "ACC_Inactivity_time"):
-            assert getattr(f, name) == pytest.approx(getattr(g, name),
-                                                     rel=1e-12)
-        assert g.Symmetry_x_y == pytest.approx(f.Symmetry_y_z, rel=1e-12)
-        assert g.Symmetry_y_z == pytest.approx(f.Symmetry_x_z, rel=1e-12)
-        assert g.Symmetry_x_z == pytest.approx(f.Symmetry_x_y, rel=1e-12)
+            assert f[name] == pytest.approx(g[name], rel=1e-12)
+        assert g["Symmetry_x_y"] == pytest.approx(f["Symmetry_y_z"],
+                                                  rel=1e-12)
+        assert g["Symmetry_y_z"] == pytest.approx(f["Symmetry_x_z"],
+                                                  rel=1e-12)
+        assert g["Symmetry_x_z"] == pytest.approx(f["Symmetry_x_y"],
+                                                  rel=1e-12)
 
     @given(c=st.floats(0.5, 4.0))
     @settings(max_examples=25, deadline=None)
@@ -125,12 +127,13 @@ class TestAccFeatures:
         thr = 0.8
         f = actigraphy.acc_features(acc_channel(x, y, z), thr)
         g = actigraphy.acc_features(acc_channel(c * x, c * y, c * z), c * thr)
-        assert g.ACC_Mean == pytest.approx(c * f.ACC_Mean, rel=1e-9)
-        assert g.ACC_STD == pytest.approx(c * f.ACC_STD, rel=1e-9)
-        assert g.ACC_Energy == pytest.approx(c * c * f.ACC_Energy, rel=1e-9)
-        assert g.ACC_Dominant_frequency == f.ACC_Dominant_frequency
-        assert g.ACC_Inactivity_time == f.ACC_Inactivity_time
-        assert g.Symmetry_x_y == pytest.approx(f.Symmetry_x_y, rel=1e-9)
+        assert g["ACC_Mean"] == pytest.approx(c * f["ACC_Mean"], rel=1e-9)
+        assert g["ACC_STD"] == pytest.approx(c * f["ACC_STD"], rel=1e-9)
+        assert g["ACC_Energy"] == pytest.approx(c * c * f["ACC_Energy"],
+                                                rel=1e-9)
+        assert g["ACC_Dominant_frequency"] == f["ACC_Dominant_frequency"]
+        assert g["ACC_Inactivity_time"] == f["ACC_Inactivity_time"]
+        assert g["Symmetry_x_y"] == pytest.approx(f["Symmetry_x_y"], rel=1e-9)
 
     def test_too_short(self):
         with pytest.raises(SignalTooShort):
@@ -151,4 +154,4 @@ class TestAccFeatures:
         with pytest.warns(RuntimeWarning):
             f = actigraphy.acc_features(
                 dataclasses.replace(ch, samples=filtered), 0.1)
-        assert f.ACC_Dominant_frequency == pytest.approx(2.0, abs=fs / n)
+        assert f["ACC_Dominant_frequency"] == pytest.approx(2.0, abs=fs / n)

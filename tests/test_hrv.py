@@ -143,8 +143,8 @@ def oracle_time_features(nn: NNSeries) -> dict:
 
 
 def assert_matches_oracle(nn: NNSeries, rel=1e-9):
-    got = dataclasses.asdict(hrv.hrv_time_features(nn))
-    want = oracle_time_features(nn)
+    got = hrv.hrv_time_features(nn)
+    want = {f"HRV_{name}": v for name, v in oracle_time_features(nn).items()}
     assert set(got) == set(want)
     for name in want:
         g, w = got[name], want[name]
@@ -331,37 +331,38 @@ class TestPeaksToNN:
 class TestTimeFeatures:
     def test_constant_series(self):
         f = hrv.hrv_time_features(nn_from_intervals([800.0] * 10))
-        assert f.MeanNN == 800.0
-        assert f.SDNN == 0.0
-        assert f.RMSSD == 0.0
-        assert f.pNN50 == 0.0
-        assert f.CVNN == 0.0
-        assert f.SDRMSSD == 0.0
-        assert f.TINN == 0.0
+        assert f["HRV_MeanNN"] == 800.0
+        assert f["HRV_SDNN"] == 0.0
+        assert f["HRV_RMSSD"] == 0.0
+        assert f["HRV_pNN50"] == 0.0
+        assert f["HRV_CVNN"] == 0.0
+        assert f["HRV_SDRMSSD"] == 0.0
+        assert f["HRV_TINN"] == 0.0
 
     def test_alternating_series(self):
         f = hrv.hrv_time_features(
             nn_from_intervals([800.0, 860, 800, 860, 800, 860]))
-        assert f.RMSSD == pytest.approx(60.0)
-        assert f.pNN50 == 100.0
-        assert f.pNN20 == 100.0
-        assert f.MedianNN == pytest.approx(830.0)
+        assert f["HRV_RMSSD"] == pytest.approx(60.0)
+        assert f["HRV_pNN50"] == 100.0
+        assert f["HRV_pNN20"] == 100.0
+        assert f["HRV_MedianNN"] == pytest.approx(830.0)
 
     def test_three_interval_percentiles(self):
         f = hrv.hrv_time_features(nn_from_intervals([700.0, 800.0, 900.0]))
-        assert f.MinNN == 700.0
-        assert f.MaxNN == 900.0
-        assert f.IQRNN == pytest.approx(100.0)
-        assert f.Prc20NN == pytest.approx(740.0)
+        assert f["HRV_MinNN"] == 700.0
+        assert f["HRV_MaxNN"] == 900.0
+        assert f["HRV_IQRNN"] == pytest.approx(100.0)
+        assert f["HRV_Prc20NN"] == pytest.approx(740.0)
 
     def test_percentile_ordering_invariant(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
             nn = random_nn_series(rng)
             f = hrv.hrv_time_features(nn)
-            assert f.MinNN <= f.Prc20NN <= f.MedianNN <= f.Prc80NN <= f.MaxNN
-            assert f.SDNN >= 0 and f.RMSSD >= 0
-            assert 0 <= f.pNN50 <= f.pNN20 <= 100
+            assert f["HRV_MinNN"] <= f["HRV_Prc20NN"] <= f["HRV_MedianNN"] \
+                <= f["HRV_Prc80NN"] <= f["HRV_MaxNN"]
+            assert f["HRV_SDNN"] >= 0 and f["HRV_RMSSD"] >= 0
+            assert 0 <= f["HRV_pNN50"] <= f["HRV_pNN20"] <= 100
 
     def test_brute_force_oracle_200_series(self):
         rng = np.random.default_rng(2024)
@@ -370,10 +371,11 @@ class TestTimeFeatures:
 
     def test_window_features_need_two_windows(self):
         f = hrv.hrv_time_features(nn_from_intervals([900.0] * 40))  # 36 s
-        assert math.isnan(f.SDANN1) and math.isnan(f.SDNNI1)
+        assert math.isnan(f["HRV_SDANN1"]) and math.isnan(f["HRV_SDNNI1"])
         g = hrv.hrv_time_features(nn_from_intervals([1000.0] * 150))  # 150 s
-        assert not math.isnan(g.SDANN1) and not math.isnan(g.SDNNI1)
-        assert math.isnan(g.SDANN2)  # needs 240 s
+        assert not math.isnan(g["HRV_SDANN1"])
+        assert not math.isnan(g["HRV_SDNNI1"])
+        assert math.isnan(g["HRV_SDANN2"])  # needs 240 s
 
     def test_too_few_intervals(self):
         with pytest.raises(TooFewIntervals):
@@ -386,8 +388,8 @@ class TestTimeFeatures:
         iv = rng.uniform(800, 1200, 30)
         a = hrv.hrv_time_features(nn_from_intervals(iv))
         b = hrv.hrv_time_features(nn_from_intervals(iv, t0=shift))
-        for name, va in dataclasses.asdict(a).items():
-            vb = getattr(b, name)
+        for name, va in a.items():
+            vb = b[name]
             if math.isnan(va):
                 assert math.isnan(vb)
             else:
@@ -404,11 +406,11 @@ class TestTimeFeatures:
                   "MaxNN", "MedianNN", "MADNN", "Prc20NN", "Prc80NN")
         unchanged = ("CVNN", "CVSD", "MCVNN", "SDRMSSD")
         for name in scaled:
-            assert getattr(b, name) == pytest.approx(
-                c * getattr(a, name), rel=1e-9), name
+            assert b[f"HRV_{name}"] == pytest.approx(
+                c * a[f"HRV_{name}"], rel=1e-9), name
         for name in unchanged:
-            assert getattr(b, name) == pytest.approx(
-                getattr(a, name), rel=1e-9), name
+            assert b[f"HRV_{name}"] == pytest.approx(
+                a[f"HRV_{name}"], rel=1e-9), name
 
 
 # --- frequency-domain features ----------------------------------------------------------
@@ -428,23 +430,25 @@ def modulated_nn(freq_hz: float, depth_ms: float = 50.0,
 class TestFreqFeatures:
     def test_lf_modulation_dominates(self):
         f = hrv.hrv_freq_features(modulated_nn(0.10))
-        assert f.LF > 5.0 * f.HF
-        assert f.LF_HF_ratio > 5.0
+        assert f["HRV_LF"] > 5.0 * f["HRV_HF"]
+        assert f["HRV_LF_HF_ratio"] > 5.0
 
     def test_hf_modulation_dominates(self):
         f = hrv.hrv_freq_features(modulated_nn(0.25))
-        assert f.HF > 5.0 * f.LF
+        assert f["HRV_HF"] > 5.0 * f["HRV_LF"]
 
     def test_constant_nn(self):
         f = hrv.hrv_freq_features(nn_from_intervals([1000.0] * 200))
-        assert f.TP < 1.0
-        assert f.LnHF == pytest.approx(math.log(1e-12))
+        assert f["HRV_TP"] < 1.0
+        assert f["HRV_LnHF"] == pytest.approx(math.log(1e-12))
 
     def test_band_partition(self):
         f = hrv.hrv_freq_features(modulated_nn(0.10))
-        assert f.TP >= f.VLF + f.LF + f.HF + f.VHF - 1e-9
-        assert f.LFn + f.HFn <= 1.0 + 1e-9
-        for v in (f.TP, f.VLF, f.LF, f.HF, f.VHF):
+        assert f["HRV_TP"] >= f["HRV_VLF"] + f["HRV_LF"] + f["HRV_HF"] \
+            + f["HRV_VHF"] - 1e-9
+        assert f["HRV_LFn"] + f["HRV_HFn"] <= 1.0 + 1e-9
+        for v in (f["HRV_TP"], f["HRV_VLF"], f["HRV_LF"], f["HRV_HF"],
+                  f["HRV_VHF"]):
             assert v >= 0.0
 
     def test_span_too_short(self):
@@ -459,3 +463,50 @@ class TestFreqFeatures:
         ref = CubicSpline(nn.peak_times_s[1:], nn.intervals_ms,
                           bc_type="clamped")(grid)
         assert np.max(np.abs(values - ref)) < 1e-9
+
+    @given(m=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_spline_equals_row_by_row_oracle_bit_for_bit(self, m, seed):
+        rng = np.random.default_rng(seed)
+        tk = np.cumsum(rng.uniform(0.3, 2.0, m))
+        yk = rng.uniform(300.0, 1500.0, m)
+        tq = np.linspace(tk[0], tk[-1], 50)
+        assert hrv._clamped_cubic_spline(tk, yk, tq).tobytes() == \
+            oracle_clamped_spline(tk, yk, tq).tobytes()
+
+
+def oracle_clamped_spline(tk, yk, tq):
+    """The clamped spline with its tridiagonal system filled row by row
+    and separate sub- and super-diagonals."""
+    m = tk.size
+    h = np.diff(tk)
+    diag, sub, sup, rhs = np.empty(m), np.empty(m - 1), np.empty(m - 1), \
+        np.empty(m)
+    slope = np.diff(yk) / h
+    diag[0], sup[0], rhs[0] = h[0] / 3.0, h[0] / 6.0, slope[0] - 0.0
+    for i in range(1, m - 1):
+        sub[i - 1] = h[i - 1] / 6.0
+        diag[i] = (h[i - 1] + h[i]) / 3.0
+        sup[i] = h[i] / 6.0
+        rhs[i] = slope[i] - slope[i - 1]
+    sub[m - 2] = h[m - 2] / 6.0
+    diag[m - 1] = h[m - 2] / 3.0
+    rhs[m - 1] = 0.0 - slope[m - 2]
+    cp, dp = np.empty(m - 1), np.empty(m)
+    cp[0], dp[0] = sup[0] / diag[0], rhs[0] / diag[0]
+    for i in range(1, m):
+        denom = diag[i] - sub[i - 1] * cp[i - 1]
+        if i < m - 1:
+            cp[i] = sup[i] / denom
+        dp[i] = (rhs[i] - sub[i - 1] * dp[i - 1]) / denom
+    sec = np.empty(m)
+    sec[m - 1] = dp[m - 1]
+    for i in range(m - 2, -1, -1):
+        sec[i] = dp[i] - cp[i] * sec[i + 1]
+    seg = np.clip(np.searchsorted(tk, tq, side="right") - 1, 0, m - 2)
+    hs = h[seg]
+    a = (tk[seg + 1] - tq) / hs
+    b = (tq - tk[seg]) / hs
+    return (a * yk[seg] + b * yk[seg + 1]
+            + ((a ** 3 - a) * sec[seg] + (b ** 3 - b) * sec[seg + 1])
+            * hs ** 2 / 6.0)

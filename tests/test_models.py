@@ -606,7 +606,7 @@ class TestSvm:
                                        gamma=0.5).fit(x, y)
             assert float(np.mean(svm.predict(x) == y)) == 1.0
 
-    def test_linear_duality_gap_is_tiny(self):
+    def test_linear_duality_gap_is_tiny(self, monkeypatch):
         # independent optimality certificate: at the optimum the primal
         # hinge-loss objective equals the dual objective
         rng = np.random.default_rng(14)
@@ -614,7 +614,8 @@ class TestSvm:
                        rng.normal(size=(12, 3)) - 1.0])
         y = np.array([0] * 12 + [1] * 12)
         c = 2.0
-        svm = models.SvmClassifier(c=c, kernel="linear", tol=1e-6).fit(x, y)
+        monkeypatch.setattr(models, "_SVM_TOL", 1e-6)
+        svm = models.SvmClassifier(c=c, kernel="linear").fit(x, y)
         s = np.where(y == 1, 1.0, -1.0)
         alpha = svm._alpha
         w = x.T @ (alpha * s)

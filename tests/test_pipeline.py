@@ -3,12 +3,45 @@ import math
 import numpy as np
 import pytest
 
-from wearbench import pipeline, synth
+from wearbench import actigraphy, eda, hrv, pipeline, synth, thermo
 from wearbench.errors import WearbenchError
 from wearbench.hrv import HRV_FREQ_NAMES, HRV_TIME_NAMES
 from wearbench.mlbench import SubjectFeatures
 from wearbench.pipeline import FEATURE_COLUMNS
-from wearbench.session_io import Label
+from wearbench.session_io import ChannelKind, Label
+
+
+def _alternating_nn() -> hrv.NNSeries:
+    """A 90 s NN series alternating between 1000 and 1020 ms."""
+    iv = 1000.0 + 20.0 * (np.arange(89) % 2)
+    return hrv.NNSeries(iv, np.concatenate([[0.0], np.cumsum(iv)]) / 1000.0)
+
+
+def _eda_row(session):
+    decomp = eda.decompose_eda(session.channel(ChannelKind.EDA))
+    return eda.eda_features(decomp, eda.detect_scr(decomp))
+
+
+# family -> (its row of a session, its column names)
+FAMILIES = {
+    "hrv_time": (lambda s: hrv.hrv_time_features(_alternating_nn()),
+                 HRV_TIME_NAMES),
+    "hrv_freq": (lambda s: hrv.hrv_freq_features(_alternating_nn()),
+                 HRV_FREQ_NAMES),
+    "eda": (_eda_row, eda.EDA_FEATURE_NAMES),
+    "acc": (lambda s: actigraphy.acc_features(s.channel(ChannelKind.ACC)),
+            actigraphy.ACC_FEATURE_NAMES),
+    "temp": (lambda s: thermo.temp_features(s.channel(ChannelKind.TEMP)),
+             thermo.TEMP_FEATURE_NAMES),
+}
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_family_row_is_keyed_by_its_names_in_order(family, default_session):
+    row_of, names = FAMILIES[family]
+    row = row_of(default_session[0])
+    assert tuple(row) == names
+    assert all(type(v) is float for v in row.values())
 
 
 class TestExtractSessionFeatures:

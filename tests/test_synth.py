@@ -74,7 +74,7 @@ class TestGenerateSession:
         feats = actigraphy.acc_features(
             dc.replace(acc, samples=filtered), inactivity_threshold=0.12)
         assert truth.acc_inactive_seconds == 10.0
-        assert abs(feats.ACC_Inactivity_time - 10.0) <= 0.5
+        assert abs(feats["ACC_Inactivity_time"] - 10.0) <= 0.5
 
     def test_temp_is_exact_line_by_default(self):
         spec = synth.SynthSpec(seed=2, duration_s=70.0, temp_baseline_c=35.8,
