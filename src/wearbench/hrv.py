@@ -85,18 +85,29 @@ def detect_pulse_peaks(bvp: SignalChannel,
     if x.size < 3:
         raise NoPeaksFound("signal too short for peak detection")
 
-    half = max(1, int(round(params.rms_window_s * fs / 2.0)))
-    csum = np.concatenate([[0.0], np.cumsum(x * x)])
-    idx = np.arange(x.size)
-    lo = np.clip(idx - half, 0, x.size)
-    hi = np.clip(idx + half + 1, 0, x.size)
-    rms = np.sqrt((csum[hi] - csum[lo]) / (hi - lo))
-    threshold = params.threshold_scale * rms
+    n, half = x.size, max(1, int(round(params.rms_window_s * fs / 2.0)))
+    csum = np.empty(n + 1)
+    csum[0] = 0.0
+    np.cumsum(np.square(x, out=csum[1:]), out=csum[1:])
+    # the moving RMS over [i - half, i + half], clipped to the signal: the
+    # full windows from two slices of csum, the clipped edge ones apart
+    threshold = np.empty(n)
+    w = 2 * half + 1
+    full = threshold[half:max(half, n - half)]
+    np.subtract(csum[w:], csum[:max(n + 1 - w, 0)], out=full)
+    full /= w
+    edge = np.r_[0:min(half, n), max(half, n - half):n]
+    lo, hi = np.maximum(edge - half, 0), np.minimum(edge + half + 1, n)
+    threshold[edge] = (csum[hi] - csum[lo]) / (hi - lo)
+    del csum
+    np.sqrt(threshold, out=threshold)
+    threshold *= params.threshold_scale
 
-    interior = np.arange(1, x.size - 1)
-    is_max = (x[interior] > x[interior - 1]) & (x[interior] >= x[interior + 1])
-    above = x[interior] > threshold[interior]
-    candidates = interior[is_max & above]
+    mid = x[1:-1]
+    is_peak = mid > x[:-2]
+    is_peak &= mid >= x[2:]
+    is_peak &= mid > threshold[1:-1]
+    candidates = np.flatnonzero(is_peak) + 1
     if candidates.size == 0:
         raise NoPeaksFound("no local maxima above the adaptive threshold")
 

@@ -7,13 +7,17 @@ pooled accuracy (first wins ties) and report its pooled confusion matrix.
 Because the same LOOCV both selects and scores, reports carry an explicit
 optimistic-bias flag.
 
-Each fold is standardised once per search, and every grid point trains on
+A matrix standardises each of its folds once, on the first search that
+needs them, and every grid point of every search on that matrix trains on
 the same fold stack. Every grid point but kNN's trains all its folds as one
 stacked fit, with the same bits as one fit per fold; kNN trains fold by
-fold.
+fold. SVM grid points that differ only in ``c`` go further: one fit trains
+all their C values in one SMO lock-step over one kernel matrix per fold,
+each ending bit for bit where it would alone.
 """
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -60,6 +64,12 @@ class FeatureMatrix:
     feature_names: tuple[str, ...]
     values: np.ndarray  # (n_subjects, n_features), NaN marks absent
     labels: np.ndarray  # (n_subjects,), 0 = unipolar, 1 = bipolar
+
+    @functools.cached_property
+    def folds(self) -> _Folds:
+        """The standardised LOOCV folds, built on first use and shared by
+        every later search on this matrix."""
+        return _build_folds(self)
 
 
 def assemble_matrix(rows, selector: str) -> FeatureMatrix:
@@ -212,8 +222,12 @@ class EvalReport:
     selector: str
     positive_class: int
     seed: int
-    n_grid_points: int
+    points: tuple[tuple[dict, float], ...]  # (hyperparameters, accuracy)
     optimistic_bias: bool = True  # non-nested selection, by protocol
+
+    @property
+    def n_grid_points(self) -> int:
+        return len(self.points)
 
     def to_json_dict(self) -> dict:
         return {
@@ -238,6 +252,8 @@ class EvalReport:
                 "n_points": self.n_grid_points,
                 "selection": "pooled LOOCV accuracy, first best on ties",
                 "optimistic_bias": self.optimistic_bias,
+                "points": [{"hyperparameters": hp, "accuracy": accuracy}
+                           for hp, accuracy in self.points],
             },
         }
 
@@ -272,20 +288,35 @@ def _build_folds(matrix: FeatureMatrix) -> _Folds:
     return _Folds(x_train, y_train, x_test)
 
 
-def _loocv_predictions(folds: _Folds, spec: ModelSpec, seed: int,
-                       grid_index: int) -> np.ndarray:
+def _grid_predictions(folds: _Folds, kind: ModelKind, grid: list[dict],
+                      seed: int) -> np.ndarray:
+    """(len(grid), n) LOOCV predictions: row g holds grid point g's, fold i
+    predicting held-out subject i. SVM points that differ only in ``c``
+    share one fit over their C values, in order of first appearance."""
     n = folds.x_train.shape[0]
-    seeds = ([_fold_seed(seed, grid_index, fold) for fold in range(n)]
-             if spec.kind in SEEDED_KINDS else [0] * n)
-    # kNN stacks too, but perfbench pins its per-fold train and predict calls
-    if spec.kind is ModelKind.KNN:
-        return np.array([
-            predict(train(spec, x, y), x_test)
-            for x, y, x_test in zip(folds.x_train, folds.y_train,
-                                    folds.x_test)], dtype=int)
-    # one stacked fit; each fold's model equals its own fit bit for bit
-    model = train(spec, folds.x_train, folds.y_train, seed=seeds)
-    return model.predict(folds.x_test)[:, 0]
+    groups: dict = {}  # the grid indices that one fit serves
+    for gi, hp in enumerate(grid):
+        key = gi
+        if kind is ModelKind.SVM:  # every hyperparameter but c
+            key = tuple(sorted((k, v) for k, v in hp.items() if k != "c"))
+        groups.setdefault(key, []).append(gi)
+    preds = np.empty((len(grid), n), dtype=int)
+    for members in groups.values():
+        gi, hp = members[0], grid[members[0]]
+        if kind is ModelKind.SVM:  # 1.0 is SvmClassifier's default C
+            hp = {**hp, "c": [grid[g].get("c", 1.0) for g in members]}
+        spec = ModelSpec(kind, hp)
+        # kNN stacks too, but perfbench pins its per-fold train and predict
+        if kind is ModelKind.KNN:
+            preds[gi] = [predict(train(spec, x, y), x_test) for x, y, x_test
+                         in zip(folds.x_train, folds.y_train, folds.x_test)]
+        else:  # one stacked fit, each model equal to its own fit bit for bit
+            seeds = ([_fold_seed(seed, gi, fold) for fold in range(n)]
+                     if kind in SEEDED_KINDS else [0] * n)
+            model = train(spec, folds.x_train, folds.y_train, seed=seeds)
+            preds[members] = model.predict(folds.x_test).reshape(-1, n)
+            del model  # freed before the next fit, not alongside it
+    return preds
 
 
 def _pool_confusion(labels, preds, positive: int) -> Confusion:
@@ -311,14 +342,10 @@ def loocv_grid_search(matrix: FeatureMatrix, kind: ModelKind, grid,
     if n < 3:
         raise ClassUnderpopulated(f"need >= 3 subjects for LOOCV, got {n}")
 
-    folds = _build_folds(matrix)
-    best = None  # (accuracy, grid_index, preds)
-    for gi, hp in enumerate(grid):
-        preds = _loocv_predictions(folds, ModelSpec(kind, hp), seed, gi)
-        accuracy = float(np.mean(preds == matrix.labels))
-        if best is None or accuracy > best[0] + 1e-12:
-            best = (accuracy, gi, preds)
-    _, gi, preds = best
+    all_preds = _grid_predictions(matrix.folds, kind, grid, seed)
+    correct = np.sum(all_preds == matrix.labels, axis=1).tolist()
+    gi = correct.index(max(correct))  # the first best wins ties
+    preds = all_preds[gi]
     confusion = _pool_confusion(matrix.labels, preds, positive_class)
     return EvalReport(
         model=ModelSpec(kind, grid[gi]),
@@ -330,7 +357,8 @@ def loocv_grid_search(matrix: FeatureMatrix, kind: ModelKind, grid,
         selector=selector,
         positive_class=positive_class,
         seed=seed,
-        n_grid_points=len(grid),
+        # percent from the correct count, as compute_metrics takes accuracy
+        points=tuple((hp, 100.0 * k / n) for hp, k in zip(grid, correct)),
     )
 
 

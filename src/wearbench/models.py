@@ -516,25 +516,43 @@ def _if_elif(a, b, *cases):
     return a, b
 
 
+def _positive(name: str, value) -> float:
+    """``value`` as a float; ValueError unless it is a finite number > 0."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        v = math.nan
+    if not (math.isfinite(v) and v > 0):
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+    return v
+
+
 class SvmClassifier:
     """Soft-margin SVM trained by most-violating-pair dual optimization.
 
     Kernels: ``"linear"`` or ``"rbf"`` (``exp(-gamma ||a - b||^2)``).
     ``fit`` takes rows (n, d) or a fold stack ``x`` (f, n, d), ``y``
     (f, n), whose folds run the SMO in lock-step, each ending bit for bit
-    where it would alone. A fold stops when its maximal KKT violation
-    drops below ``_SVM_TOL`` or after ``_SVM_MAX_ITER`` pair updates, which
-    is not an error; ``n_iter`` and ``hit_cap`` say which, per fold.
+    where it would alone. ``c`` may be a sequence: a fit then trains
+    ``len(c) * f`` models in the same lock-step, C-major (model k is fold
+    ``k % f`` at C ``c[k // f]``), all reading their fold's one kernel
+    matrix, and predicts (``len(c) * f``, m) for (f, m, d) queries. A
+    model stops when its maximal KKT violation drops below ``_SVM_TOL`` or
+    after ``_SVM_MAX_ITER`` pair updates, which is not an error;
+    ``n_iter`` and ``hit_cap`` say which, per model.
     """
 
-    def __init__(self, c: float = 1.0, kernel: str = "linear",
-                 gamma: float = 0.1):
+    def __init__(self, c=1.0, kernel: str = "linear", gamma: float = 0.1):
         if kernel not in ("linear", "rbf"):
             raise ValueError(f"unknown kernel {kernel!r}")
-        self.c = float(c)
+        self.c = _positive("c", c) if np.ndim(c) == 0 else tuple(
+            _positive("c", v) for v in c)
+        if self.c == ():
+            raise ValueError("c must not be an empty sequence")
         self.kernel = kernel
-        self.gamma = float(gamma)
+        self.gamma = _positive("gamma", gamma)
         self._x: np.ndarray | None = None
+        self._fold: np.ndarray | None = None
         self._sy: np.ndarray | None = None
         self._alpha: np.ndarray | None = None
         self._bias = 0.0
@@ -547,74 +565,86 @@ class SvmClassifier:
         bb = np.sum(b * b, axis=-1)[..., None, :]
         return np.exp(-self.gamma * np.maximum(aa + bb - 2.0 * ab, 0.0))
 
-    def _violations(self, s, alpha, grad):
-        """KKT violations of the rows free to move up, and down."""
-        up = ((s > 0) & (alpha < self.c)) | ((s < 0) & (alpha > 0))
-        low = ((s < 0) & (alpha < self.c)) | ((s > 0) & (alpha > 0))
+    @staticmethod
+    def _violations(s, pos, neg, c, alpha, grad):
+        """KKT violations of the rows free to move up, and down; ``pos``
+        and ``neg`` mark ``s > 0`` and ``s < 0``, ``c`` is (models, 1)."""
+        up = (pos & (alpha < c)) | (neg & (alpha > 0))
+        low = (neg & (alpha < c)) | (pos & (alpha > 0))
         viol = -s * grad
         return np.where(up, viol, -np.inf), np.where(low, viol, np.inf)
 
     def fit(self, x, y) -> "SvmClassifier":
         x, y, stacked = _as_stack(x, y, int)
         _check_labels(y)
-        c, s = self.c, np.where(y == 1, 1.0, -1.0)
+        s = np.where(y == 1, 1.0, -1.0)
         f, n = s.shape
         q = (s[:, :, None] * s[:, None, :]) * self._kernel_matrix(x, x)
-        alpha, grad = np.zeros((f, n)), -np.ones((f, n))
-        n_iter, folds = np.zeros(f, dtype=int), np.arange(f)
+        c = np.repeat(self.c, f)[:, None]
+        m = len(c)
+        fold, models = np.arange(m) % f, np.arange(m)
+        s = s[fold]
+        pos, neg = s > 0, s < 0
+        alpha, grad = np.zeros((m, n)), -np.ones((m, n))
+        n_iter = np.zeros(m, dtype=int)
 
         for _ in range(_SVM_MAX_ITER):
-            up_vals, low_vals = self._violations(s, alpha, grad)
+            up_vals, low_vals = self._violations(s, pos, neg, c, alpha, grad)
             i, j = up_vals.argmax(axis=1), low_vals.argmin(axis=1)
-            # a fold whose gap is below _SVM_TOL does not move, so it stays so
-            live = ~(up_vals[folds, i] - low_vals[folds, j] < _SVM_TOL)
+            # a model whose gap is below _SVM_TOL does not move, so it stays so
+            live = ~(up_vals[models, i] - low_vals[models, j] < _SVM_TOL)
             if not live.any():
                 break
             n_iter += live
-            r, i, j = folds[live], i[live], j[live]
+            r, i, j = models[live], i[live], j[live]
+            fr, cr = fold[r], c[r, 0]
             a_i, a_j, g_i, g_j = alpha[r, i], alpha[r, j], grad[r, i], \
                 grad[r, j]
-            q_ii, q_jj, q_ij = q[r, i, i], q[r, j, j], q[r, i, j]
+            q_ii, q_jj, q_ij = q[fr, i, i], q[fr, j, j], q[fr, i, j]
             # s[i] != s[j]: alpha[i] - alpha[j] stays fixed
             delta = (-g_i - g_j) / np.maximum(q_ii + q_jj + 2.0 * q_ij, 1e-12)
             diff = a_i - a_j
             ai, aj = a_i + delta, a_j + delta
             ai, aj = _if_elif(ai, aj, ((diff > 0) & (aj < 0), diff, 0.0),
                               ((diff <= 0) & (ai < 0), 0.0, -diff))
-            opposite = _if_elif(ai, aj, ((diff > 0) & (ai > c), c, c - diff),
-                                ((diff <= 0) & (aj > c), c + diff, c))
+            opposite = _if_elif(ai, aj, ((diff > 0) & (ai > cr), cr, cr - diff),
+                                ((diff <= 0) & (aj > cr), cr + diff, cr))
             # s[i] == s[j]: alpha[i] + alpha[j] stays fixed
             delta = (g_i - g_j) / np.maximum(q_ii + q_jj - 2.0 * q_ij, 1e-12)
             total = a_i + a_j
             ai, aj = a_i - delta, a_j + delta
-            over = total > c
-            same = _if_elif(ai, aj, (over & (ai > c), c, total - c),
-                            (over & (aj > c), total - c, c),
+            over = total > cr
+            same = _if_elif(ai, aj, (over & (ai > cr), cr, total - cr),
+                            (over & (aj > cr), total - cr, cr),
                             (~over & (aj < 0), total, 0.0),
                             (~over & (ai < 0), 0.0, total))
             ai, aj = _if_elif(*opposite, (s[r, i] == s[r, j], *same))
             alpha[r, i], alpha[r, j] = ai, aj
-            grad[r] = grad[r] + q[r, :, i] * (ai - a_i)[:, None] \
-                + q[r, :, j] * (aj - a_j)[:, None]
+            grad[r] = grad[r] + q[fr, :, i] * (ai - a_i)[:, None] \
+                + q[fr, :, j] * (aj - a_j)[:, None]
 
-        up_vals, low_vals = self._violations(s, alpha, grad)
+        up_vals, low_vals = self._violations(s, pos, neg, c, alpha, grad)
         free = (alpha > 1e-12) & (alpha < c - 1e-12)
         bias = np.array([
             np.mean((-s[k] * grad[k])[free[k]]) if np.any(free[k])
             else (np.max(up_vals[k]) + np.min(low_vals[k])) / 2.0
-            for k in range(f)])
-        if not stacked:
-            x, s, alpha, bias, n_iter = (x[0], s[0], alpha[0],
-                                         float(bias[0]), int(n_iter[0]))
-        self._x, self._sy, self._alpha, self._bias = x, s, alpha, bias
+            for k in range(m)])
+        if not stacked and np.ndim(self.c) == 0:
+            x, fold, s, alpha, bias, n_iter = (x[0], None, s[0], alpha[0],
+                                               float(bias[0]), int(n_iter[0]))
+        self._x, self._fold, self._sy = x, fold, s
+        self._alpha, self._bias = alpha, bias
         self.n_iter, self.hit_cap = n_iter, n_iter == _SVM_MAX_ITER
         return self
 
     def decision_function(self, x) -> np.ndarray:
-        """Scores of rows ``x``, or (f, m) scores of a stack ``x``
-        (f, m, d) after a stacked fit, fold i scored by model i."""
+        """Scores of rows ``x``, or (models, m) scores of a stack ``x``
+        (f, m, d) after a stacked or C-sequence fit, model k scored on
+        ``x[k % f]``."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         k = self._kernel_matrix(x, self._x)
+        if self._fold is not None:
+            k = k[self._fold]
         scores = np.matmul(k, (self._alpha * self._sy)[..., None])[..., 0]
         return scores + np.expand_dims(self._bias, -1)
 

@@ -342,6 +342,27 @@ class TestBenchCommand:
                           "bench_hrv_freq.md", "bench_hrv_time.md",
                           "bench_temp.md"]
 
+    def test_each_fold_standardised_once_per_selector(self, small_cohort,
+                                                      tmp_path, monkeypatch):
+        from wearbench import mlbench
+        calls = []
+        original = mlbench.fit_standardizer
+        monkeypatch.setattr(mlbench, "fit_standardizer",
+                            lambda rows: calls.append(1) or original(rows))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "features.csv").write_bytes(
+            (small_cohort / "out" / "features.csv").read_bytes())
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"bench": {"grids": {
+            "rf": [{"n_estimators": 3}], "gb": [{"n_estimators": 3}],
+            "mlp": [{"hidden": 4, "epochs": 20}]}}}))
+        code = run("--config", str(cfg_path), "--out", str(out),
+                   "--seed", "5", "bench", "--features", "temp,acc")
+        assert code == 0
+        assert len(list(out.glob("bench_*_*.json"))) == 12
+        assert len(calls) == 2 * 6  # two selectors, six subjects
+
     def test_missing_features_csv_is_io_error(self, tmp_path):
         code = run("--out", str(tmp_path / "nope"), "bench",
                    "--features", "temp", "--models", "knn")

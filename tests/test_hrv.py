@@ -1,9 +1,10 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wearbench import dsp, hrv, synth
 from wearbench.errors import NoPeaksFound, SpanTooShort, TooFewIntervals
@@ -204,6 +205,75 @@ class TestPeakDetection:
         flat = SignalChannel(ChannelKind.BVP, 0, 64.0, np.full(640, 1.0))
         with pytest.raises(NoPeaksFound):
             hrv.detect_pulse_peaks(flat)
+
+    @settings(max_examples=200, deadline=None)
+    # pulse trains whose peaks near the end flip with one sample more or
+    # less in their clipped windows
+    @example(seed=0, n=256, fs=4.0, window_s=3.0, scale=2.0, shape="pulses",
+             period=5)
+    @example(seed=0, n=11, fs=4.0, window_s=3.0, scale=1.375, shape="pulses",
+             period=2)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 400),
+           fs=st.sampled_from([4.0, 32.0, 64.0]),
+           window_s=st.sampled_from([0.1, 0.75, 3.0, 20.0]),
+           scale=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(1.0, 2.5),
+           shape=st.sampled_from(["noise", "rounded", "pulses"]),
+           period=st.integers(2, 5))
+    def test_equals_index_array_formula_bit_for_bit(self, seed, n, fs,
+                                                   window_s, scale, shape,
+                                                   period):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=n) * np.exp(2.0 * rng.normal(size=n))
+        if shape == "rounded":  # plateaus meet the >= and > comparisons
+            x = np.round(x)
+        elif shape == "pulses":
+            # unit pulses: a pulse is a peak when its window holds fewer
+            # than 1 / scale**2 pulses per sample, so one sample more or
+            # less in a window changes the answer
+            x = (np.arange(n) % period == 0).astype(float)
+        params = hrv.PeakDetectionParams(threshold_scale=scale,
+                                         rms_window_s=window_s,
+                                         refractory_s=0.01)
+        bvp = SignalChannel(ChannelKind.BVP, 0, fs, x)
+        try:
+            got = hrv.detect_pulse_peaks(bvp, params)
+        except NoPeaksFound:
+            got = None
+        want = oracle_peak_candidates(x, fs, params)
+        if want.size == 0:
+            assert got is None
+        else:
+            # a one-sample refractory period keeps every candidate
+            assert np.array_equal(got, want)
+
+    def test_memory_stays_within_four_signal_copies(self):
+        n = 100_000
+        x = np.random.default_rng(5).normal(size=n)
+        bvp = SignalChannel(ChannelKind.BVP, 0, 64.0, x)
+        tracemalloc.start()
+        try:
+            hrv.detect_pulse_peaks(bvp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * n
+
+
+def oracle_peak_candidates(x, fs, params):
+    """Local maxima above the moving-RMS threshold, from index arrays of
+    every window's clipped bounds, as ``detect_pulse_peaks`` computed
+    them before taking the full windows from two slices."""
+    half = max(1, int(round(params.rms_window_s * fs / 2.0)))
+    csum = np.concatenate([[0.0], np.cumsum(x * x)])
+    idx = np.arange(x.size)
+    lo = np.clip(idx - half, 0, x.size)
+    hi = np.clip(idx + half + 1, 0, x.size)
+    rms = np.sqrt((csum[hi] - csum[lo]) / (hi - lo))
+    threshold = params.threshold_scale * rms
+    interior = np.arange(1, x.size - 1)
+    is_max = (x[interior] > x[interior - 1]) & (x[interior] >= x[interior + 1])
+    above = x[interior] > threshold[interior]
+    return interior[is_max & above]
 
 
 def oracle_peaks_to_nn(peaks, sample_rate_hz):

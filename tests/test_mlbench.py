@@ -1,9 +1,10 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wearbench import mlbench
+from wearbench import mlbench, pipeline
 from wearbench.errors import ClassUnderpopulated, EmptyConfusion
 from wearbench.mlbench import (
     Confusion,
@@ -17,7 +18,7 @@ from wearbench.mlbench import (
     _fold_seed,
     loocv_grid_search,
 )
-from wearbench.models import ModelKind, ModelSpec, predict, train
+from wearbench.models import SEEDED_KINDS, ModelKind, ModelSpec, predict, train
 from wearbench.session_io import Label
 
 
@@ -284,11 +285,13 @@ def oracle_loocv_predictions(matrix, spec, seed, grid_index):
 
 
 def oracle_grid_search(matrix, kind, grid, seed):
-    best = None
+    best, points = None, []
     for gi, hp in enumerate(grid):
         preds = oracle_loocv_predictions(matrix, ModelSpec(kind, hp), seed,
                                          gi)
         accuracy = float(np.mean(preds == matrix.labels))
+        points.append((hp, 100.0 * int(np.sum(preds == matrix.labels))
+                       / len(preds)))
         if best is None or accuracy > best[0] + 1e-12:
             best = (accuracy, gi, preds)
     _, gi, preds = best
@@ -303,7 +306,7 @@ def oracle_grid_search(matrix, kind, grid, seed):
         per_fold=tuple((sid, int(t), int(p)) for sid, t, p
                        in zip(matrix.subject_ids, labels, preds)),
         selector="all", positive_class=1, seed=seed,
-        n_grid_points=len(grid))
+        points=tuple(points))
 
 
 TWO_POINT_GRIDS = {
@@ -321,6 +324,22 @@ TWO_POINT_GRIDS = {
 }
 
 
+# three C-paths: linear, rbf at gamma 0.5 and rbf at gamma 0.1, with
+# unsorted and repeated C values
+SHARED_KERNEL_SVM_GRID = [
+    {"kernel": "linear", "c": 10.0},
+    {"kernel": "rbf", "c": 1.0, "gamma": 0.5},
+    {"kernel": "linear", "c": 0.1},
+    {"kernel": "rbf", "c": 0.1, "gamma": 0.5},
+    {"kernel": "rbf", "c": 1.0, "gamma": 0.1},
+    {"kernel": "linear", "c": 10.0},
+]
+
+# (kind, grid, stacked fits the search makes)
+FIT_CASES = [(kind, TWO_POINT_GRIDS[kind], 2) for kind in ModelKind] + [
+    (ModelKind.SVM, SHARED_KERNEL_SVM_GRID, 3)]
+
+
 def outlier_matrix():
     rng = np.random.default_rng(3)
     values = np.vstack([rng.normal(0, 1, (5, 3)),
@@ -336,22 +355,35 @@ def toy_matrix_with_gaps():
     return matrix_from_arrays(values, matrix.labels)
 
 
+MATRICES = pytest.mark.parametrize("make", [
+    lambda: assemble_matrix(toy_rows(), "all"),
+    lambda: assemble_matrix(toy_rows(n0=6, n1=6, seed=4), "hrv_time"),
+    toy_matrix_with_gaps,
+    outlier_matrix,
+], ids=["toy", "toy-narrow", "toy-gaps", "outlier"])
+
+
 class TestFoldStack:
     @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
-    @pytest.mark.parametrize("make", [
-        lambda: assemble_matrix(toy_rows(), "all"),
-        lambda: assemble_matrix(toy_rows(n0=6, n1=6, seed=4), "hrv_time"),
-        toy_matrix_with_gaps,
-        outlier_matrix,
-    ], ids=["toy", "toy-narrow", "toy-gaps", "outlier"])
+    @MATRICES
     def test_report_equals_per_grid_point_oracle(self, kind, make):
         matrix = make()
         grid = TWO_POINT_GRIDS[kind]
         report = loocv_grid_search(matrix, kind, grid, seed=5)
         assert report == oracle_grid_search(matrix, kind, grid, seed=5)
 
-    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
-    def test_each_fold_standardised_once_per_search(self, kind, monkeypatch):
+    @MATRICES
+    def test_svm_c_paths_equal_per_grid_point_oracle(self, make):
+        matrix = make()
+        report = loocv_grid_search(matrix, ModelKind.SVM,
+                                   SHARED_KERNEL_SVM_GRID, seed=5)
+        assert report == oracle_grid_search(
+            matrix, ModelKind.SVM, SHARED_KERNEL_SVM_GRID, seed=5)
+
+    @pytest.mark.parametrize("kind,grid,fits", FIT_CASES, ids=[
+        kind.value for kind in ModelKind] + ["svm-shared-kernels"])
+    def test_each_fold_standardised_once_per_search(self, kind, grid, fits,
+                                                    monkeypatch):
         calls = {"fit_standardizer": 0, "train": 0, "_fold_seed": 0}
 
         def counting(name, original):
@@ -364,15 +396,60 @@ class TestFoldStack:
             monkeypatch.setattr(mlbench, name,
                                 counting(name, getattr(mlbench, name)))
         matrix = assemble_matrix(toy_rows(), "all")
-        loocv_grid_search(matrix, kind, TWO_POINT_GRIDS[kind], seed=0)
+        loocv_grid_search(matrix, kind, grid, seed=0)
         n = matrix.values.shape[0]
         assert calls["fit_standardizer"] == n
-        # every grid point but kNN's trains all folds in one stacked fit
+        # every grid point but kNN's trains all folds in one stacked fit,
+        # and SVM points that differ only in c share one fit
         stacked = kind is not ModelKind.KNN
-        assert calls["train"] == (2 if stacked else 2 * n)
+        assert calls["train"] == (fits if stacked else fits * n)
         # only RF and MLP read a fold seed, so only they derive one
         seeded = kind in (ModelKind.RANDOM_FOREST, ModelKind.MLP)
-        assert calls["_fold_seed"] == (2 * n if seeded else 0)
+        assert calls["_fold_seed"] == (len(grid) * n if seeded else 0)
+
+    def test_matrix_builds_its_folds_once(self, monkeypatch):
+        calls = []
+        original = mlbench.fit_standardizer
+        monkeypatch.setattr(mlbench, "fit_standardizer",
+                            lambda rows: calls.append(1) or original(rows))
+        matrix = assemble_matrix(toy_rows(), "all")
+        for kind in ModelKind:
+            loocv_grid_search(matrix, kind, TWO_POINT_GRIDS[kind], seed=0)
+        assert len(calls) == matrix.values.shape[0]
+        assert matrix.folds is matrix.folds
+
+
+class TestSelectionSurface:
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+    def test_every_point_in_grid_order_winner_matches_metrics(self, kind):
+        matrix = assemble_matrix(toy_rows(seed=5), "all")
+        grid = (SHARED_KERNEL_SVM_GRID if kind is ModelKind.SVM
+                else TWO_POINT_GRIDS[kind])
+        data = loocv_grid_search(matrix, kind, grid, seed=3).to_json_dict()
+        points = data["grid_search"]["points"]
+        assert len(points) == data["grid_search"]["n_points"] == len(grid)
+        assert [p["hyperparameters"] for p in points] == grid
+        accuracies = [p["accuracy"] for p in points]
+        winner = accuracies.index(max(accuracies))
+        assert points[winner]["hyperparameters"] == \
+            data["model"]["hyperparameters"]
+        assert accuracies[winner] == data["metrics"]["accuracy"]
+        if kind in SEEDED_KINDS:
+            return  # a seeded point's fold seeds depend on its grid index
+        for hp, accuracy in zip(grid, accuracies):
+            single = loocv_grid_search(matrix, kind, [hp], seed=3)
+            assert single.metrics.accuracy == accuracy
+
+    def test_seed11_linear_svm_c1_and_c10_tie(self):
+        table = (Path(__file__).resolve().parents[1] / "perfbench"
+                 / "reference" / "features-seed11.csv")
+        matrix = assemble_matrix(pipeline.read_features_csv(table), "all")
+        report = loocv_grid_search(matrix, ModelKind.SVM,
+                                   mlbench.default_grids()[ModelKind.SVM],
+                                   seed=11)
+        linear = {hp["c"]: accuracy for hp, accuracy in report.points
+                  if hp["kernel"] == "linear"}
+        assert linear[1.0] == linear[10.0]
 
 
 class TestGrids:

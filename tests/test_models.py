@@ -631,6 +631,69 @@ class TestSvm:
         with pytest.raises(ValueError):
             models.SvmClassifier(kernel="poly")
 
+    @pytest.mark.parametrize("kwargs", [
+        {"c": 0.0}, {"c": -1.0}, {"c": math.nan}, {"c": math.inf},
+        {"c": "x"}, {"c": None}, {"c": []}, {"c": [1.0, -1.0]},
+        {"c": [math.nan, 1.0]}, {"c": [1.0, math.inf]},
+        {"gamma": 0.0}, {"gamma": -0.5}, {"gamma": math.nan},
+        {"gamma": -math.inf}, {"gamma": None},
+    ], ids=repr)
+    def test_c_and_gamma_must_be_finite_and_positive(self, kwargs):
+        with pytest.raises(ValueError):
+            models.SvmClassifier(**kwargs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(stack=fold_stacks(), kernel=st.sampled_from(["linear", "rbf"]),
+           cs=st.lists(st.sampled_from([0.01, 0.1, 1.0, 10.0]), min_size=1,
+                       max_size=4),
+           gamma=st.sampled_from([0.05, 0.5, 5.0]),
+           cap=st.sampled_from([None, None, 1, 4, 15]),
+           rows=st.booleans())
+    def test_c_sequence_fit_equals_one_fit_per_c(self, stack, kernel, cs,
+                                                 gamma, cap, rows):
+        x, y, queries = stack
+        if rows:  # rows (n, d) are a stack of one
+            x, y, queries = x[0], y[0], queries[0]
+        f = len(x) if x.ndim == 3 else 1
+        with mock.patch.object(models, "_SVM_MAX_ITER",
+                               cap or models._SVM_MAX_ITER):
+            path = models.SvmClassifier(c=cs, kernel=kernel,
+                                        gamma=gamma).fit(x, y)
+            alone = [models.SvmClassifier(c=c, kernel=kernel,
+                                          gamma=gamma).fit(x, y)
+                     for c in cs]
+        scores = path.decision_function(queries)
+        assert path.n_iter.shape == path.hit_cap.shape == (len(cs) * f,)
+        assert scores.shape == (len(cs) * f, queries.shape[-2])
+        for k, svm in enumerate(alone):
+            block = slice(k * f, (k + 1) * f)  # C-major: model k * f + fold
+            want = np.reshape(svm.decision_function(queries), (f, -1))
+            assert np.array_equal(path._alpha[block],
+                                  np.reshape(svm._alpha, (f, -1)))
+            assert np.array_equal(path._bias[block], np.ravel(svm._bias))
+            assert np.array_equal(path.n_iter[block], np.ravel(svm.n_iter))
+            assert np.array_equal(path.hit_cap[block], np.ravel(svm.hit_cap))
+            assert np.array_equal(scores[block], want)
+            assert np.array_equal(path.predict(queries)[block],
+                                  np.reshape(svm.predict(queries), (f, -1)))
+
+    def test_c_path_caps_some_models_and_not_others(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(6, 16, 3))
+        y = np.tile([0, 1], (6, 8))
+        cs = [10.0, 0.1, 10.0]
+        free = models.SvmClassifier(c=cs).fit(x, y).n_iter
+        cap = int(np.median(free))
+        monkeypatch.setattr(models, "_SVM_MAX_ITER", cap)
+        path = models.SvmClassifier(c=cs).fit(x, y)
+        assert 0 < np.sum(path.hit_cap) < len(free)
+        assert np.array_equal(path.n_iter, np.minimum(free, cap))
+        for k, c in enumerate(cs):
+            svm = models.SvmClassifier(c=c).fit(x, y)
+            assert np.array_equal(path._alpha[6 * k:6 * k + 6], svm._alpha)
+            assert np.array_equal(path._bias[6 * k:6 * k + 6], svm._bias)
+            assert np.array_equal(path.hit_cap[6 * k:6 * k + 6], svm.hit_cap)
+
     @settings(max_examples=150, deadline=None)
     @given(stack=fold_stacks(), kernel=st.sampled_from(["linear", "rbf"]),
            c=st.sampled_from([0.01, 0.1, 1.0, 10.0]),
