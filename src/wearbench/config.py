@@ -13,6 +13,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .dsp import MAX_DETREND_LAMBDA
 from .errors import ConfigError
 from .mlbench import FEATURE_GROUPS
 from .models import MODEL_KINDS_BY_NAME
@@ -47,6 +48,8 @@ _COUNT = (lambda v: type(v) is int and v >= 1, "an integer >= 1")
 _SEED = (lambda v: type(v) is int and v >= 0, "an integer >= 0")
 _DEPTH = (lambda v: v is None or _COUNT[0](v), "null or an integer >= 1")
 _RATE = (lambda v: finite_number(v) and v > 0, "a positive number")
+_LAMBDA = (lambda v: finite_number(v) and 0 < v <= MAX_DETREND_LAMBDA,
+           f"a positive number <= {MAX_DETREND_LAMBDA:g}")
 _NON_NEGATIVE = (lambda v: finite_number(v) and v >= 0, "a finite number >= 0")
 _FINITE = (finite_number, "a finite number")
 _FRACTION = (lambda v: finite_number(v) and 0 <= v < 1, "a number in [0, 1)")
@@ -104,7 +107,7 @@ TOP_LEVEL_RANGES = {"data_root": _PATH, "manifest": _PATH, "out_dir": _PATH,
 
 # section -> field -> range
 RANGES = {
-    "dsp": {"detrend_lambda": _RATE, "bvp_band_hz": _BAND,
+    "dsp": {"detrend_lambda": _LAMBDA, "bvp_band_hz": _BAND,
             "bvp_filter_order": _COUNT, "welch_overlap": _FRACTION,
             "nn_interp_rate_hz": _RATE},
     "features": {"peak_threshold_scale": _RATE, "peak_rms_window_s": _RATE,

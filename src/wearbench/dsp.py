@@ -84,6 +84,11 @@ class Spectrum:
 
 # --- smoothness-priors detrending ---------------------------------------------
 
+# the largest detrend lambda: near 7e7 the Cholesky pivots of ``I + lam^2
+# D2'D2`` lose every digit, for any n from 3 to 19,200
+MAX_DETREND_LAMBDA = 1e6
+
+
 def detrend(signal, lam: float = 500.0) -> np.ndarray:
     """Remove the smooth trend from ``signal`` via regularized least squares.
 
@@ -100,8 +105,9 @@ def detrend(signal, lam: float = 500.0) -> np.ndarray:
     n = x.size
     if n < 3:
         raise SignalTooShort(f"detrend needs >= 3 samples, got {n}")
-    if not 0 < lam < math.inf:
-        raise ValueError(f"lambda must be positive and finite, got {lam}")
+    if not 0 < lam <= MAX_DETREND_LAMBDA:
+        raise ValueError(f"lambda must be positive and at most "
+                         f"{MAX_DETREND_LAMBDA:g}, got {lam}")
     lam2 = lam * lam
     rows, k = _detrend_cholesky(n, lam2)
     trend = _detrend_solve(rows, k, x)
@@ -351,12 +357,17 @@ def _sections_from_poles(poles, numerator: str):
 
 
 def _normalize_section(section, ref_omega: float):
-    """Scale the numerator so section gain is exactly 1 at ``ref_omega``."""
+    """Scale the numerator so section gain is exactly 1 at ``ref_omega``;
+    InvalidCutoff when the cutoffs are so low for the sample rate that a
+    pole rounds onto z = 1 or a band centre onto 0."""
     num, den = section
     z1 = cmath.exp(-1j * ref_omega)
     z2 = z1 * z1
     h_num = num[0] + num[1] * z1 + num[2] * z2
     h_den = den[0] + den[1] * z1 + den[2] * z2
+    if h_num == 0 or not den[0] + den[1] + den[2] > 0:
+        raise InvalidCutoff("cutoff too low for the sample rate: the "
+                            "design rounds a pole onto z = 1")
     scale = abs(h_den) / abs(h_num)
     return [num[0] * scale, num[1] * scale, num[2] * scale,
             den[0], den[1], den[2]]

@@ -85,7 +85,9 @@ def detect_pulse_peaks(bvp: SignalChannel,
     if x.size < 3:
         raise NoPeaksFound("signal too short for peak detection")
 
-    n, half = x.size, max(1, int(round(params.rms_window_s * fs / 2.0)))
+    # a window or refractory span longer than the signal acts as the signal
+    n = x.size
+    half = max(1, int(round(min(params.rms_window_s * fs / 2.0, n))))
     csum = np.empty(n + 1)
     csum[0] = 0.0
     np.cumsum(np.square(x, out=csum[1:]), out=csum[1:])
@@ -96,7 +98,7 @@ def detect_pulse_peaks(bvp: SignalChannel,
     full = threshold[half:max(half, n - half)]
     np.subtract(csum[w:], csum[:max(n + 1 - w, 0)], out=full)
     full /= w
-    edge = np.r_[0:min(half, n), max(half, n - half):n]
+    edge = np.r_[0:half, max(half, n - half):n]
     lo, hi = np.maximum(edge - half, 0), np.minimum(edge + half + 1, n)
     threshold[edge] = (csum[hi] - csum[lo]) / (hi - lo)
     del csum
@@ -111,7 +113,7 @@ def detect_pulse_peaks(bvp: SignalChannel,
     if candidates.size == 0:
         raise NoPeaksFound("no local maxima above the adaptive threshold")
 
-    refractory = max(1, int(round(params.refractory_s * fs)))
+    refractory = max(1, int(round(min(params.refractory_s * fs, n))))
     kept: list[int] = []
     for i in candidates:
         if kept and i - kept[-1] < refractory:

@@ -11,9 +11,9 @@ A matrix standardises each of its folds once, on the first search that
 needs them, and every grid point of every search on that matrix trains on
 the same fold stack. Every grid point but kNN's trains all its folds as one
 stacked fit, with the same bits as one fit per fold; kNN trains fold by
-fold. SVM grid points that differ only in ``c`` go further: one fit trains
-all their C values in one SMO lock-step over one kernel matrix per fold,
-each ending bit for bit where it would alone.
+fold, each a stack of one. SVM grid points that differ only in ``c`` go
+further: one fit trains all their C values in one SMO lock-step over one
+kernel matrix per fold, each ending bit for bit where it would alone.
 """
 from __future__ import annotations
 
@@ -308,7 +308,8 @@ def _grid_predictions(folds: _Folds, kind: ModelKind, grid: list[dict],
         spec = ModelSpec(kind, hp)
         # kNN stacks too, but perfbench pins its per-fold train and predict
         if kind is ModelKind.KNN:
-            preds[gi] = [predict(train(spec, x, y), x_test) for x, y, x_test
+            preds[gi] = [predict(train(spec, x[None], y[None]), x_test[None])
+                         for x, y, x_test
                          in zip(folds.x_train, folds.y_train, folds.x_test)]
         else:  # one stacked fit, each model equal to its own fit bit for bit
             seeds = ([_fold_seed(seed, gi, fold) for fold in range(n)]

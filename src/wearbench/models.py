@@ -1,5 +1,12 @@
 """Binary classifiers implemented from first principles.
 
+Every classifier fits a fold stack: ``x`` (f, n, d) and labels ``y``
+(f, n), one independent training set per fold, with one seed per fold
+for the random forest and the MLP. ``predict`` takes (f, m, d) queries,
+fold i's scored by fold i's models, and returns (models, m); that is one
+model per fold, except for an SVM C-path. One training set is a stack of
+one, ``x[None]``, ``y[None]``.
+
 All models share conventions chosen for reproducibility: deterministic
 tie-breaking (first index / class 0), explicit seeds wherever randomness
 exists, and ``x <= threshold`` routing to the left branch of every tree.
@@ -34,46 +41,35 @@ class ModelSpec:
 
 
 def _check_labels(y: np.ndarray) -> None:
-    """Raise unless labels (n,), or each fold of a stack (f, n), hold two
-    classes."""
-    for labels in np.atleast_2d(y):
+    """Raise unless each fold of labels (f, n) holds two classes."""
+    for labels in y:
         if np.unique(labels).size < 2:
             raise DegenerateLabels("training labels contain a single class")
 
 
 def _as_stack(x, y, y_dtype):
-    """``x``, ``y`` as a fold stack (f, n, d), (f, n), and whether they came
-    as one: rows (n, d) and labels (n,) are a stack of one."""
+    """``x``, ``y`` as float and ``y_dtype`` arrays; ValueError unless they
+    are a fold stack (f, n, d), (f, n)."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=y_dtype)
-    return (x, y, True) if x.ndim == 3 else (x[None], y[None], False)
+    if x.ndim != 3 or y.shape != x.shape[:2]:
+        raise ValueError(f"fit takes x (f, n, d) and y (f, n), got x "
+                         f"{x.shape} and y {y.shape}")
+    return x, y
 
 
-def _queries(x, stacked: bool) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return x if stacked else np.atleast_2d(x)[None]
-
-
-def _as_seed(seed):
-    return tuple(int(s) for s in seed) if np.ndim(seed) else int(seed)
-
-
-def _seeds_per_fold(seed, n_folds: int, stacked: bool):
-    seeds = seed if stacked else (seed,)
-    if np.ndim(seeds) != 1 or len(seeds) != n_folds:
+def _seeds_per_fold(seed, n_folds: int) -> list[int]:
+    if np.ndim(seed) != 1 or len(seed) != n_folds:
         raise ValueError(f"a stack of {n_folds} folds needs one seed per "
                          f"fold, got {seed!r}")
-    return seeds
+    return [int(s) for s in seed]
 
 
 # --- k-nearest neighbours -------------------------------------------------------
 
 
 class KnnClassifier:
-    """Majority vote of the k nearest training rows (Euclidean).
-
-    After a fit on a fold stack ``x`` (f, n, d), ``y`` (f, n), ``predict``
-    takes (f, m, d) queries and votes each fold's queries among its rows.
-    """
+    """Majority vote of the k nearest training rows (Euclidean), each
+    fold's queries voting among its own rows."""
 
     def __init__(self, k: int = 5):
         if k < 1:
@@ -83,17 +79,14 @@ class KnnClassifier:
         self._y: np.ndarray | None = None
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "KnnClassifier":
-        self._x = np.asarray(x, dtype=float)
-        self._y = np.asarray(y, dtype=int)
+        self._x, self._y = _as_stack(x, y, int)
         _check_labels(self._y)
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        d = np.sum((self._x[..., None, :, :] - x[..., :, None, :]) ** 2,
-                   axis=-1)
+        d = np.sum((self._x[:, None, :, :] - x[:, :, None, :]) ** 2, axis=-1)
         order = np.argsort(d, axis=-1, kind="stable")[..., :self.k]
-        votes = np.take_along_axis(self._y[..., None, :], order, axis=-1)
+        votes = np.take_along_axis(self._y[:, None, :], order, axis=-1)
         ones = np.sum(votes == 1, axis=-1)
         # ties resolve to class 0
         return (ones > order.shape[-1] - ones).astype(int)
@@ -238,14 +231,14 @@ class _Tree:
     """A stack of binary CART trees as flat arrays, grown in lock-step.
 
     ``fit`` grows tree t on rows ``rows[t]`` (default: all) of fold
-    ``t * f // len(rows)`` of ``x`` (f, n, d), ``target`` (f, n); rows
-    (n, d) are a stack of one. Tree t numbers its nodes in pre-order from
-    ``roots[t]``. An inner node sends rows with ``x[feature] <= threshold``
-    to ``left``, the rest to ``right``; ``left < 0`` marks a leaf. At each
-    step every tree pops pending nodes, making leaves, up to the next one
-    to search, and one batch searches those nodes, so each tree ends bit
-    for bit as it grows alone. ``samplers[t](d)`` draws the features of
-    each node of tree t that searches, in its pre-order.
+    ``t * f // len(rows)`` of ``x`` (f, n, d), ``target`` (f, n). Tree t
+    numbers its nodes in pre-order from ``roots[t]``. An inner node sends
+    rows with ``x[feature] <= threshold`` to ``left``, the rest to
+    ``right``; ``left < 0`` marks a leaf. At each step every tree pops
+    pending nodes, making leaves, up to the next one to search, and one
+    batch searches those nodes, so each tree ends bit for bit as it grows
+    alone. ``samplers[t](d)`` draws the features of each node of tree t
+    that searches, in its pre-order.
     """
 
     def __init__(self, criterion: _Criterion, max_depth: int | None = None,
@@ -255,9 +248,6 @@ class _Tree:
         self.min_samples_leaf = int(min_samples_leaf)
 
     def fit(self, x, target, rows=None, samplers=None) -> "_Tree":
-        x, target = np.asarray(x, dtype=float), np.asarray(target)
-        if x.ndim == 2:
-            x, target = x[None], target[None]
         f, n, d = x.shape
         rows = np.tile(np.arange(n), (f, 1)) if rows is None else rows
         ids = rows + (np.arange(len(rows)) * f // len(rows) * n)[:, None]
@@ -359,28 +349,23 @@ class _Tree:
 
 
 class DecisionTreeClassifier:
-    """CART with Gini impurity and axis-aligned binary splits.
-
-    A fold stack ``x`` (f, n, d), ``y`` (f, n) grows a tree per fold in one
-    lock-step; ``predict`` then takes (f, m, d) queries, one set per fold.
-    """
+    """CART with Gini impurity and axis-aligned binary splits, the trees
+    of all folds grown in one lock-step."""
 
     def __init__(self, max_depth: int | None = None, min_samples_leaf: int = 1):
         self.max_depth = max_depth
         self.min_samples_leaf = int(min_samples_leaf)
         self.tree: _Tree | None = None
-        self._stacked = False
 
     def fit(self, x, y) -> "DecisionTreeClassifier":
-        x, y, self._stacked = _as_stack(x, y, int)
+        x, y = _as_stack(x, y, int)
         _check_labels(y)
         self.tree = _Tree(_GINI, self.max_depth,
                           self.min_samples_leaf).fit(x, y)
         return self
 
     def predict(self, x) -> np.ndarray:
-        out = self.tree.predict(_queries(x, self._stacked)).astype(int)
-        return out if self._stacked else out[0]
+        return self.tree.predict(x).astype(int)
 
 
 # the most trees a forest grows in one lock-step (but at least one fold's):
@@ -391,23 +376,22 @@ _LOCKSTEP_TREES = 128
 class RandomForestClassifier:
     """Bagged CART trees with sqrt(d) feature subsampling per split.
 
-    A fold stack (see :class:`DecisionTreeClassifier`) takes one ``seed``
-    per fold; its trees grow in lock-steps of whole folds, each tree's
-    bootstrap and feature draws coming from its own generator.
+    The trees grow in lock-steps of whole folds, each tree's bootstrap and
+    feature draws coming from its own generator, spawned from its fold's
+    seed.
     """
 
     def __init__(self, n_estimators: int = 100, max_depth: int | None = None,
-                 min_samples_leaf: int = 1, seed=0):
+                 min_samples_leaf: int = 1, seed=(0,)):
         self.n_estimators = int(n_estimators)
         self.max_depth = max_depth
         self.min_samples_leaf = int(min_samples_leaf)
-        self.seed = _as_seed(seed)
+        self.seed = seed
         self._trees: list[_Tree] = []  # one stack per lock-step
-        self._stacked = False
 
     def fit(self, x, y) -> "RandomForestClassifier":
-        x, y, self._stacked = _as_stack(x, y, int)
-        seeds = _seeds_per_fold(self.seed, len(x), self._stacked)
+        x, y = _as_stack(x, y, int)
+        seeds = _seeds_per_fold(self.seed, len(x))
         _check_labels(y)
         m = max(1, int(round(math.sqrt(x.shape[2]))))
         per = max(1, _LOCKSTEP_TREES // self.n_estimators)
@@ -426,14 +410,12 @@ class RandomForestClassifier:
         return self
 
     def predict(self, x) -> np.ndarray:
-        x = _queries(x, self._stacked)
         per = len(self._trees[0].roots) // self.n_estimators
         votes = np.concatenate([
             stack.predict(x[i * per:(i + 1) * per])
             .reshape(-1, self.n_estimators, x.shape[1]).sum(axis=1)
             for i, stack in enumerate(self._trees)])
-        out = (votes > self.n_estimators - votes).astype(int)
-        return out if self._stacked else out[0]
+        return (votes > self.n_estimators - votes).astype(int)
 
 
 # --- gradient boosting ---------------------------------------------------------------
@@ -452,9 +434,8 @@ class GradientBoostingClassifier:
     """Stage-wise shallow regression trees on the logistic loss.
 
     Each stage fits residuals ``y - p`` and applies a per-leaf Newton step
-    ``sum(residual) / sum(p (1 - p))`` scaled by the learning rate. A fold
-    stack (see :class:`DecisionTreeClassifier`) grows each stage's trees,
-    one per fold, in one lock-step.
+    ``sum(residual) / sum(p (1 - p))`` scaled by the learning rate. Each
+    stage grows its trees, one per fold, in one lock-step.
     """
 
     def __init__(self, n_estimators: int = 100, learning_rate: float = 0.1,
@@ -464,10 +445,9 @@ class GradientBoostingClassifier:
         self.max_depth = int(max_depth)
         self._trees: list[_Tree] = []
         self._base_score = np.zeros(1)
-        self._stacked = False
 
     def fit(self, x, y) -> "GradientBoostingClassifier":
-        x, y, self._stacked = _as_stack(x, y, float)
+        x, y = _as_stack(x, y, float)
         _check_labels(y.astype(int))
         self._base_score = np.array([
             math.log(p0 / (1.0 - p0))
@@ -491,11 +471,10 @@ class GradientBoostingClassifier:
         return self
 
     def decision_scores(self, x) -> np.ndarray:
-        x = _queries(x, self._stacked)
         scores = np.repeat(self._base_score[:, None], x.shape[1], axis=1)
         for tree in self._trees:
             scores = scores + self.learning_rate * tree.predict(x)
-        return scores if self._stacked else scores[0]
+        return scores
 
     def predict(self, x) -> np.ndarray:
         return (_sigmoid(self.decision_scores(x)) > 0.5).astype(int)
@@ -531,22 +510,20 @@ class SvmClassifier:
     """Soft-margin SVM trained by most-violating-pair dual optimization.
 
     Kernels: ``"linear"`` or ``"rbf"`` (``exp(-gamma ||a - b||^2)``).
-    ``fit`` takes rows (n, d) or a fold stack ``x`` (f, n, d), ``y``
-    (f, n), whose folds run the SMO in lock-step, each ending bit for bit
-    where it would alone. ``c`` may be a sequence: a fit then trains
-    ``len(c) * f`` models in the same lock-step, C-major (model k is fold
-    ``k % f`` at C ``c[k // f]``), all reading their fold's one kernel
-    matrix, and predicts (``len(c) * f``, m) for (f, m, d) queries. A
-    model stops when its maximal KKT violation drops below ``_SVM_TOL`` or
-    after ``_SVM_MAX_ITER`` pair updates, which is not an error;
+    ``c`` is a C-path: one value or a sequence, kept as a tuple. A fit on
+    f folds trains ``len(c) * f`` models, whose SMOs run in one lock-step,
+    each ending bit for bit where it would alone. They are C-major (model
+    k is fold ``k % f`` at C ``c[k // f]``), all reading their fold's one
+    kernel matrix, and predict (``len(c) * f``, m) for (f, m, d) queries.
+    A model stops when its maximal KKT violation drops below ``_SVM_TOL``
+    or after ``_SVM_MAX_ITER`` pair updates, which is not an error;
     ``n_iter`` and ``hit_cap`` say which, per model.
     """
 
     def __init__(self, c=1.0, kernel: str = "linear", gamma: float = 0.1):
         if kernel not in ("linear", "rbf"):
             raise ValueError(f"unknown kernel {kernel!r}")
-        self.c = _positive("c", c) if np.ndim(c) == 0 else tuple(
-            _positive("c", v) for v in c)
+        self.c = tuple(_positive("c", v) for v in (c if np.ndim(c) else [c]))
         if self.c == ():
             raise ValueError("c must not be an empty sequence")
         self.kernel = kernel
@@ -555,7 +532,7 @@ class SvmClassifier:
         self._fold: np.ndarray | None = None
         self._sy: np.ndarray | None = None
         self._alpha: np.ndarray | None = None
-        self._bias = 0.0
+        self._bias: np.ndarray | None = None
 
     def _kernel_matrix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ab = np.matmul(a, np.swapaxes(b, -1, -2))
@@ -575,7 +552,7 @@ class SvmClassifier:
         return np.where(up, viol, -np.inf), np.where(low, viol, np.inf)
 
     def fit(self, x, y) -> "SvmClassifier":
-        x, y, stacked = _as_stack(x, y, int)
+        x, y = _as_stack(x, y, int)
         _check_labels(y)
         s = np.where(y == 1, 1.0, -1.0)
         f, n = s.shape
@@ -629,24 +606,17 @@ class SvmClassifier:
             np.mean((-s[k] * grad[k])[free[k]]) if np.any(free[k])
             else (np.max(up_vals[k]) + np.min(low_vals[k])) / 2.0
             for k in range(m)])
-        if not stacked and np.ndim(self.c) == 0:
-            x, fold, s, alpha, bias, n_iter = (x[0], None, s[0], alpha[0],
-                                               float(bias[0]), int(n_iter[0]))
         self._x, self._fold, self._sy = x, fold, s
         self._alpha, self._bias = alpha, bias
         self.n_iter, self.hit_cap = n_iter, n_iter == _SVM_MAX_ITER
         return self
 
     def decision_function(self, x) -> np.ndarray:
-        """Scores of rows ``x``, or (models, m) scores of a stack ``x``
-        (f, m, d) after a stacked or C-sequence fit, model k scored on
+        """(models, m) scores of queries ``x`` (f, m, d), model k scored on
         ``x[k % f]``."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        k = self._kernel_matrix(x, self._x)
-        if self._fold is not None:
-            k = k[self._fold]
+        k = self._kernel_matrix(x, self._x)[self._fold]
         scores = np.matmul(k, (self._alpha * self._sy)[..., None])[..., 0]
-        return scores + np.expand_dims(self._bias, -1)
+        return scores + self._bias[:, None]
 
     def predict(self, x) -> np.ndarray:
         return (self.decision_function(x) > 0.0).astype(int)
@@ -707,24 +677,21 @@ def _mlp_backprop(params: dict, x: np.ndarray, y: np.ndarray,
 class MlpClassifier:
     """One hidden layer, full-batch gradient descent with momentum 0.9.
 
-    ``fit`` takes rows ``x`` (n, d) and labels ``y`` (n,), or a stack of
-    f folds, ``x`` (f, n, d) and ``y`` (f, n), with one ``seed`` per fold.
-    A stack trains f independent nets in one loop; each ends bit for bit
-    where it would end fit alone. Rows are a stack of one.
+    The f folds train f independent nets in one loop, each initialised
+    from its fold's seed; each ends bit for bit where it would end alone.
     """
 
     def __init__(self, hidden: int = 16, learning_rate: float = 0.01,
-                 epochs: int = 500, seed=0):
+                 epochs: int = 500, seed=(0,)):
         self.hidden = int(hidden)
         self.learning_rate = float(learning_rate)
         self.epochs = int(epochs)
-        self.seed = _as_seed(seed)
+        self.seed = seed
         self._params: dict | None = None
-        self._stacked = False
 
     def fit(self, x, y) -> "MlpClassifier":
-        x, y, self._stacked = _as_stack(x, y, float)
-        seeds = _seeds_per_fold(self.seed, len(x), self._stacked)
+        x, y = _as_stack(x, y, float)
+        seeds = _seeds_per_fold(self.seed, len(x))
         _check_labels(y.astype(int))
         inits = [init_mlp_params(x.shape[2], self.hidden, s) for s in seeds]
         params = {k: np.stack([p[k] for p in inits]) for k in _MLP_PARAMS}
@@ -744,13 +711,10 @@ class MlpClassifier:
         return self
 
     def decision_function(self, x) -> np.ndarray:
-        """Logits of rows ``x``, or (f, m) logits of a stack ``x`` (f, m, d)
-        after a stacked fit, fold i scored by net i."""
-        x = _queries(x, self._stacked)
+        """(f, m) logits of queries ``x`` (f, m, d), fold i's by net i."""
         p = self._params
         a1 = np.maximum(np.matmul(x, p["w1"]) + p["b1"][:, None, :], 0.0)
-        z2 = (a1 @ p["w2"])[..., 0] + p["b2"]
-        return z2 if self._stacked else z2[0]
+        return (a1 @ p["w2"])[..., 0] + p["b2"]
 
     def predict(self, x) -> np.ndarray:
         return (_sigmoid(self.decision_function(x)) > 0.5).astype(int)
@@ -773,15 +737,14 @@ _CLASSIFIERS = {
 SEEDED_KINDS = (ModelKind.RANDOM_FOREST, ModelKind.MLP)
 
 
-def train(spec: ModelSpec, x: np.ndarray, y: np.ndarray,
-          seed: int | list[int] = 0):
-    """Instantiate and fit the classifier named by ``spec``.
+def train(spec: ModelSpec, x: np.ndarray, y: np.ndarray, seed=(0,)):
+    """Instantiate the classifier named by ``spec`` and fit the fold stack
+    ``x``, ``y``.
 
     The hyperparameters are constructor arguments; the ones left out take
-    the constructor defaults. ``seed`` feeds the models that use randomness
-    (random forest bootstrap and MLP initialization); the rest ignore it.
-    Every kind also takes a fold stack ``x`` (f, n, d), ``y`` (f, n), with
-    a list of f seeds for the random forest and the MLP.
+    the constructor defaults. ``seed``, one per fold, feeds the models that
+    use randomness (random forest bootstrap and MLP initialization); the
+    rest ignore it.
     """
     hp = dict(spec.hyperparameters)
     if spec.kind in SEEDED_KINDS:
@@ -790,5 +753,5 @@ def train(spec: ModelSpec, x: np.ndarray, y: np.ndarray,
 
 
 def predict(model, x) -> int:
-    """The class ``model`` predicts for the first row of ``x``."""
-    return int(model.predict(x)[0])
+    """The class the first model predicts for the first query of ``x``."""
+    return int(model.predict(x)[0, 0])

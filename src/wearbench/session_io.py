@@ -381,15 +381,20 @@ def write_manifest(entries, path) -> None:
 
 # --- validation ----------------------------------------------------------------------
 
+# the largest sample magnitude a session may hold: far above any sensor's
+# range, and far below where a feature overflows (the largest product,
+# pearson_corr's n^2 B^4, is about 1e214 for a 24 h ACC channel)
+_MAX_ABS_SAMPLE = 1e50
+
 
 def validate_session(session: Session,
                      policy: ValidationPolicy | None = None) -> ValidationReport:
     """Screen one session for corruption; failures become report reasons.
 
     A session is excluded when any channel is shorter than the policy
-    minimum, contains non-finite samples, when the BVP trace is constant
-    (zero variance), or when channel durations disagree by more than the
-    allowed skew.
+    minimum, contains non-finite samples or one of magnitude above
+    ``_MAX_ABS_SAMPLE``, when the BVP trace is constant (zero variance), or
+    when channel durations disagree by more than the allowed skew.
     """
     policy = policy or ValidationPolicy()
     reasons: list[str] = []
@@ -402,8 +407,12 @@ def validate_session(session: Session,
                 f"{kind.value}: channel too short "
                 f"({channel.duration_seconds:.1f} s < "
                 f"{policy.min_duration_seconds:.0f} s)")
-        if not np.all(np.isfinite(channel.samples)):
+        peak = float(np.max(np.abs(channel.samples), initial=0.0))
+        if not math.isfinite(peak):
             reasons.append(f"{kind.value}: non-finite samples")
+        elif peak > _MAX_ABS_SAMPLE:
+            reasons.append(f"{kind.value}: a sample of magnitude {peak:.3g} "
+                           f"exceeds {_MAX_ABS_SAMPLE:g}")
     bvp = session.channels[ChannelKind.BVP].samples
     if float(np.ptp(bvp)) == 0.0:
         reasons.append("constant BVP (zero variance)")

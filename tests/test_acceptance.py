@@ -230,14 +230,14 @@ def test_criterion_5_classifier_sanity():
         rng = np.random.default_rng(5)
         xt = rng.normal(size=(30, 5))
         yt = (rng.random(30) > 0.5).astype(int)
-        knn = models.KnnClassifier(k=3).fit(xt, yt)
+        knn = models.KnnClassifier(k=3).fit(xt[None], yt[None])
         for _ in range(50):
             q = rng.normal(size=5)
             dist = sorted((float(np.sum((xt[i] - q) ** 2)), i)
                           for i in range(30))
             votes = [yt[i] for _, i in dist[:3]]
             expect = int(sum(votes) > len(votes) - sum(votes))
-            assert knn.predict(q[None, :])[0] == expect
+            assert knn.predict(q[None, None, :])[0, 0] == expect
 
         # CART root split vs exhaustive enumeration, exact
         rng = np.random.default_rng(8)

@@ -247,6 +247,65 @@ class TestExtractCommand:
         assert len(err) == 1 and re.search(message, err[0]), err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("config,code", [
+        ({"dsp": {"detrend_lambda": 1e8}}, 2),
+        ({"dsp": {"detrend_lambda": 1e100}}, 2),
+        ({"dsp": {"detrend_lambda": 1e6}}, 0),
+        ({"dsp": {"bvp_band_hz": [1e-9, 2e-9]}}, 0),
+        ({"dsp": {"bvp_band_hz": [1e-300, 2e-300]}}, 0),
+        ({"features": {"peak_rms_window_s": 1e300}}, 0),
+        ({"features": {"peak_refractory_s": 1.7e308}}, 0),
+    ], ids=["lambda 1e8", "lambda 1e100", "lambda 1e6", "band 1e-9 Hz",
+            "band 1e-300 Hz", "rms window 1e300 s", "refractory 1.7e308 s"])
+    def test_extreme_config_value_exits_cleanly(self, small_cohort, tmp_path,
+                                                capsys, config, code):
+        # a range's extremes give exit 2 with one line, or a table whose
+        # HRV family may fall back to NaN with its warning
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        data = small_cohort / "data"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "S00.: HRV features unavailable",
+                                    RuntimeWarning)
+            assert run("--config", str(cfg_path), "--data-root", str(data),
+                       "--manifest", str(data / "manifest.csv"),
+                       "--out", str(tmp_path / "out"), "extract") == code
+        err = capsys.readouterr().err.splitlines()
+        if code == 2:
+            assert len(err) == 1 and "dsp.detrend_lambda" in err[0]
+        else:
+            rows = pipeline.read_features_csv(
+                tmp_path / "out" / "features.csv")
+            assert len(rows) == 6
+
+    @pytest.mark.parametrize("channel", ["BVP", "EDA", "ACC", "TEMP"])
+    def test_huge_finite_samples_exclude_their_subject(
+            self, small_cohort, tmp_path, channel):
+        # finite, so they parse, but their features would overflow
+        data = tmp_path / "data"
+        shutil.copytree(small_cohort / "data", data)
+        path = data / "S002" / f"{channel}.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:2] + [
+            ",".join(repr(float(v) * 1e160) for v in line.split(","))
+            for line in lines[2:]]) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run("--data-root", str(data),
+                       "--manifest", str(data / "manifest.csv"),
+                       "--out", str(tmp_path / "out"), "extract")
+        assert code == 0
+        rows = pipeline.read_features_csv(tmp_path / "out" / "features.csv")
+        assert [r.subject_id for r in rows] == ["S001", "S003", "S004",
+                                                "S005", "S006"]
+        validation = json.loads(
+            (tmp_path / "out" / "validation.json").read_text())
+        reasons = {s["subject_id"]: s["reasons"]
+                   for s in validation["subjects"]}
+        assert [r.split(":")[0] for r in reasons["S002"]] == [channel]
+        assert "exceeds 1e+50" in reasons["S002"][0]
+
     def test_non_utf8_channel_excludes_only_that_subject(
             self, small_cohort, tmp_path, capsys):
         data = tmp_path / "data"

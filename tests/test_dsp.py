@@ -237,6 +237,15 @@ class TestDetrend:
         with pytest.raises(ValueError, match="lambda must be positive"):
             dsp.detrend(np.arange(10.0), lam)
 
+    def test_rejects_lambda_above_the_bound(self):
+        # the factor breaks down near 7e7; the bound leaves a wide margin
+        x = np.arange(10.0)
+        assert np.all(np.isfinite(dsp.detrend(x, dsp.MAX_DETREND_LAMBDA)))
+        for lam in (np.nextafter(dsp.MAX_DETREND_LAMBDA, math.inf), 1e8,
+                    1e100):
+            with pytest.raises(ValueError, match="at most 1e\\+06"):
+                dsp.detrend(x, lam)
+
     @pytest.mark.parametrize("lam", [1.0, 50.0, 500.0])
     @pytest.mark.parametrize("n", [*range(3, 13), 40])
     def test_band_formula_matches_dense_bands(self, n, lam):
@@ -419,6 +428,18 @@ class TestButterworthDesign:
         with pytest.raises(InvalidCutoff):
             dsp.design_butterworth(2, dsp.FilterKind.BAND_PASS, (3.0, 1.0),
                                    8.0)
+
+    @pytest.mark.parametrize("kind,cutoffs", [
+        (dsp.FilterKind.BAND_PASS, (1e-9, 2e-9)),
+        (dsp.FilterKind.BAND_PASS, (1e-300, 2e-300)),
+        (dsp.FilterKind.BAND_PASS, (5e-324, 1.0)),
+        (dsp.FilterKind.LOW_PASS, (1e-300,)),
+    ])
+    def test_cutoff_too_low_for_the_sample_rate(self, kind, cutoffs):
+        # a pole rounded onto z = 1 leaves the steady state no denominator,
+        # a band centre rounded to 0 leaves no gain to normalise
+        with pytest.raises(InvalidCutoff, match="too low for the sample"):
+            dsp.design_butterworth(2, kind, cutoffs, 64.0)
 
     def test_denominators_normalized(self):
         design = dsp.design_butterworth(4, dsp.FilterKind.LOW_PASS, (1.0,),

@@ -246,6 +246,18 @@ class TestPeakDetection:
             # a one-sample refractory period keeps every candidate
             assert np.array_equal(got, want)
 
+    def test_spans_past_the_float_range_act_as_the_whole_signal(self):
+        # 10 s of signal: a 20 s window and a 10 s refractory span it all
+        x = np.random.default_rng(3).normal(size=640)
+        bvp = SignalChannel(ChannelKind.BVP, 0, 64.0, x)
+        whole = hrv.detect_pulse_peaks(bvp, hrv.PeakDetectionParams(
+            rms_window_s=20.0, refractory_s=10.0))
+        assert len(whole) == 1
+        for span in (1e300, 1.7e308):
+            assert np.array_equal(hrv.detect_pulse_peaks(
+                bvp, hrv.PeakDetectionParams(rms_window_s=span,
+                                             refractory_s=span)), whole)
+
     def test_memory_stays_within_four_signal_copies(self):
         n = 100_000
         x = np.random.default_rng(5).normal(size=n)

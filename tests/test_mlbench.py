@@ -277,10 +277,10 @@ def oracle_loocv_predictions(matrix, spec, seed, grid_index):
         x_train = matrix.values[mask]
         y_train = matrix.labels[mask]
         std = fit_standardizer(x_train)
-        model = train(spec, apply_standardizer(std, x_train), y_train,
-                      seed=_fold_seed(seed, grid_index, fold))
+        model = train(spec, apply_standardizer(std, x_train)[None],
+                      y_train[None], seed=[_fold_seed(seed, grid_index, fold)])
         x_test = apply_standardizer(std, matrix.values[fold:fold + 1])
-        preds[fold] = predict(model, x_test)
+        preds[fold] = predict(model, x_test[None])
     return preds
 
 

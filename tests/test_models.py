@@ -42,15 +42,15 @@ def fold_stacks(draw):
 class TestKnn:
     def test_k1_resubstitution_is_perfect(self, blobs):
         x, y = blobs
-        knn = models.KnnClassifier(k=1).fit(x, y)
-        assert np.array_equal(knn.predict(x), y)
+        knn = models.KnnClassifier(k=1).fit(x[None], y[None])
+        assert np.array_equal(knn.predict(x[None])[0], y)
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(40, 6))
         y = (rng.random(40) > 0.4).astype(int)
         for k in (1, 3, 5, 7):
-            model = models.KnnClassifier(k=k).fit(x, y)
+            model = models.KnnClassifier(k=k).fit(x[None], y[None])
             for _ in range(50):
                 q = rng.normal(size=6)
                 dist = [(float(np.sum((x[i] - q) ** 2)), i)
@@ -58,17 +58,18 @@ class TestKnn:
                 dist.sort()
                 votes = [y[i] for _, i in dist[:k]]
                 expect = int(sum(votes) > len(votes) - sum(votes))
-                assert model.predict(q[None, :])[0] == expect
+                assert model.predict(q[None, None, :])[0, 0] == expect
 
     def test_tie_goes_to_class_zero(self):
         x = np.array([[0.0], [2.0]])
         y = np.array([0, 1])
-        knn = models.KnnClassifier(k=2).fit(x, y)
-        assert knn.predict(np.array([1.0])[None, :])[0] == 0
+        knn = models.KnnClassifier(k=2).fit(x[None], y[None])
+        assert knn.predict(np.array([1.0])[None, None, :])[0, 0] == 0
 
     def test_degenerate_labels(self):
         with pytest.raises(DegenerateLabels):
-            models.KnnClassifier(k=1).fit(np.zeros((3, 1)), np.zeros(3))
+            models.KnnClassifier(k=1).fit(np.zeros((3, 1))[None],
+                                          np.zeros(3)[None])
 
     @settings(max_examples=60, deadline=None)
     @given(stack=fold_stacks(), k=st.integers(1, 7))
@@ -77,8 +78,10 @@ class TestKnn:
         got = models.KnnClassifier(k=k).fit(x, y).predict(queries)
         assert got.shape == queries.shape[:2]
         for fold in range(len(x)):
-            alone = models.KnnClassifier(k=k).fit(x[fold], y[fold])
-            assert np.array_equal(got[fold], alone.predict(queries[fold]))
+            alone = models.KnnClassifier(k=k).fit(x[fold:fold + 1],
+                                                  y[fold:fold + 1])
+            assert np.array_equal(got[fold],
+                                  alone.predict(queries[fold:fold + 1])[0])
 
     def test_one_single_class_fold_raises(self):
         x = np.zeros((3, 4, 1))
@@ -235,7 +238,7 @@ class TestSplitSearch:
         for criterion, target, splitter, node_score in (
                 (models._GINI, y, scalar_best_gini_split, gini_node_score),
                 (models._SSE, r, scalar_best_sse_split, sse_node_score)):
-            stump = models._Tree(criterion, 1, msl).fit(x, target)
+            stump = models._Tree(criterion, 1, msl).fit(x[None], target[None])
             expect = None
             if x.shape[0] >= 2 * msl and node_score(target) > 0.0:
                 expect = scalar_node_split(x, target, msl, splitter,
@@ -275,11 +278,11 @@ class TestDecisionTree:
     def test_1d_hand_case(self):
         x = np.array([[0.0], [1.0], [10.0], [11.0]])
         y = np.array([0, 0, 1, 1])
-        tree = models.DecisionTreeClassifier().fit(x, y)
+        tree = models.DecisionTreeClassifier().fit(x[None], y[None])
         assert 1.0 < tree.tree.threshold[0] < 10.0
-        assert tree.predict(np.array([5.0])[None, :])[0] == (
+        assert tree.predict(np.array([5.0])[None, None, :])[0, 0] == (
             0 if 5.0 <= tree.tree.threshold[0] else 1)
-        assert np.array_equal(tree.predict(x), y)
+        assert np.array_equal(tree.predict(x[None])[0], y)
 
     def test_root_split_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(8)
@@ -300,14 +303,15 @@ class TestDecisionTree:
 
     def test_max_depth_limits_tree(self, blobs):
         x, y = blobs
-        stump = models.DecisionTreeClassifier(max_depth=1).fit(x, y)
+        stump = models.DecisionTreeClassifier(max_depth=1).fit(x[None],
+                                                               y[None])
         t = stump.tree
         assert t.left[t.left[0]] < 0 and t.left[t.right[0]] < 0
 
     def test_pure_node_is_leaf(self):
         x = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 1, 1])
-        tree = models.DecisionTreeClassifier().fit(x, y)
+        tree = models.DecisionTreeClassifier().fit(x[None], y[None])
         t = tree.tree
         assert t.left[t.left[0]] < 0 and t.left[t.right[0]] < 0
 
@@ -324,44 +328,51 @@ class TestDecisionTree:
         y = np.array([0, 1, 0, 1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            trees = [models.DecisionTreeClassifier(3).fit(x, y).tree,
-                     *models.GradientBoostingClassifier(3).fit(x, y)._trees,
-                     *models.RandomForestClassifier(3, 3, seed=1).fit(
-                         x, y)._trees]
+            trees = [models.DecisionTreeClassifier(3).fit(x[None],
+                                                          y[None]).tree,
+                     *models.GradientBoostingClassifier(3).fit(
+                         x[None], y[None])._trees,
+                     *models.RandomForestClassifier(3, 3, seed=[1]).fit(
+                         x[None], y[None])._trees]
         assert all(np.all(tree.left < 0) for tree in trees)
 
 
 class TestRandomForest:
     def test_separable_and_deterministic(self, blobs):
         x, y = blobs
-        a = models.RandomForestClassifier(n_estimators=30, seed=3).fit(x, y)
-        b = models.RandomForestClassifier(n_estimators=30, seed=3).fit(x, y)
-        assert np.array_equal(a.predict(x), b.predict(x))
-        assert float(np.mean(a.predict(x) == y)) >= 0.95
+        a = models.RandomForestClassifier(n_estimators=30, seed=[3]).fit(
+            x[None], y[None])
+        b = models.RandomForestClassifier(n_estimators=30, seed=[3]).fit(
+            x[None], y[None])
+        assert np.array_equal(a.predict(x[None]), b.predict(x[None]))
+        assert float(np.mean(a.predict(x[None])[0] == y)) >= 0.95
 
     def test_seed_changes_votes(self, blobs):
         x, y = blobs
         rng = np.random.default_rng(0)
         probe = rng.normal(size=(200, 2)) * 3
-        a = models.RandomForestClassifier(n_estimators=5, seed=1).fit(x, y)
-        b = models.RandomForestClassifier(n_estimators=5, seed=2).fit(x, y)
-        assert not np.array_equal(a.predict(probe), b.predict(probe))
+        a = models.RandomForestClassifier(n_estimators=5, seed=[1]).fit(
+            x[None], y[None])
+        b = models.RandomForestClassifier(n_estimators=5, seed=[2]).fit(
+            x[None], y[None])
+        assert not np.array_equal(a.predict(probe[None])[0],
+                                  b.predict(probe[None])[0])
 
 
 class TestGradientBoosting:
     def test_separable(self, blobs):
         x, y = blobs
-        gb = models.GradientBoostingClassifier(n_estimators=50,
-                                               learning_rate=0.1).fit(x, y)
-        assert np.array_equal(gb.predict(x), y)
+        gb = models.GradientBoostingClassifier(
+            n_estimators=50, learning_rate=0.1).fit(x[None], y[None])
+        assert np.array_equal(gb.predict(x[None])[0], y)
 
     def test_logistic_loss_decreases(self, blobs):
         x, y = blobs
 
         def loss(n_est):
             gb = models.GradientBoostingClassifier(
-                n_estimators=n_est, learning_rate=0.1).fit(x, y)
-            p = 1.0 / (1.0 + np.exp(-gb.decision_scores(x)))
+                n_estimators=n_est, learning_rate=0.1).fit(x[None], y[None])
+            p = 1.0 / (1.0 + np.exp(-gb.decision_scores(x[None])[0]))
             p = np.clip(p, 1e-12, 1 - 1e-12)
             return -float(np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
 
@@ -371,7 +382,8 @@ class TestGradientBoosting:
     def test_base_score_is_prior_log_odds(self):
         x = np.arange(10, dtype=float).reshape(-1, 1)
         y = np.array([0, 0, 0, 0, 0, 0, 1, 1, 1, 1])
-        gb = models.GradientBoostingClassifier(n_estimators=1).fit(x, y)
+        gb = models.GradientBoostingClassifier(n_estimators=1).fit(x[None],
+                                                                   y[None])
         assert gb._base_score == pytest.approx(math.log(0.4 / 0.6))
 
 
@@ -501,11 +513,12 @@ class TestStackedTrees:
         preds = dt.predict(queries)
         for fold in range(len(x)):
             alone = models.DecisionTreeClassifier(max_depth, msl).fit(
-                x[fold], y[fold])
+                x[fold:fold + 1], y[fold:fold + 1])
             expect = oracle_decision_tree(x[fold], y[fold], msl, max_depth)
             assert_same_arrays(tree_arrays(dt.tree, fold), expect)
             assert_same_arrays(tree_arrays(alone.tree, 0), expect)
-            assert np.array_equal(preds[fold], alone.predict(queries[fold]))
+            assert np.array_equal(preds[fold],
+                                  alone.predict(queries[fold:fold + 1])[0])
 
     @settings(max_examples=50, deadline=None)
     @given(stack=tree_stacks(), msl=st.integers(1, 3),
@@ -520,8 +533,8 @@ class TestStackedTrees:
         preds = rf.predict(queries)
         for fold in range(len(x)):
             alone = models.RandomForestClassifier(
-                n_estimators, max_depth, msl, seed=seeds[fold]).fit(
-                    x[fold], y[fold])
+                n_estimators, max_depth, msl, seed=[seeds[fold]]).fit(
+                    x[fold:fold + 1], y[fold:fold + 1])
             expects = oracle_forest(x[fold], y[fold], n_estimators,
                                     max_depth, msl, seeds[fold])
             for tree, expect in enumerate(expects):
@@ -529,7 +542,8 @@ class TestStackedTrees:
                     tree_arrays(rf._trees[0], fold * n_estimators + tree),
                     expect)
                 assert_same_arrays(tree_arrays(alone._trees[0], tree), expect)
-            assert np.array_equal(preds[fold], alone.predict(queries[fold]))
+            assert np.array_equal(preds[fold],
+                                  alone.predict(queries[fold:fold + 1])[0])
 
     @settings(max_examples=50, deadline=None)
     @given(stack=tree_stacks(), max_depth=st.sampled_from([1, 3]),
@@ -543,7 +557,8 @@ class TestStackedTrees:
         scores = gb.decision_scores(queries)
         for fold in range(len(x)):
             alone = models.GradientBoostingClassifier(
-                n_estimators, learning_rate, max_depth).fit(x[fold], y[fold])
+                n_estimators, learning_rate, max_depth).fit(
+                    x[fold:fold + 1], y[fold:fold + 1])
             expects = oracle_boosting(x[fold], y[fold], n_estimators,
                                       learning_rate, max_depth)
             for stage, expect in enumerate(expects):
@@ -551,7 +566,7 @@ class TestStackedTrees:
                 assert_same_arrays(tree_arrays(alone._trees[stage], 0),
                                    expect)
             assert scores[fold].tobytes() \
-                == alone.decision_scores(queries[fold]).tobytes()
+                == alone.decision_scores(queries[fold:fold + 1])[0].tobytes()
 
     def test_forest_lock_steps_hold_whole_folds(self, monkeypatch):
         rng = np.random.default_rng(4)
@@ -585,16 +600,16 @@ class TestSvm:
         x, y = blobs
         for kernel, gamma in (("linear", 0.1), ("rbf", 0.5)):
             svm = models.SvmClassifier(c=1.0, kernel=kernel,
-                                       gamma=gamma).fit(x, y)
-            f = svm.decision_function(x)
+                                       gamma=gamma).fit(x[None], y[None])
+            f = svm.decision_function(x[None])[0]
             s = np.where(y == 1, 1.0, -1.0)
-            alpha = svm._alpha
+            alpha = svm._alpha[0]
             assert abs(float(np.sum(alpha * s))) < 1e-9
             for i in range(len(y)):
                 margin = s[i] * f[i]
                 if alpha[i] < 1e-8:
                     assert margin >= 1.0 - 5e-3
-                elif alpha[i] > svm.c - 1e-8:
+                elif alpha[i] > svm.c[0] - 1e-8:
                     assert margin <= 1.0 + 5e-3
                 else:
                     assert margin == pytest.approx(1.0, abs=5e-3)
@@ -603,8 +618,8 @@ class TestSvm:
         x, y = blobs
         for kernel in ("linear", "rbf"):
             svm = models.SvmClassifier(c=10.0, kernel=kernel,
-                                       gamma=0.5).fit(x, y)
-            assert float(np.mean(svm.predict(x) == y)) == 1.0
+                                       gamma=0.5).fit(x[None], y[None])
+            assert float(np.mean(svm.predict(x[None])[0] == y)) == 1.0
 
     def test_linear_duality_gap_is_tiny(self, monkeypatch):
         # independent optimality certificate: at the optimum the primal
@@ -615,11 +630,11 @@ class TestSvm:
         y = np.array([0] * 12 + [1] * 12)
         c = 2.0
         monkeypatch.setattr(models, "_SVM_TOL", 1e-6)
-        svm = models.SvmClassifier(c=c, kernel="linear").fit(x, y)
+        svm = models.SvmClassifier(c=c, kernel="linear").fit(x[None], y[None])
         s = np.where(y == 1, 1.0, -1.0)
-        alpha = svm._alpha
+        alpha = svm._alpha[0]
         w = x.T @ (alpha * s)
-        margins = s * (x @ w + svm._bias)
+        margins = s * (x @ w + svm._bias[0])
         primal = 0.5 * float(w @ w) + c * float(
             np.sum(np.maximum(0.0, 1.0 - margins)))
         q = (s[:, None] * s[None, :]) * (x @ x.T)
@@ -648,13 +663,13 @@ class TestSvm:
                        max_size=4),
            gamma=st.sampled_from([0.05, 0.5, 5.0]),
            cap=st.sampled_from([None, None, 1, 4, 15]),
-           rows=st.booleans())
+           one_fold=st.booleans())
     def test_c_sequence_fit_equals_one_fit_per_c(self, stack, kernel, cs,
-                                                 gamma, cap, rows):
+                                                 gamma, cap, one_fold):
         x, y, queries = stack
-        if rows:  # rows (n, d) are a stack of one
-            x, y, queries = x[0], y[0], queries[0]
-        f = len(x) if x.ndim == 3 else 1
+        if one_fold:  # a stack of one
+            x, y, queries = x[:1], y[:1], queries[:1]
+        f = len(x)
         with mock.patch.object(models, "_SVM_MAX_ITER",
                                cap or models._SVM_MAX_ITER):
             path = models.SvmClassifier(c=cs, kernel=kernel,
@@ -733,17 +748,6 @@ class TestSvm:
             alpha, bias, n_iter, _ = oracle_svm_fit(x[fold], y[fold], c=10.0)
             assert np.array_equal(svm._alpha[fold], alpha)
             assert svm._bias[fold] == bias and svm.n_iter[fold] == n_iter
-
-    def test_rows_fit_keeps_row_shapes(self, blobs):
-        x, y = blobs
-        svm = models.SvmClassifier(kernel="rbf", gamma=0.5).fit(x, y)
-        alpha, bias, n_iter, decide = oracle_svm_fit(x, y, kernel="rbf",
-                                                     gamma=0.5)
-        assert np.array_equal(svm._alpha, alpha) and svm._bias == bias
-        assert type(svm._bias) is float and svm._alpha.shape == y.shape
-        assert svm.n_iter == n_iter and svm.hit_cap is False
-        assert np.array_equal(svm.decision_function(x), decide(x))
-        assert np.array_equal(svm.decision_function(x[3]), decide(x[3:4]))
 
     def test_one_single_class_fold_raises(self):
         x = np.random.default_rng(0).normal(size=(3, 6, 2))
@@ -952,23 +956,17 @@ class TestMlp:
     def test_separable(self, blobs):
         x, y = blobs
         mlp = models.MlpClassifier(hidden=8, learning_rate=0.05, epochs=300,
-                                   seed=0).fit(x, y)
-        assert float(np.mean(mlp.predict(x) == y)) == 1.0
+                                   seed=[0]).fit(x[None], y[None])
+        assert float(np.mean(mlp.predict(x[None])[0] == y)) == 1.0
 
     def test_seeded_init_deterministic(self, blobs):
         x, y = blobs
-        a = models.MlpClassifier(hidden=8, epochs=50, seed=4).fit(x, y)
-        b = models.MlpClassifier(hidden=8, epochs=50, seed=4).fit(x, y)
-        assert np.array_equal(a.decision_function(x), b.decision_function(x))
-
-    def test_stack_of_one_accepts_rows_and_a_single_seed(self, blobs):
-        x, y = blobs
-        mlp = models.MlpClassifier(hidden=4, epochs=20, seed=7).fit(x, y)
-        expect = oracle_mlp_fit(x, y, hidden=4, epochs=20, seed=7)
-        assert np.array_equal(mlp.decision_function(x),
-                              oracle_mlp_decision(expect, x))
-        assert np.array_equal(mlp.decision_function(x[0]),
-                              oracle_mlp_decision(expect, x[0]))
+        a = models.MlpClassifier(hidden=8, epochs=50, seed=[4]).fit(x[None],
+                                                                    y[None])
+        b = models.MlpClassifier(hidden=8, epochs=50, seed=[4]).fit(x[None],
+                                                                    y[None])
+        assert np.array_equal(a.decision_function(x[None]),
+                              b.decision_function(x[None]))
 
     @settings(max_examples=60, deadline=None)
     @given(stack=mlp_fold_stacks(), hidden=st.integers(1, 8),
@@ -1047,8 +1045,8 @@ class TestDispatch:
     ])
     def test_train_and_predict_every_kind(self, blobs, kind, hp):
         x, y = blobs
-        model = models.train(ModelSpec(kind, hp), x, y, seed=2)
-        acc = float(np.mean([models.predict(model, row) == yy
+        model = models.train(ModelSpec(kind, hp), x[None], y[None], seed=[2])
+        acc = float(np.mean([models.predict(model, row[None, None]) == yy
                              for row, yy in zip(x, y)]))
         assert acc >= 0.9
 
@@ -1057,4 +1055,21 @@ class TestDispatch:
         y = np.ones(4, dtype=int)
         for kind in ModelKind:
             with pytest.raises(DegenerateLabels):
-                models.train(ModelSpec(kind, {}), x, y)
+                models.train(ModelSpec(kind, {}), x[None], y[None])
+
+
+class TestFitContract:
+    """``fit`` takes a fold stack only: ``x`` (f, n, d), ``y`` (f, n), and
+    one seed per fold for the random forest and the MLP."""
+
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+    def test_anything_but_a_fold_stack_raises(self, blobs, kind):
+        x, y = blobs
+        spec = ModelSpec(kind, {})
+        for bad_x, bad_y in ((x, y), (x[None], y), (x[None], y[None, :-1]),
+                             (x[None], np.stack([y, y]))):
+            with pytest.raises(ValueError, match="fit takes x"):
+                models.train(spec, bad_x, bad_y, seed=[1])
+        if kind in models.SEEDED_KINDS:
+            with pytest.raises(ValueError, match="one seed per fold"):
+                models.train(spec, x[None], y[None], seed=1)

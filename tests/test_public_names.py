@@ -1,5 +1,6 @@
-"""Every public top-level function and class in ``src/wearbench`` is used by
-the package itself: code that only tests call belongs in the tests."""
+"""Every top-level function and class in ``src/wearbench``, and every
+private top-level constant, is used by the package itself: code that only
+tests call belongs in the tests, and a private name nothing reads is dead."""
 import ast
 from pathlib import Path
 
@@ -22,9 +23,27 @@ def _references(tree: ast.Module, modules: set):
                 yield alias.name, node.lineno
 
 
-def unreferenced_public_names(src: Path) -> list:
-    """``module.name`` of each public top-level def or class that no code
-    under ``src`` refers to outside its own definition."""
+def _checked_definitions(tree: ast.Module):
+    """``(name, node)`` of each top-level def and class, and of each
+    private constant; dunders are exempt."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name) and n.id.startswith("_")]
+        else:
+            continue
+        for name in names:
+            if not (name.startswith("__") and name.endswith("__")):
+                yield name, node
+
+
+def unreferenced_names(src: Path) -> list:
+    """``module.name`` of each top-level def or class, or private constant,
+    that no code under ``src`` refers to outside its own definition."""
     files = sorted(src.glob("*.py"))
     modules = {path.stem for path in files}
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
@@ -35,19 +54,17 @@ def unreferenced_public_names(src: Path) -> list:
     for file, tree in trees.items():
         if file == "__init__.py":
             continue
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    and not node.name.startswith("_") and not any(
-                        name == node.name and not (
-                            ref_file == file
-                            and node.lineno <= line <= node.end_lineno)
-                        for ref_file, name, line in refs):
-                unused.append(f"{file[:-3]}.{node.name}")
+        for name, node in _checked_definitions(tree):
+            if not any(ref == name and not (
+                    ref_file == file
+                    and node.lineno <= line <= node.end_lineno)
+                    for ref_file, ref, line in refs):
+                unused.append(f"{file[:-3]}.{name}")
     return unused
 
 
 def test_every_public_name_is_used_by_the_package():
-    assert unreferenced_public_names(SRC) == []
+    assert unreferenced_names(SRC) == []
 
 
 def test_scan_finds_a_test_only_function(tmp_path):
@@ -58,5 +75,17 @@ def test_scan_finds_a_test_only_function(tmp_path):
         "class Shape:\n    pass\n")
     (tmp_path / "b.py").write_text("from . import a\n\nVALUE = a.used()\n"
                                    "\n\ndef shape():\n    return a.Shape\n")
-    assert unreferenced_public_names(tmp_path) == ["a.only_for_tests",
-                                                   "b.shape"]
+    assert unreferenced_names(tmp_path) == ["a.only_for_tests", "b.shape"]
+
+
+def test_scan_finds_unused_private_names(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "__all__ = ['used']\n_LIMIT = 3\n_LEFT, _OVER = 1, 2\n"
+        "_TABLE: dict = {}\nPUBLIC = 4\n\n\n"
+        "def used():\n    return _helper() + _LIMIT + _LEFT\n\n\n"
+        "def _helper():\n    return _TABLE.get(0, 0)\n\n\n"
+        "def _queries(x):\n    return _queries(x)\n\n\n"
+        "class _Unused:\n    pass\n")
+    (tmp_path / "b.py").write_text("from . import a\n\nVALUE = a.used()\n")
+    assert unreferenced_names(tmp_path) == [
+        "a._OVER", "a._queries", "a._Unused"]
