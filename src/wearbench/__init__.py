@@ -18,7 +18,6 @@ from .synth import CohortOffsets, CohortSpec, SynthSpec, generate_cohort, \
     generate_session  # noqa: F401
 from .pipeline import extract_session_features, run_extract  # noqa: F401
 from .mlbench import (  # noqa: F401
-    EvalReport,
     FeatureMatrix,
     assemble_matrix,
     compute_metrics,

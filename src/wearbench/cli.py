@@ -175,7 +175,7 @@ def cmd_bench(cfg: RunConfig) -> int:
             kind = MODEL_KINDS_BY_NAME[model_name]
             report = mlbench.loocv_grid_search(
                 matrix, kind, grids[kind], seed=cfg.seed,
-                positive_class=positive, selector=selector).to_json_dict()
+                positive_class=positive, selector=selector)
             reports.append(report)
             atomic_write_text(
                 out_dir / f"bench_{selector}_{model_name}.json",

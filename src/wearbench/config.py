@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .dsp import MAX_DETREND_LAMBDA
 from .errors import ConfigError
+from .hrv import HF_BAND, MAX_NN_INTERP_RATE_HZ
 from .mlbench import FEATURE_GROUPS
 from .models import MODEL_KINDS_BY_NAME
 from .session_io import ValidationPolicy, read_text
@@ -50,6 +51,9 @@ _DEPTH = (lambda v: v is None or _COUNT[0](v), "null or an integer >= 1")
 _RATE = (lambda v: finite_number(v) and v > 0, "a positive number")
 _LAMBDA = (lambda v: finite_number(v) and 0 < v <= MAX_DETREND_LAMBDA,
            f"a positive number <= {MAX_DETREND_LAMBDA:g}")
+_INTERP_RATE = (
+    lambda v: finite_number(v) and 2 * HF_BAND[1] < v <= MAX_NN_INTERP_RATE_HZ,
+    f"a number above {2 * HF_BAND[1]:g} and at most {MAX_NN_INTERP_RATE_HZ:g}")
 _NON_NEGATIVE = (lambda v: finite_number(v) and v >= 0, "a finite number >= 0")
 _FINITE = (finite_number, "a finite number")
 _FRACTION = (lambda v: finite_number(v) and 0 <= v < 1, "a number in [0, 1)")
@@ -109,7 +113,7 @@ TOP_LEVEL_RANGES = {"data_root": _PATH, "manifest": _PATH, "out_dir": _PATH,
 RANGES = {
     "dsp": {"detrend_lambda": _LAMBDA, "bvp_band_hz": _BAND,
             "bvp_filter_order": _COUNT, "welch_overlap": _FRACTION,
-            "nn_interp_rate_hz": _RATE},
+            "nn_interp_rate_hz": _INTERP_RATE},
     "features": {"peak_threshold_scale": _RATE, "peak_rms_window_s": _RATE,
                  "peak_refractory_s": _RATE, "eda_clean_hz": _RATE,
                  "eda_tonic_hz": _RATE, "scr_min_amplitude": _NON_NEGATIVE,

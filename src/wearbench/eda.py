@@ -84,22 +84,18 @@ def detect_scr(decomp: EdaDecomposition,
     (an empty list is valid).
     """
     p = decomp.phasic
-    n = p.size
-    events = []
-    for i in range(1, n - 1):
-        if not (p[i] > p[i - 1] and p[i] >= p[i + 1]):
-            continue
-        if p[i] < min_amplitude:
-            continue
-        j = i
-        while j > 0 and p[j - 1] < p[j]:
-            j -= 1
-        amplitude = float(p[i] - p[j])
-        if amplitude >= min_amplitude and j < i:
-            events.append(ScrEvent(onset_index=j, peak_index=i,
-                                   amplitude=amplitude))
-    events.sort(key=lambda e: (e.onset_index, e.peak_index))
-    return events
+    rise = p[1:] > p[:-1]  # rise[k - 1]: p[k] rose from p[k - 1]
+    # onsets[k - 1]: where the run of rises that ends at p[k] began
+    onsets = np.maximum.accumulate(np.where(rise, 0, np.arange(1, p.size)))
+    peaks = np.flatnonzero(rise[:-1] & (p[1:-1] >= p[2:])
+                           & (p[1:-1] >= min_amplitude)) + 1
+    starts = onsets[peaks - 1]
+    amplitudes = p[peaks] - p[starts]
+    keep = amplitudes >= min_amplitude
+    # onsets never decrease as peaks increase, so peak order is onset order
+    return [ScrEvent(onset_index=int(j), peak_index=int(i),
+                     amplitude=float(a)) for j, i, a
+            in zip(starts[keep], peaks[keep], amplitudes[keep])]
 
 
 def eda_features(decomp: EdaDecomposition, events) -> dict[str, float]:

@@ -30,6 +30,9 @@ HIST_BIN_MS = 7.8125
 VLF_BAND = (0.0033, 0.04)
 LF_BAND = (0.04, 0.15)
 HF_BAND = (0.15, 0.40)
+# the NN series' resampling rate must put Nyquist above the HF band and
+# stay at most the BVP rate: the series holds span x rate samples
+MAX_NN_INTERP_RATE_HZ = 64.0
 
 
 @dataclass(frozen=True)
@@ -399,7 +402,12 @@ def hrv_freq_features(nn: NNSeries, interp_rate_hz: float = 4.0,
     Bands: VLF 0.0033-0.04 Hz, LF 0.04-0.15 Hz, HF 0.15-0.4 Hz, VHF from
     0.4 Hz to Nyquist; TP spans 0.0033 Hz to Nyquist. HF is floored at
     1e-12 before the log. Welch segments are min(256, n) samples long.
+    ``interp_rate_hz`` must lie in (0.8, ``MAX_NN_INTERP_RATE_HZ``].
     """
+    if not 2 * HF_BAND[1] < interp_rate_hz <= MAX_NN_INTERP_RATE_HZ:
+        raise ValueError(f"interp_rate_hz must be above {2 * HF_BAND[1]:g} "
+                         f"and at most {MAX_NN_INTERP_RATE_HZ:g}, "
+                         f"got {interp_rate_hz}")
     if nn.span_seconds < 30.0:
         raise SpanTooShort(
             f"NN span {nn.span_seconds:.1f} s < 30 s; spectrum unreliable")

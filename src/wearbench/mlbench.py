@@ -5,7 +5,8 @@ leave-one-out pass where imputation medians and z-score statistics are
 fit on each fold's training rows only; pick the combination with the best
 pooled accuracy (first wins ties) and report its pooled confusion matrix.
 Because the same LOOCV both selects and scores, reports carry an explicit
-optimistic-bias flag.
+optimistic-bias flag. A report is the ``bench_*.json`` dict itself, plain
+JSON values only, so the CLI writes it as it comes.
 
 A matrix standardises each of its folds once, on the first search that
 needs them, and every grid point of every search on that matrix trains on
@@ -164,98 +165,35 @@ def apply_standardizer(s: Standardizer, rows: np.ndarray) -> np.ndarray:
 # --- metrics -----------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Confusion:
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
-
-
-@dataclass(frozen=True)
-class Metrics:
-    accuracy: float
-    precision: float
-    recall: float
-    f1: float
-    degenerate: tuple[str, ...] = ()
-
-
-def compute_metrics(confusion: Confusion) -> Metrics:
-    """Accuracy, precision, recall, F1 in percent from a pooled confusion.
+def compute_metrics(confusion: dict) -> dict:
+    """Accuracy, precision, recall, F1 in percent from a pooled confusion
+    ``{"tp", "tn", "fp", "fn"}``, as a report's ``metrics`` dict.
 
     A zero denominator yields 0 for that metric, flagged in ``degenerate``.
     """
-    if confusion.total < 1:
+    tp, tn, fp, fn = (confusion[k] for k in ("tp", "tn", "fp", "fn"))
+    total = tp + tn + fp + fn
+    if total < 1:
         raise EmptyConfusion("confusion matrix has no entries")
     flags = []
-    accuracy = 100.0 * (confusion.tp + confusion.tn) / confusion.total
-    if confusion.tp + confusion.fp > 0:
-        precision = 100.0 * confusion.tp / (confusion.tp + confusion.fp)
+    accuracy = 100.0 * (tp + tn) / total
+    if tp + fp > 0:
+        precision = 100.0 * tp / (tp + fp)
     else:
         precision, flags = 0.0, flags + ["precision"]
-    if confusion.tp + confusion.fn > 0:
-        recall = 100.0 * confusion.tp / (confusion.tp + confusion.fn)
+    if tp + fn > 0:
+        recall = 100.0 * tp / (tp + fn)
     else:
         recall, flags = 0.0, flags + ["recall"]
     if precision + recall > 0:
         f1 = 2.0 * precision * recall / (precision + recall)
     else:
         f1, flags = 0.0, flags + ["f1"]
-    return Metrics(accuracy=accuracy, precision=precision, recall=recall,
-                   f1=f1, degenerate=tuple(flags))
+    return {"accuracy": accuracy, "precision": precision, "recall": recall,
+            "f1": f1, "degenerate": flags}
 
 
 # --- LOOCV grid search --------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    model: ModelSpec
-    confusion: Confusion
-    metrics: Metrics
-    per_fold: tuple[tuple[str, int, int], ...]  # (subject_id, true, predicted)
-    selector: str
-    positive_class: int
-    seed: int
-    points: tuple[tuple[dict, float], ...]  # (hyperparameters, accuracy)
-    optimistic_bias: bool = True  # non-nested selection, by protocol
-
-    @property
-    def n_grid_points(self) -> int:
-        return len(self.points)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "model": {
-                "kind": self.model.kind.value,
-                "display_name": MODEL_DISPLAY_NAMES[self.model.kind],
-                "hyperparameters": self.model.hyperparameters,
-            },
-            "confusion": {"tp": self.confusion.tp, "tn": self.confusion.tn,
-                          "fp": self.confusion.fp, "fn": self.confusion.fn},
-            "metrics": {"accuracy": self.metrics.accuracy,
-                        "precision": self.metrics.precision,
-                        "recall": self.metrics.recall,
-                        "f1": self.metrics.f1,
-                        "degenerate": list(self.metrics.degenerate)},
-            "per_fold": [{"subject_id": sid, "true": t, "predicted": p}
-                         for sid, t, p in self.per_fold],
-            "selector": self.selector,
-            "positive_class": self.positive_class,
-            "seed": self.seed,
-            "grid_search": {
-                "n_points": self.n_grid_points,
-                "selection": "pooled LOOCV accuracy, first best on ties",
-                "optimistic_bias": self.optimistic_bias,
-                "points": [{"hyperparameters": hp, "accuracy": accuracy}
-                           for hp, accuracy in self.points],
-            },
-        }
 
 
 def _fold_seed(seed: int, grid_index: int, fold: int) -> int:
@@ -320,21 +258,14 @@ def _grid_predictions(folds: _Folds, kind: ModelKind, grid: list[dict],
     return preds
 
 
-def _pool_confusion(labels, preds, positive: int) -> Confusion:
-    tp = int(np.sum((preds == positive) & (labels == positive)))
-    tn = int(np.sum((preds != positive) & (labels != positive)))
-    fp = int(np.sum((preds == positive) & (labels != positive)))
-    fn = int(np.sum((preds != positive) & (labels == positive)))
-    return Confusion(tp=tp, tn=tn, fp=fp, fn=fn)
-
-
 def loocv_grid_search(matrix: FeatureMatrix, kind: ModelKind, grid,
                       seed: int = 0, positive_class: int = 1,
-                      selector: str = "all") -> EvalReport:
+                      selector: str = "all") -> dict:
     """Exhaustive hyperparameter search scored by pooled LOOCV accuracy.
 
     ``grid`` is an ordered sequence of hyperparameter dicts; determinism
-    comes from that order, the seed, and first-best tie-breaking.
+    comes from that order, the seed, and first-best tie-breaking. Returns
+    the ``bench_*.json`` report, built of plain JSON values only.
     """
     grid = [dict(g) for g in grid]
     if not grid:
@@ -346,21 +277,34 @@ def loocv_grid_search(matrix: FeatureMatrix, kind: ModelKind, grid,
     all_preds = _grid_predictions(matrix.folds, kind, grid, seed)
     correct = np.sum(all_preds == matrix.labels, axis=1).tolist()
     gi = correct.index(max(correct))  # the first best wins ties
-    preds = all_preds[gi]
-    confusion = _pool_confusion(matrix.labels, preds, positive_class)
-    return EvalReport(
-        model=ModelSpec(kind, grid[gi]),
-        confusion=confusion,
-        metrics=compute_metrics(confusion),
-        per_fold=tuple(
-            (sid, int(t), int(p))
-            for sid, t, p in zip(matrix.subject_ids, matrix.labels, preds)),
-        selector=selector,
-        positive_class=positive_class,
-        seed=seed,
-        # percent from the correct count, as compute_metrics takes accuracy
-        points=tuple((hp, 100.0 * k / n) for hp, k in zip(grid, correct)),
-    )
+    labels, preds = matrix.labels.tolist(), all_preds[gi].tolist()
+    # (true is positive, predicted is positive) per subject
+    hits = [(t == positive_class, p == positive_class)
+            for t, p in zip(labels, preds)]
+    confusion = {"tp": hits.count((True, True)),
+                 "tn": hits.count((False, False)),
+                 "fp": hits.count((False, True)),
+                 "fn": hits.count((True, False))}
+    return {
+        "model": {"kind": kind.value,
+                  "display_name": MODEL_DISPLAY_NAMES[kind],
+                  "hyperparameters": grid[gi]},
+        "confusion": confusion,
+        "metrics": compute_metrics(confusion),
+        "per_fold": [{"subject_id": sid, "true": t, "predicted": p}
+                     for sid, t, p in zip(matrix.subject_ids, labels, preds)],
+        "selector": selector,
+        "positive_class": positive_class,
+        "seed": seed,
+        "grid_search": {
+            "n_points": len(grid),
+            "selection": "pooled LOOCV accuracy, first best on ties",
+            "optimistic_bias": True,  # non-nested selection, by protocol
+            # percent from the correct count, as compute_metrics takes it
+            "points": [{"hyperparameters": hp, "accuracy": 100.0 * k / n}
+                       for hp, k in zip(grid, correct)],
+        },
+    }
 
 
 # --- default grids and report rendering --------------------------------------------------
@@ -394,7 +338,7 @@ def default_grids() -> dict[ModelKind, list[dict]]:
 
 def render_markdown_table(reports) -> str:
     """One results table in the benchmark layout, percentages to 2 decimals,
-    from report JSON dicts (``to_json_dict()`` or a loaded ``bench_*.json``)."""
+    from report dicts: ``loocv_grid_search``'s or loaded ``bench_*.json``."""
     lines = [
         "| Method | Accuracy | Precision | Recall | F1 Score |",
         "|---|---|---|---|---|",

@@ -21,7 +21,7 @@ from test_models import (
 )
 
 from wearbench import cli, dsp, eda, hrv, models, pipeline, synth
-from wearbench.mlbench import Confusion, compute_metrics
+from wearbench.mlbench import compute_metrics
 from wearbench.session_io import ChannelKind
 
 
@@ -53,13 +53,14 @@ class _Criterion:
 def test_criterion_1_metric_fixtures():
     with _Criterion(1, "metric arithmetic reproduces reference rows", 1.0):
         fixtures = [
-            (Confusion(tp=17, tn=13, fp=0, fn=1),
+            ({"tp": 17, "tn": 13, "fp": 0, "fn": 1},
              (96.77, 100.0, 94.44, 97.14)),
-            (Confusion(tp=18, tn=1, fp=12, fn=0), (61.29, 60.0, 100.0, 75.0)),
+            ({"tp": 18, "tn": 1, "fp": 12, "fn": 0},
+             (61.29, 60.0, 100.0, 75.0)),
         ]
         for confusion, expected in fixtures:
             m = compute_metrics(confusion)
-            got = (m.accuracy, m.precision, m.recall, m.f1)
+            got = (m["accuracy"], m["precision"], m["recall"], m["f1"])
             for g, e in zip(got, expected):
                 assert abs(g - e) < 0.01, (confusion, got, expected)
 

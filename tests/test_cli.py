@@ -255,8 +255,15 @@ class TestExtractCommand:
         ({"dsp": {"bvp_band_hz": [1e-300, 2e-300]}}, 0),
         ({"features": {"peak_rms_window_s": 1e300}}, 0),
         ({"features": {"peak_refractory_s": 1.7e308}}, 0),
+        ({"dsp": {"nn_interp_rate_hz": 1e300}}, 2),
+        ({"dsp": {"nn_interp_rate_hz": 1e5}}, 2),
+        ({"dsp": {"nn_interp_rate_hz": 0.5}}, 2),
+        ({"dsp": {"nn_interp_rate_hz": 0.8}}, 2),
+        ({"dsp": {"nn_interp_rate_hz": 64.0}}, 0),
     ], ids=["lambda 1e8", "lambda 1e100", "lambda 1e6", "band 1e-9 Hz",
-            "band 1e-300 Hz", "rms window 1e300 s", "refractory 1.7e308 s"])
+            "band 1e-300 Hz", "rms window 1e300 s", "refractory 1.7e308 s",
+            "interp rate 1e300 Hz", "interp rate 1e5 Hz",
+            "interp rate 0.5 Hz", "interp rate 0.8 Hz", "interp rate 64 Hz"])
     def test_extreme_config_value_exits_cleanly(self, small_cohort, tmp_path,
                                                 capsys, config, code):
         # a range's extremes give exit 2 with one line, or a table whose
@@ -273,7 +280,9 @@ class TestExtractCommand:
                        "--out", str(tmp_path / "out"), "extract") == code
         err = capsys.readouterr().err.splitlines()
         if code == 2:
-            assert len(err) == 1 and "dsp.detrend_lambda" in err[0]
+            (section, values), = config.items()
+            field = f"{section}.{next(iter(values))}"
+            assert len(err) == 1 and field in err[0], err
         else:
             rows = pipeline.read_features_csv(
                 tmp_path / "out" / "features.csv")
@@ -377,10 +386,8 @@ class TestBenchCommand:
                                            [{"k": 1}], seed=5,
                                            selector="temp")
         assert report["metrics"]["accuracy"] == pytest.approx(
-            direct.metrics.accuracy)
-        assert report["per_fold"] == [
-            {"subject_id": sid, "true": t, "predicted": p}
-            for sid, t, p in direct.per_fold]
+            direct["metrics"]["accuracy"])
+        assert report["per_fold"] == direct["per_fold"]
 
     def test_all_six_selectors_yield_six_tables(self, small_cohort,
                                                 tmp_path):
@@ -819,6 +826,96 @@ class TestMutatedInputs:
                                 "--models", "knn")
         assert code in (0, 2, 3, 4)
         assert code == 0 or len(err) == 1, err
+
+
+# one or two points a model, so a six-model bench stays fast
+SMALL_GRIDS = {
+    "knn": [{"k": 1}, {"k": 3}], "dt": [{"max_depth": 2}],
+    "rf": [{"n_estimators": 3}], "gb": [{"n_estimators": 3}],
+    "svm": [{"kernel": "linear", "c": 1.0},
+            {"kernel": "rbf", "c": 1.0, "gamma": 0.1}],
+    "mlp": [{"hidden": 4, "epochs": 20}],
+}
+
+
+def mutate_numbers(data, table):
+    """``table``'s lines with one to three drawn numeric mutations: huge or
+    tiny magnitudes in a cell or a column, a constant or all-NaN column, a
+    repeated row, or only two subjects per class."""
+    header, *body = [line.split(",") for line in table]
+    columns = st.integers(1, len(header) - 2)
+    for _ in range(data.draw(st.integers(1, 3))):
+        op = data.draw(st.sampled_from(["huge", "tiny", "constant", "all NaN",
+                                        "repeat row", "two per class"]))
+        j = data.draw(columns)
+        if op in ("huge", "tiny"):
+            exponent = data.draw(st.integers(100, 307) if op == "huge"
+                                 else st.integers(-323, -100))
+            rows = body if data.draw(st.booleans()) \
+                else [data.draw(st.sampled_from(body))]
+            for row in rows:
+                if row[j]:
+                    row[j] = repr(float(row[j]) * 10.0 ** exponent)
+        elif op == "constant":
+            value = data.draw(st.sampled_from([0.0, -1.0, 1e300, 5e-324]))
+            for row in body:
+                row[j] = repr(value)
+        elif op == "all NaN":
+            for row in body:
+                row[j] = ""
+        elif op == "repeat row":
+            # the same features under a new id, with either label
+            copy = list(data.draw(st.sampled_from(body)))
+            copy[0] = f"R{len(body):03d}"
+            copy[-1] = data.draw(st.sampled_from(["unipolar", "bipolar"]))
+            body.append(copy)
+        else:  # the first two subjects of each class
+            body = [row for i, row in enumerate(body)
+                    if [r[-1] for r in body[:i]].count(row[-1]) < 2]
+    return "".join(",".join(row) + "\n" for row in [header, *body])
+
+
+class TestMutatedNumericTables:
+    """A parseable table of finite, huge, tiny, constant or missing values
+    gives a report that equals the library's, or a typed exit with one
+    stderr line; never a traceback or a NumPy warning."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_bench_reports_or_exits_cleanly(self, fuzz_base,
+                                            tmp_path_factory, data):
+        from wearbench import mlbench
+        from wearbench.models import MODEL_KINDS_BY_NAME
+        text = mutate_numbers(data, fuzz_base["table"])
+        with tempfile.TemporaryDirectory(
+                dir=tmp_path_factory.getbasetemp()) as out:
+            Path(out, "features.csv").write_text(text)
+            Path(out, "cfg.json").write_text(
+                json.dumps({"bench": {"grids": SMALL_GRIDS}}))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = cli.main(["--config", str(Path(out, "cfg.json")),
+                                 "--out", out, "--seed", "5", "bench",
+                                 "--features", "all"])
+                lines = err.getvalue().splitlines()
+                assert code in (0, 2, 4), lines
+                if code != 0:
+                    assert len(lines) == 1, lines
+                    return
+                matrix = mlbench.assemble_matrix(
+                    pipeline.read_features_csv(Path(out, "features.csv")),
+                    "all")
+                for name, grid in SMALL_GRIDS.items():
+                    report = json.loads(
+                        Path(out, f"bench_all_{name}.json").read_text())
+                    assert all(math.isfinite(report["metrics"][key]) for key
+                               in ("accuracy", "precision", "recall", "f1"))
+                    assert report == mlbench.loocv_grid_search(
+                        matrix, MODEL_KINDS_BY_NAME[name], grid, seed=5,
+                        selector="all")
 
 
 @pytest.fixture(scope="module")

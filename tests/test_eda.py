@@ -68,7 +68,55 @@ class TestDecompose:
             assert f1[name] == pytest.approx(f0[name], abs=1e-6)
 
 
+def loop_detect_scr(decomp, min_amplitude=0.01):
+    """Per-sample reference for ``eda.detect_scr``: walk back from each
+    local maximum while the phasic signal keeps decreasing."""
+    p = decomp.phasic
+    events = []
+    for i in range(1, p.size - 1):
+        if not (p[i] > p[i - 1] and p[i] >= p[i + 1]):
+            continue
+        if p[i] < min_amplitude:
+            continue
+        j = i
+        while j > 0 and p[j - 1] < p[j]:
+            j -= 1
+        amplitude = float(p[i] - p[j])
+        if amplitude >= min_amplitude and j < i:
+            events.append(eda.ScrEvent(onset_index=j, peak_index=i,
+                                       amplitude=amplitude))
+    events.sort(key=lambda e: (e.onset_index, e.peak_index))
+    return events
+
+
+# few distinct levels, so runs, plateaus and exact ties are common
+TIE_LEVELS = [-0.3, -0.01, 0.0, 0.005, 0.01, 0.02, 0.05, 0.3, 0.31,
+              float("nan")]
+
+
 class TestDetectScr:
+    @given(levels=st.lists(st.sampled_from(TIE_LEVELS)
+                           | st.floats(-1.0, 1.0), max_size=60),
+           min_amplitude=st.sampled_from([0.0, 0.01, 0.05, 0.3]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_per_sample_loop(self, levels, min_amplitude):
+        phasic = np.asarray(levels, dtype=float)
+        decomp = eda.EdaDecomposition(tonic=np.zeros_like(phasic),
+                                      phasic=phasic, sample_rate_hz=4.0)
+        assert eda.detect_scr(decomp, min_amplitude) == \
+            loop_detect_scr(decomp, min_amplitude)
+
+    @pytest.mark.parametrize("min_amplitude", [0.0, 0.01, 0.05, 0.3])
+    def test_equals_per_sample_loop_on_a_session(self, min_amplitude):
+        channel, _ = session_eda(synth.SynthSpec(
+            seed=11, duration_s=180.0,
+            scr_events=((40.0, 0.3), (100.0, 0.5), (160.0, 0.7))))
+        decomp = eda.decompose_eda(channel)
+        events = eda.detect_scr(decomp, min_amplitude)
+        assert events == loop_detect_scr(decomp, min_amplitude)
+        assert all(type(e.onset_index) is int and type(e.peak_index) is int
+                   and type(e.amplitude) is float for e in events)
+
     def test_flat_phasic_no_events(self):
         decomp = eda.decompose_eda(eda_channel(np.full(400, 2.0)))
         assert eda.detect_scr(decomp) == []

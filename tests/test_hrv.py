@@ -537,6 +537,17 @@ class TestFreqFeatures:
         with pytest.raises(SpanTooShort):
             hrv.hrv_freq_features(nn_from_intervals([1000.0] * 20))
 
+    def test_rejects_interp_rate_outside_its_range(self):
+        # Nyquist must clear the HF band's top; the series holds span x rate
+        # samples, so the rate is capped at the BVP rate
+        nn = modulated_nn(0.10)
+        for rate in (np.nextafter(0.8, math.inf), hrv.MAX_NN_INTERP_RATE_HZ):
+            assert math.isfinite(hrv.hrv_freq_features(nn, rate)["HRV_TP"])
+        for rate in (0.5, 0.8, np.nextafter(hrv.MAX_NN_INTERP_RATE_HZ,
+                                            math.inf), 1e5, 1e300, math.nan):
+            with pytest.raises(ValueError, match="above 0.8 and at most 64"):
+                hrv.hrv_freq_features(nn, rate)
+
     def test_interpolation_matches_scipy_clamped(self):
         from scipy.interpolate import CubicSpline
         rng = np.random.default_rng(6)

@@ -1,3 +1,4 @@
+import json
 import warnings
 from pathlib import Path
 
@@ -7,8 +8,6 @@ import pytest
 from wearbench import mlbench, pipeline
 from wearbench.errors import ClassUnderpopulated, EmptyConfusion
 from wearbench.mlbench import (
-    Confusion,
-    EvalReport,
     FeatureMatrix,
     SubjectFeatures,
     apply_standardizer,
@@ -115,39 +114,40 @@ class TestMetrics:
     def test_reference_row_fixtures(self):
         # frozen confusion matrices whose metric quadruples were computed
         # independently by hand
-        m = compute_metrics(Confusion(tp=17, tn=13, fp=0, fn=1))
-        assert (round(m.accuracy, 2), round(m.precision, 2),
-                round(m.recall, 2), round(m.f1, 2)) == \
+        m = compute_metrics({"tp": 17, "tn": 13, "fp": 0, "fn": 1})
+        assert (round(m["accuracy"], 2), round(m["precision"], 2),
+                round(m["recall"], 2), round(m["f1"], 2)) == \
             (96.77, 100.0, 94.44, 97.14)
-        m = compute_metrics(Confusion(tp=18, tn=1, fp=12, fn=0))
-        assert (round(m.accuracy, 2), round(m.precision, 2),
-                round(m.recall, 2), round(m.f1, 2)) == (61.29, 60.0, 100.0,
-                                                        75.0)
+        m = compute_metrics({"tp": 18, "tn": 1, "fp": 12, "fn": 0})
+        assert (round(m["accuracy"], 2), round(m["precision"], 2),
+                round(m["recall"], 2), round(m["f1"], 2)) == \
+            (61.29, 60.0, 100.0, 75.0)
 
     def test_perfect_single_class(self):
-        m = compute_metrics(Confusion(tp=5, tn=0, fp=0, fn=0))
-        assert (m.accuracy, m.precision, m.recall, m.f1) == \
+        m = compute_metrics({"tp": 5, "tn": 0, "fp": 0, "fn": 0})
+        assert (m["accuracy"], m["precision"], m["recall"], m["f1"]) == \
             (100.0, 100.0, 100.0, 100.0)
-        assert m.degenerate == ()
+        assert m["degenerate"] == []
 
     def test_degenerate_flags(self):
-        m = compute_metrics(Confusion(tp=0, tn=5, fp=0, fn=0))
-        assert m.precision == 0.0 and m.recall == 0.0 and m.f1 == 0.0
-        assert set(m.degenerate) == {"precision", "recall", "f1"}
+        m = compute_metrics({"tp": 0, "tn": 5, "fp": 0, "fn": 0})
+        assert m["precision"] == 0.0 and m["recall"] == 0.0 \
+            and m["f1"] == 0.0
+        assert set(m["degenerate"]) == {"precision", "recall", "f1"}
 
     def test_empty_confusion(self):
         with pytest.raises(EmptyConfusion):
-            compute_metrics(Confusion(tp=0, tn=0, fp=0, fn=0))
+            compute_metrics({"tp": 0, "tn": 0, "fp": 0, "fn": 0})
 
     def test_metrics_recompute_from_confusion(self):
         rows = toy_rows()
         matrix = assemble_matrix(rows, "all")
         report = loocv_grid_search(matrix, ModelKind.KNN, [{"k": 1}, {"k": 3}],
                                    seed=0)
-        again = compute_metrics(report.confusion)
-        assert again.accuracy == pytest.approx(report.metrics.accuracy,
-                                               abs=0.01)
-        assert again.f1 == pytest.approx(report.metrics.f1, abs=0.01)
+        again = compute_metrics(report["confusion"])
+        assert again["accuracy"] == pytest.approx(
+            report["metrics"]["accuracy"], abs=0.01)
+        assert again["f1"] == pytest.approx(report["metrics"]["f1"], abs=0.01)
 
 
 def manual_knn_loocv(values, labels, k):
@@ -181,17 +181,17 @@ class TestLoocv:
         matrix = assemble_matrix(toy_rows(), "all")
         report = loocv_grid_search(matrix, ModelKind.KNN, [{"k": 3}], seed=0)
         manual = manual_knn_loocv(matrix.values, matrix.labels, 3)
-        got = np.array([p for _, _, p in report.per_fold])
+        got = np.array([f["predicted"] for f in report["per_fold"]])
         assert np.array_equal(got, manual)
-        assert report.n_grid_points == 1
+        assert report["grid_search"]["n_points"] == 1
 
     def test_every_subject_predicted_once(self):
         matrix = assemble_matrix(toy_rows(n0=4, n1=5), "all")
         report = loocv_grid_search(matrix, ModelKind.DECISION_TREE,
                                    [{"max_depth": 2}], seed=0)
-        subjects = [sid for sid, _, _ in report.per_fold]
+        subjects = [f["subject_id"] for f in report["per_fold"]]
         assert subjects == list(matrix.subject_ids)
-        assert report.confusion.total == 9
+        assert sum(report["confusion"].values()) == 9
 
     def test_fold_hygiene_with_extreme_outlier(self):
         # the held-out row must not contaminate that fold's training
@@ -205,7 +205,8 @@ class TestLoocv:
         matrix = matrix_from_arrays(values, labels)
         report = loocv_grid_search(matrix, ModelKind.KNN, [{"k": 1}], seed=0)
         manual = manual_knn_loocv(values, labels, 1)
-        assert np.array_equal([p for _, _, p in report.per_fold], manual)
+        assert np.array_equal([f["predicted"] for f in report["per_fold"]],
+                              manual)
 
     def test_determinism(self):
         matrix = assemble_matrix(toy_rows(seed=9), "all")
@@ -225,8 +226,8 @@ class TestLoocv:
                                   seed=0)
             b = loocv_grid_search(assemble_matrix(perm_rows, "all"), kind,
                                   grid, seed=0)
-            assert a.metrics == b.metrics
-            assert a.confusion == b.confusion
+            assert a["metrics"] == b["metrics"]
+            assert a["confusion"] == b["confusion"]
 
     def test_grid_selects_best_accuracy_first_on_ties(self):
         matrix = assemble_matrix(toy_rows(seed=5), "all")
@@ -235,10 +236,10 @@ class TestLoocv:
         accs = []
         for hp in grid:
             single = loocv_grid_search(matrix, ModelKind.KNN, [hp], seed=0)
-            accs.append(single.metrics.accuracy)
+            accs.append(single["metrics"]["accuracy"])
         best = max(accs)
-        assert report.metrics.accuracy == best
-        assert report.model.hyperparameters == grid[accs.index(best)]
+        assert report["metrics"]["accuracy"] == best
+        assert report["model"]["hyperparameters"] == grid[accs.index(best)]
 
     def test_positive_class_configurable(self):
         matrix = assemble_matrix(toy_rows(), "all")
@@ -246,8 +247,8 @@ class TestLoocv:
                                  positive_class=1)
         rep0 = loocv_grid_search(matrix, ModelKind.KNN, [{"k": 1}], seed=0,
                                  positive_class=0)
-        assert rep1.confusion.tp == rep0.confusion.tn
-        assert rep1.confusion.fp == rep0.confusion.fn
+        assert rep1["confusion"]["tp"] == rep0["confusion"]["tn"]
+        assert rep1["confusion"]["fp"] == rep0["confusion"]["fn"]
 
     def test_too_few_subjects(self):
         matrix = matrix_from_arrays(np.zeros((2, 2)), [0, 1])
@@ -256,9 +257,8 @@ class TestLoocv:
 
     def test_report_json_shape(self):
         matrix = assemble_matrix(toy_rows(), "all")
-        report = loocv_grid_search(matrix, ModelKind.KNN, [{"k": 1}], seed=0,
-                                   selector="all")
-        data = report.to_json_dict()
+        data = loocv_grid_search(matrix, ModelKind.KNN, [{"k": 1}], seed=0,
+                                 selector="all")
         assert data["grid_search"]["optimistic_bias"] is True
         assert data["model"]["kind"] == "knn"
         assert len(data["per_fold"]) == 11
@@ -296,17 +296,25 @@ def oracle_grid_search(matrix, kind, grid, seed):
             best = (accuracy, gi, preds)
     _, gi, preds = best
     labels = matrix.labels
-    confusion = Confusion(tp=int(np.sum((preds == 1) & (labels == 1))),
-                          tn=int(np.sum((preds == 0) & (labels == 0))),
-                          fp=int(np.sum((preds == 1) & (labels == 0))),
-                          fn=int(np.sum((preds == 0) & (labels == 1))))
-    return EvalReport(
-        model=ModelSpec(kind, grid[gi]), confusion=confusion,
-        metrics=compute_metrics(confusion),
-        per_fold=tuple((sid, int(t), int(p)) for sid, t, p
-                       in zip(matrix.subject_ids, labels, preds)),
-        selector="all", positive_class=1, seed=seed,
-        points=tuple(points))
+    confusion = {"tp": int(np.sum((preds == 1) & (labels == 1))),
+                 "tn": int(np.sum((preds == 0) & (labels == 0))),
+                 "fp": int(np.sum((preds == 1) & (labels == 0))),
+                 "fn": int(np.sum((preds == 0) & (labels == 1)))}
+    return {
+        "model": {"kind": kind.value,
+                  "display_name": mlbench.MODEL_DISPLAY_NAMES[kind],
+                  "hyperparameters": grid[gi]},
+        "confusion": confusion,
+        "metrics": compute_metrics(confusion),
+        "per_fold": [{"subject_id": sid, "true": int(t), "predicted": int(p)}
+                     for sid, t, p in zip(matrix.subject_ids, labels, preds)],
+        "selector": "all", "positive_class": 1, "seed": seed,
+        "grid_search": {
+            "n_points": len(grid),
+            "selection": "pooled LOOCV accuracy, first best on ties",
+            "optimistic_bias": True,
+            "points": [{"hyperparameters": hp, "accuracy": accuracy}
+                       for hp, accuracy in points]}}
 
 
 TWO_POINT_GRIDS = {
@@ -425,7 +433,7 @@ class TestSelectionSurface:
         matrix = assemble_matrix(toy_rows(seed=5), "all")
         grid = (SHARED_KERNEL_SVM_GRID if kind is ModelKind.SVM
                 else TWO_POINT_GRIDS[kind])
-        data = loocv_grid_search(matrix, kind, grid, seed=3).to_json_dict()
+        data = loocv_grid_search(matrix, kind, grid, seed=3)
         points = data["grid_search"]["points"]
         assert len(points) == data["grid_search"]["n_points"] == len(grid)
         assert [p["hyperparameters"] for p in points] == grid
@@ -438,7 +446,25 @@ class TestSelectionSurface:
             return  # a seeded point's fold seeds depend on its grid index
         for hp, accuracy in zip(grid, accuracies):
             single = loocv_grid_search(matrix, kind, [hp], seed=3)
-            assert single.metrics.accuracy == accuracy
+            assert single["metrics"]["accuracy"] == accuracy
+
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+    def test_report_is_plain_json(self, kind):
+        report = loocv_grid_search(assemble_matrix(toy_rows(), "all"), kind,
+                                   TWO_POINT_GRIDS[kind], seed=3)
+        assert json.loads(json.dumps(report)) == report
+
+        def values(v):
+            yield v
+            children = v.values() if type(v) is dict \
+                else v if type(v) is list else ()
+            for child in children:
+                yield from values(child)
+
+        # exact types: a NumPy float64 is a float subclass, and a tuple
+        # would come back from JSON as a list
+        plain = (int, float, str, bool, list, dict, type(None))
+        assert all(type(v) in plain for v in values(report))
 
     def test_seed11_linear_svm_c1_and_c10_tie(self):
         table = (Path(__file__).resolve().parents[1] / "perfbench"
@@ -447,8 +473,9 @@ class TestSelectionSurface:
         report = loocv_grid_search(matrix, ModelKind.SVM,
                                    mlbench.default_grids()[ModelKind.SVM],
                                    seed=11)
-        linear = {hp["c"]: accuracy for hp, accuracy in report.points
-                  if hp["kernel"] == "linear"}
+        linear = {p["hyperparameters"]["c"]: p["accuracy"]
+                  for p in report["grid_search"]["points"]
+                  if p["hyperparameters"]["kernel"] == "linear"}
         assert linear[1.0] == linear[10.0]
 
 
@@ -468,7 +495,7 @@ class TestGrids:
         matrix = assemble_matrix(toy_rows(), "all")
         report = loocv_grid_search(matrix, ModelKind.GRADIENT_BOOSTING,
                                    [{"n_estimators": 10}], seed=0)
-        table = mlbench.render_markdown_table([report.to_json_dict()])
+        table = mlbench.render_markdown_table([report])
         assert table.splitlines()[0] == \
             "| Method | Accuracy | Precision | Recall | F1 Score |"
         assert "GB (stands in for XGB)" in table

@@ -1,6 +1,6 @@
-"""Every top-level function and class in ``src/wearbench``, and every
-private top-level constant, is used by the package itself: code that only
-tests call belongs in the tests, and a private name nothing reads is dead."""
+"""Every top-level function, class and constant in ``src/wearbench`` is
+used by the package itself: code that only tests call belongs in the tests,
+and a name nothing reads is dead."""
 import ast
 from pathlib import Path
 
@@ -24,8 +24,8 @@ def _references(tree: ast.Module, modules: set):
 
 
 def _checked_definitions(tree: ast.Module):
-    """``(name, node)`` of each top-level def and class, and of each
-    private constant; dunders are exempt."""
+    """``(name, node)`` of each top-level def, class and constant; dunders
+    are exempt."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -33,7 +33,7 @@ def _checked_definitions(tree: ast.Module):
             targets = node.targets if isinstance(node, ast.Assign) \
                 else [node.target]
             names = [n.id for t in targets for n in ast.walk(t)
-                     if isinstance(n, ast.Name) and n.id.startswith("_")]
+                     if isinstance(n, ast.Name)]
         else:
             continue
         for name in names:
@@ -42,8 +42,8 @@ def _checked_definitions(tree: ast.Module):
 
 
 def unreferenced_names(src: Path) -> list:
-    """``module.name`` of each top-level def or class, or private constant,
-    that no code under ``src`` refers to outside its own definition."""
+    """``module.name`` of each top-level def, class or constant that no
+    code under ``src`` refers to outside its own definition."""
     files = sorted(src.glob("*.py"))
     modules = {path.stem for path in files}
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
@@ -75,7 +75,8 @@ def test_scan_finds_a_test_only_function(tmp_path):
         "class Shape:\n    pass\n")
     (tmp_path / "b.py").write_text("from . import a\n\nVALUE = a.used()\n"
                                    "\n\ndef shape():\n    return a.Shape\n")
-    assert unreferenced_names(tmp_path) == ["a.only_for_tests", "b.shape"]
+    assert unreferenced_names(tmp_path) == ["a.only_for_tests", "b.VALUE",
+                                            "b.shape"]
 
 
 def test_scan_finds_unused_private_names(tmp_path):
@@ -88,4 +89,16 @@ def test_scan_finds_unused_private_names(tmp_path):
         "class _Unused:\n    pass\n")
     (tmp_path / "b.py").write_text("from . import a\n\nVALUE = a.used()\n")
     assert unreferenced_names(tmp_path) == [
-        "a._OVER", "a._queries", "a._Unused"]
+        "a._OVER", "a.PUBLIC", "a._queries", "a._Unused", "b.VALUE"]
+
+
+def test_scan_finds_unused_public_constants(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "__version__ = '1'\nLIMIT = 3\nLOW, HIGH = 1, 2\n"
+        "TABLE: dict = {}\nONLY_FOR_TESTS = 4\n\n\n"
+        "def used():\n    return LIMIT + LOW\n")
+    (tmp_path / "b.py").write_text(
+        "from . import a\nfrom .a import TABLE\n\nVALUE = a.used()\n"
+        "\n\ndef size():\n    return len(TABLE) + VALUE\n")
+    assert unreferenced_names(tmp_path) == [
+        "a.HIGH", "a.ONLY_FOR_TESTS", "b.size"]

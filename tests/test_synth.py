@@ -157,7 +157,7 @@ class TestGenerateCohort:
         report = mlbench.loocv_grid_search(
             matrix, ModelKind.KNN, mlbench.default_grids()[ModelKind.KNN],
             seed=51, selector="acc")
-        assert report.metrics.accuracy >= 90.0
+        assert report["metrics"]["accuracy"] >= 90.0
 
     def test_zero_offset_classes_indistinguishable(self, tmp_path):
         # same draw distributions for both classes: kNN stays near chance
@@ -171,4 +171,4 @@ class TestGenerateCohort:
             pipeline.read_features_csv(features_path), "acc")
         report = mlbench.loocv_grid_search(matrix, ModelKind.KNN, [{"k": 5}],
                                            seed=104, selector="acc")
-        assert 20.0 <= report.metrics.accuracy <= 80.0
+        assert 20.0 <= report["metrics"]["accuracy"] <= 80.0
