@@ -19,6 +19,7 @@ from .hrv import HF_BAND, MAX_NN_INTERP_RATE_HZ
 from .mlbench import FEATURE_GROUPS
 from .models import MODEL_KINDS_BY_NAME
 from .session_io import ValidationPolicy, read_text
+from .synth import MAX_COHORT_DURATION_S, MIN_COHORT_DURATION_S
 
 ENV_PREFIX = "WEARBENCH_"
 
@@ -61,6 +62,10 @@ _BAND = (lambda v: isinstance(v, (list, tuple)) and len(v) == 2
          and all(map(finite_number, v)) and 0 < v[0] < v[1],
          "[low, high] with 0 < low < high")
 _PATH = (lambda v: v is None or isinstance(v, str), "null or a string")
+_COHORT_DURATION = (
+    lambda v: finite_number(v)
+    and MIN_COHORT_DURATION_S <= v <= MAX_COHORT_DURATION_S,
+    f"a number in [{MIN_COHORT_DURATION_S:g}, {MAX_COHORT_DURATION_S:g}]")
 
 # hyperparameters each model's grid may set -> range
 GRID_KEYS = {
@@ -121,7 +126,8 @@ RANGES = {
                  "acc_inactivity_threshold": _NON_NEGATIVE},
     "validation": {"min_duration_seconds": _RATE,
                    "max_duration_skew_seconds": _NON_NEGATIVE},
-    "synth": {"n_unipolar": _COUNT, "n_bipolar": _COUNT, "duration_s": _RATE,
+    "synth": {"n_unipolar": _COUNT, "n_bipolar": _COUNT,
+              "duration_s": _COHORT_DURATION,
               "offset_acc_dominant_freq_hz": _FINITE,
               "offset_temp_trend_c_per_s": _FINITE,
               "offset_heart_rate_bpm": _FINITE,

@@ -16,6 +16,11 @@ text in one NumPy call; any other body, and any body NumPy rejects, goes
 through a row loop, which alone raises the body errors and numbers their
 rows.
 
+Samples are written with ``%.6f``. NumPy writes a body in chunks from the
+rounded integer ``|x| * 1e6`` where that rounding is exact for every value;
+any other channel goes through one ``%`` format over all its values, which
+writes the same bytes.
+
 Labels live in a separate manifest CSV with header ``subject_id,label`` and
 case-insensitive labels ``unipolar`` / ``bipolar``. The manifest is a subject
 table (:func:`read_subject_table`) with no columns between the two.
@@ -270,14 +275,137 @@ def _parse_body_rows(body: list[str], kind: ChannelKind) -> np.ndarray:
     return rows[:, 0] if width == 1 else rows
 
 
+# --- channel CSV writing -------------------------------------------------------
+
+# the fast path's bound on |x| * 1e6: below 2**50, np.spacing is at most 1/8,
+# so the product's rounding error cannot carry it across a half-integer that
+# lies more than np.spacing away (|x| up to about 1.13e9 qualifies)
+_MAX_SCALED = 2.0 ** 50
+# values formatted per NumPy pass: enough to amortise each pass's overhead,
+# few enough that a chunk's arrays stay small beside the text
+_CHUNK = 8192
+
+
+def _zero_padded(n: int) -> np.ndarray:
+    """The ASCII bytes of ``f"{i:0{n}d}"`` for each ``i < 10**n``, one row
+    each; set by broadcasting, so no integer temporaries raise the import's
+    peak memory."""
+    digits = np.arange(ord("0"), ord("0") + 10, dtype=np.uint8)
+    text = np.empty((10,) * n + (n,), np.uint8)
+    for place in range(n):
+        # the digit at this place is the index along axis ``place``
+        text[..., place] = digits.reshape((10,) + (1,) * (n - 1 - place))
+    return text.reshape(10 ** n, n)
+
+
+# f"{i:04d}" and f"{i:02d}" as one uint32 or uint16 of raw bytes per i
+_DIGITS4 = _zero_padded(4).view(np.uint32).ravel()
+_DIGITS2 = _zero_padded(2).view(np.uint16).ravel()
+
+
 def serialize_channel_csv(channel: SignalChannel) -> str:
-    """Inverse of :func:`parse_channel_csv`; samples written with 6 decimals."""
+    """Inverse of :func:`parse_channel_csv`; samples written with ``%.6f``.
+
+    The body comes from :func:`_fixed6_chunks` when that is exact for
+    every sample, and otherwise from one ``%`` format over all samples
+    (for example when a value is not finite, too large, or a near tie at
+    the sixth decimal); both give the same bytes.
+    """
     width = channel.kind.width
     header1 = ",".join([str(channel.start_time)] * width)
     header2 = ",".join([f"{channel.sample_rate:.6f}"] * width)
-    row = ",".join(["%.6f"] * width) + "\n"
-    body = row * channel.n_samples % tuple(channel.samples.ravel().tolist())
-    return f"{header1}\n{header2}\n{body}"
+    values = channel.samples.ravel()
+    parts = _fixed6_chunks(values, width)
+    if parts is None:
+        row = ",".join(["%.6f"] * width) + "\n"
+        parts = [row * channel.n_samples % tuple(values.tolist())]
+    return "".join([header1, "\n", header2, "\n", *parts])
+
+
+def _fixed6_chunks(values: np.ndarray, width: int) -> list[str] | None:
+    """``values`` as ``%.6f`` text, ``width`` to a line, in chunks of
+    ``_CHUNK`` values (a row may straddle two chunks); None when any chunk
+    cannot be written exactly (see :func:`_fixed6_text`)."""
+    row_end = np.frombuffer(b"," * (width - 1) + b"\n", np.uint8)
+    seps = np.tile(row_end, _CHUNK // width + 2)
+    parts = []
+    for start in range(0, values.size, _CHUNK):
+        chunk = values[start:start + _CHUNK]
+        skip = start % width
+        text = _fixed6_text(chunk, seps[skip:skip + chunk.size])
+        if text is None:
+            return None
+        parts.append(text)
+    return parts
+
+
+def _column(buf: np.ndarray, shape: tuple[int, int], offset: int,
+            dtype) -> np.ndarray:
+    """One ``dtype`` item per row of a byte grid of ``shape`` held in
+    ``buf``, starting at byte ``offset`` of ``buf`` (items may be
+    unaligned)."""
+    return np.ndarray(shape[:1], dtype, buffer=buf, offset=offset,
+                      strides=shape[1:])
+
+
+def _fixed6_text(x: np.ndarray, seps: np.ndarray) -> str | None:
+    """``'%.6f' % v`` for each value of ``x``, each followed by its byte of
+    ``seps``; None when rounding ``|v| * 1e6`` might differ from rounding
+    the exact decimal value.
+
+    ``np.rint`` of the product gives the right digits when the product is
+    below ``_MAX_SCALED`` (so also finite) and not within ``np.spacing`` of
+    a half-integer (Steele & White, PLDI 1990); ``p * 2**-52`` bounds
+    ``np.spacing(p)`` from above. The sign comes from the sign bit, so
+    ``-0.0`` and small negatives print ``-0.000000`` as ``%`` does.
+    """
+    scaled = np.abs(x) * 1e6
+    if not (scaled < _MAX_SCALED).all():
+        return None
+    micros = np.rint(scaled)
+    if (np.abs(np.abs(scaled - micros) - 0.5) <= scaled * 2.0 ** -52).any():
+        return None
+    micros = micros.astype(np.int64)
+    whole = micros // 1_000_000
+    decimals = micros - whole * 1_000_000
+    first2 = decimals // 10_000
+    last4 = decimals - first2 * 10_000
+    negative = np.signbit(x)
+    top_digits = len(str(int(whole.max())))
+    n_digits = np.ones(x.size, np.int64)
+    for k in range(1, top_digits):
+        n_digits += whole >= 10 ** k
+    field = n_digits + negative  # sign and integer digits
+    d = int(field.max())
+    # one row of d + 8 bytes per value: the field right-aligned in d
+    # columns, then '.', six decimals and the separator; three spare bytes
+    # sit before row 0
+    w = d + 8
+    buf = np.empty(3 + x.size * w, np.uint8)
+    grid = buf[3:].reshape(x.size, w)
+    # integer digits in zero-padded groups of four, leftmost first; the
+    # leftmost may start up to three bytes before its row, in the spare
+    # bytes or the previous row's last decimals, which are written later
+    groups = (top_digits + 3) // 4
+    for g in reversed(range(groups)):
+        digits = whole // 10_000 ** g if g else whole
+        if g < groups - 1:
+            digits = digits % 10_000
+        _column(buf, grid.shape, 3 + d - 4 * (g + 1), np.uint32)[:] = \
+            _DIGITS4[digits]
+    rows = np.flatnonzero(negative)
+    grid[rows, d - 1 - n_digits[rows]] = ord("-")
+    grid[:, d] = ord(".")
+    _column(buf, grid.shape, 3 + d + 1, np.uint16)[:] = _DIGITS2[first2]
+    _column(buf, grid.shape, 3 + d + 3, np.uint32)[:] = _DIGITS4[last4]
+    grid[:, d + 7] = seps
+    if field.min() < d:
+        # keep each row from its field's first byte on
+        keep = np.ones(grid.shape, bool)
+        for c in range(d - 1):
+            keep[:, c] = field >= d - c
+        grid = grid[keep]
+    return str(grid, "ascii")
 
 
 # --- session directories ----------------------------------------------------------

@@ -108,15 +108,18 @@ def _beat_times(spec: SynthSpec) -> np.ndarray:
 def _bvp_channel(spec: SynthSpec, beats: np.ndarray,
                  rng: np.random.Generator, start_time: int) -> SignalChannel:
     n = int(round(spec.duration_s * BVP_RATE))
-    t = np.arange(n) / BVP_RATE
-    signal = np.zeros(n)
     width = 0.45 * 60.0 / spec.heart_rate_bpm  # systolic bump width, seconds
     half = width / 2.0
-    for tb in beats:
-        lo = max(0, int(math.ceil((tb - half) * BVP_RATE)))
-        hi = min(n, int(math.floor((tb + half) * BVP_RATE)) + 1)
-        tau = t[lo:hi] - tb
-        signal[lo:hi] += np.cos(math.pi * tau / width) ** 2
+    # each beat's bump covers the samples within half a width of it
+    lo = np.maximum(np.ceil((beats - half) * BVP_RATE).astype(np.int64), 0)
+    hi = np.minimum(np.floor((beats + half) * BVP_RATE).astype(np.int64) + 1, n)
+    counts = np.maximum(hi - lo, 0)
+    beat = np.repeat(np.arange(beats.size), counts)
+    index = np.arange(beat.size) - (np.cumsum(counts) - counts - lo)[beat]
+    tau = index / BVP_RATE - beats[beat]
+    signal = np.zeros(n)
+    # add.at sums the bumps that overlap one sample in beat order
+    np.add.at(signal, index, np.cos(math.pi * tau / width) ** 2)
     signal += rng.normal(0.0, BVP_NOISE, n)
     return SignalChannel(ChannelKind.BVP, start_time, BVP_RATE, signal)
 
@@ -217,6 +220,13 @@ class CohortOffsets:
     heart_rate_bpm: float = 0.0
     scr_amplitude_us: float = 0.0
     acc_inactive_fraction: float = 0.0
+
+
+# the cohort durations a run may ask for: a subject's SCR onsets lie from
+# 15 % to 85 % of the session give or take 4 s, which a session holds only
+# from about 26.7 s on, and generation time and memory grow with it
+MIN_COHORT_DURATION_S = 30.0
+MAX_COHORT_DURATION_S = 7 * 86_400.0
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from perfbench import gate
 from wearbench import cli, pipeline, synth
 from wearbench.actigraphy import ACC_FEATURE_NAMES
 from wearbench.mlbench import SubjectFeatures
@@ -99,6 +100,21 @@ class TestSynthCommand:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert "synth.duration_s" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("duration", ["12", "29.9", "1e12", "604801"])
+    def test_duration_outside_cohort_range_exits_2(self, duration, tmp_path,
+                                                   capsys):
+        # 12 s could place an SCR onset outside the session, and 1e12 s
+        # would loop over about 1.2e12 beats
+        out = tmp_path / "d"
+        code = run("--out", str(out), "synth", "--n-unipolar", "1",
+                   "--n-bipolar", "1", "--duration", duration)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            "configuration error: synth.duration_s must be a number in "
+            f"[30, 604800], got {float(duration)!r}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("source", ["flag", "env", "file"])
@@ -1003,3 +1019,15 @@ class TestEndToEndDeterminism:
         assert a.keys() == b.keys()
         for name in a:
             assert a[name] == b[name], name
+
+    @pytest.mark.parametrize("seed", range(11, 16))
+    def test_synth_cohort_matches_benchmark_reference(self, seed, tmp_path):
+        # the cohort files of the benchmark's extract-300s inputs, pinned
+        # byte for byte, so a change to synth or the CSV writer shows here
+        reference = json.loads((Path(__file__).resolve().parents[1]
+                                / "perfbench" / "reference"
+                                / "reference.json").read_text())
+        assert run("--out", str(tmp_path / "cohort"), "--seed", str(seed),
+                   "synth", "--duration", "300") == 0
+        assert gate.sha256_tree(tmp_path / "cohort") == \
+            reference[f"extract-300s/seed{seed}/cohort_sha256"]

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -103,6 +104,19 @@ def _old_serialize(channel):
     for row in np.atleast_2d(channel.samples.reshape(channel.n_samples, width)):
         lines.append(",".join(f"{v:.6f}" for v in row))
     return "\n".join(lines) + "\n"
+
+
+def _first_difference(text, reference):
+    """``(line number, line, reference line)`` where two texts first
+    differ, or None; a short report where a diff of the whole text would
+    take minutes."""
+    lines, ref_lines = text.split("\n"), reference.split("\n")
+    for i, (line, ref) in enumerate(zip(lines, ref_lines), start=1):
+        if line != ref:
+            return i, line, ref
+    if len(lines) != len(ref_lines):
+        return min(len(lines), len(ref_lines)) + 1, len(lines), len(ref_lines)
+    return None
 
 
 def _parse_outcome(content, kind):
@@ -261,6 +275,92 @@ class TestBulkSerialize:
         ch = SignalChannel(ChannelKind.EDA, 5, 4.0,
                            np.array([-0.0, 0.0000005, -1e-7, 2.5e-6, 1e15]))
         assert serialize_channel_csv(ch) == _old_serialize(ch)
+
+    @staticmethod
+    def _check(values, kind=ChannelKind.EDA, fast=True):
+        """Same bytes as the per-value format, and the fast path taken
+        (or refused) as ``fast`` says."""
+        values = np.asarray(values, dtype=float)
+        ch = SignalChannel(kind, 1700000000, 32.0,
+                           values.reshape(-1, kind.width) if kind.width == 3
+                           else values)
+        assert _first_difference(serialize_channel_csv(ch),
+                                 _old_serialize(ch)) is None
+        if fast is not None:
+            parts = session_io._fixed6_chunks(values.ravel(), kind.width)
+            assert (parts is not None) == fast
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 7812, 499_999, 36_412_345,
+                                   123_456_789_012])
+    def test_neighbours_of_sixth_decimal_ties(self, k):
+        # either path may write a near tie, but the bytes must not change
+        tie = (k + 0.5) * 1e-6
+        for step in range(-3, 4):
+            value = tie
+            for _ in range(abs(step)):
+                value = np.nextafter(value, np.inf if step > 0 else 0.0)
+            self._check([0.25, value, -1.5], fast=None)
+            self._check([0.25, -value, -1.5], fast=None)
+
+    def test_exact_tie_is_refused(self):
+        # 0.0078125 * 1e6 is exactly 7812.5, and 5e-7 * 1e6 lies within
+        # np.spacing of 0.5: np.rint of the product cannot be trusted there
+        self._check([0.25, 0.0078125], fast=False)
+        self._check([0.25, 5e-7], fast=False)
+        self._check([0.25, 0.0078124], fast=True)
+
+    def test_signed_zeros_and_tiny_negatives(self):
+        values = [-0.0, 0.0, -1e-300, -5e-324, -1e-9, -4.9e-7, 4.9e-7,
+                  -0.5000004, 3.0]
+        self._check(values)
+        text = serialize_channel_csv(
+            SignalChannel(ChannelKind.TEMP, 1, 4.0, np.array(values)))
+        assert text.splitlines()[2:6] == ["-0.000000", "0.000000",
+                                          "-0.000000", "-0.000000"]
+
+    def test_range_limit(self):
+        limit = session_io._MAX_SCALED / 1e6  # about 1.13e9
+        inside = [np.nextafter(limit, 0.0) - 0.5, 999_999_999.9999998,
+                  -1_000_000_000.25, 1_125_899_906.75]
+        self._check(inside + [1.0, -2.0])
+        for outside in (limit, np.nextafter(limit, np.inf), -2e9, np.inf,
+                        np.nan):
+            self._check(inside + [outside], fast=False)
+
+    @pytest.mark.parametrize("kind", [ChannelKind.BVP, ChannelKind.ACC])
+    def test_longer_than_one_chunk(self, kind):
+        rng = np.random.default_rng(5)
+        n = 3 * session_io._CHUNK + 7
+        scale = 10.0 ** rng.integers(-3, 6, n * kind.width)
+        self._check(rng.normal(0.0, 1.0, n * kind.width) * scale, kind)
+
+    def test_acc_rows_straddle_chunk_boundaries(self):
+        # a chunk is not a whole number of ACC rows, so rows cross its edge
+        chunk = session_io._CHUNK
+        assert chunk % 3
+        rng = np.random.default_rng(6)
+        values = rng.normal(0.0, 40.0, 2 * chunk + 2)
+        values[chunk - 2:chunk + 2] = [-0.0, 123.456789, -7e-7, 9e8]
+        self._check(values, ChannelKind.ACC)
+        text = serialize_channel_csv(SignalChannel(
+            ChannelKind.ACC, 1, 32.0, values.reshape(-1, 3)))
+        row = (chunk - 2) // 3 + 2  # the row holding values chunk-2..chunk
+        assert text.splitlines()[row].split(",") == [
+            f"{v:.6f}" for v in values[chunk - 2:chunk + 1]]
+
+    def test_long_channel_peak_memory(self):
+        # one text copy for the chunks and one for the joined result; the
+        # per-value format peaked near six
+        rng = np.random.default_rng(7)
+        ch = SignalChannel(ChannelKind.ACC, 1700000000, 32.0,
+                           rng.normal(0.4, 0.3, (1_000_000, 3)))
+        tracemalloc.start()
+        try:
+            text = serialize_channel_csv(ch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.05 * len(text)
 
 
 class TestSessionDirectories:

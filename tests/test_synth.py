@@ -25,6 +25,58 @@ def tree_checksum(root: Path) -> str:
     return digest.hexdigest()
 
 
+def _old_bvp_signal(spec, beats):
+    """The per-beat loop the vectorised pulse train replaced, before noise."""
+    import math
+    n = int(round(spec.duration_s * synth.BVP_RATE))
+    t = np.arange(n) / synth.BVP_RATE
+    signal = np.zeros(n)
+    width = 0.45 * 60.0 / spec.heart_rate_bpm
+    half = width / 2.0
+    for tb in beats:
+        lo = max(0, int(math.ceil((tb - half) * synth.BVP_RATE)))
+        hi = min(n, int(math.floor((tb + half) * synth.BVP_RATE)) + 1)
+        tau = t[lo:hi] - tb
+        signal[lo:hi] += np.cos(math.pi * tau / width) ** 2
+    return signal
+
+
+def _cohort_specs(seed, duration_s):
+    cohort = synth.CohortSpec(seed=seed, duration_s=duration_s)
+    rng = np.random.default_rng(seed)
+    return [synth._subject_spec(rng, cohort, label)
+            for label in [Label.UNIPOLAR] * 3 + [Label.BIPOLAR] * 3]
+
+
+class TestBvpPulseTrain:
+    @pytest.mark.parametrize("spec", _cohort_specs(11, 300.0)
+                             + _cohort_specs(12, 61.0)
+                             + [synth.SynthSpec(seed=3, duration_s=60.0,
+                                                heart_rate_bpm=60.0,
+                                                hrv_mod_depth_ms=0.0)])
+    def test_matches_per_beat_loop(self, spec):
+        beats = synth._beat_times(spec)
+        noise = np.random.default_rng(spec.seed).normal(
+            0.0, synth.BVP_NOISE, int(round(spec.duration_s * synth.BVP_RATE)))
+        bvp = synth._bvp_channel(spec, beats, np.random.default_rng(spec.seed),
+                                 0)
+        assert np.array_equal(bvp.samples, _old_bvp_signal(spec, beats) + noise)
+
+    def test_overlapping_bumps_add_in_beat_order(self):
+        # depth above 0.55 periods pulls neighbouring beats closer than the
+        # 0.45-period bump width; above 0.775 periods some samples take
+        # three bumps, where the order of the sums shows in the last bit
+        spec = synth.SynthSpec(seed=8, duration_s=120.0, heart_rate_bpm=75.0,
+                               hrv_mod_freq_hz=0.05, hrv_mod_depth_ms=700.0)
+        beats = synth._beat_times(spec)
+        width = 0.45 * 60.0 / spec.heart_rate_bpm
+        assert (beats[2:] - beats[:-2] < width).any()
+        bvp = synth._bvp_channel(spec, beats, np.random.default_rng(1), 0)
+        noise = np.random.default_rng(1).normal(0.0, synth.BVP_NOISE,
+                                                bvp.n_samples)
+        assert np.array_equal(bvp.samples, _old_bvp_signal(spec, beats) + noise)
+
+
 class TestGenerateSession:
     def test_deterministic(self):
         spec = synth.SynthSpec(seed=7, duration_s=70.0)
