@@ -19,11 +19,27 @@ from block to block, so Python runs about 2 sqrt(n) steps instead of n.
   converge to constants; each triangular sweep runs the rows before
   convergence and the last two rows one at a time, and the constant
   interior through the kernel.
+
+Work that depends only on the configuration is done once per process and
+kept in bounded ``functools.lru_cache`` caches. What a cache holds is
+exactly what a fresh computation gives, so its state never changes an
+output:
+
+* ``_design_butterworth``: a :class:`FilterDesign` (read-only ``sos``) per
+  order, kind, tuple of float cutoffs and float rate; 32 entries.
+* ``_sweep_tables``: the detrend factor's sweep tables per ``(n, lam^2)``;
+  8 entries. Past its convergence row the factor does not depend on n, so
+  every such n shares the entry of one fixed length, in effect keyed on
+  ``lam^2`` alone; only a signal too short for the factor to converge has
+  its own.
+* ``_block_responses``: the kernel's block responses per ``(a1, a2, block
+  length)``; 64 entries.
 """
 from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -109,11 +125,11 @@ def detrend(signal, lam: float = 500.0) -> np.ndarray:
         raise ValueError(f"lambda must be positive and at most "
                          f"{MAX_DETREND_LAMBDA:g}, got {lam}")
     lam2 = lam * lam
-    rows, k = _detrend_cholesky(n, lam2)
-    trend = _detrend_solve(rows, k, x)
+    tables = _detrend_tables(n, lam2)
+    trend = _detrend_solve(tables, x)
     # one refinement pass: the system is stiff for large lam
     resid = x - trend - lam2 * np.convolve(np.diff(trend, 2), [1.0, -2.0, 1.0])
-    trend = trend + _detrend_solve(rows, k, resid)
+    trend = trend + _detrend_solve(tables, resid)
     return x - trend
 
 
@@ -160,15 +176,37 @@ def _detrend_cholesky(n, lam2):
     return rows, n - 3 if k is None else k
 
 
-def _detrend_solve(rows, k, b):
-    """Solve ``L L' x = b`` with the factor from :func:`_detrend_cholesky`.
+# a factor length past the convergence row of every lambda tried: at most
+# row 127,357 over 2,000 lambdas from 1 to MAX_DETREND_LAMBDA
+_PROBE_N = 2 ** 18
 
-    Each sweep runs in three parts: the rows that differ from row k
-    exactly, the converged interior through :func:`_linear_recurrence`, and
-    the last rows exactly. The backward sweep is the forward sweep on
-    reversed input.
+
+def _detrend_tables(n, lam2):
+    """The sweep tables of :func:`_detrend_solve` for length ``n``.
+
+    Rows 0..k of the factor do not depend on the length, and the rows after
+    k are row k and two last rows that do not either; so every length
+    whose factor converges at the same row k has the same tables. Such an
+    ``n`` takes the tables built at ``_PROBE_N``, cached on ``lam2`` alone;
+    any other ``n`` gets those of its own factor, cached on ``(n, lam2)``.
     """
-    n = b.size
+    k, forward, backward = _sweep_tables(_PROBE_N, lam2)
+    # _detrend_cholesky detects convergence only before row length - 5
+    if k >= min(n, _PROBE_N) - 5:
+        _, forward, backward = _sweep_tables(n, lam2)
+    return forward, backward
+
+
+@functools.lru_cache(maxsize=8)
+def _sweep_tables(n, lam2):
+    """``(k, forward, backward)`` for the factor of :func:`_detrend_cholesky`.
+
+    ``forward`` and ``backward`` are the ``(head, mid, tail)`` coefficients
+    of :func:`_triangular_sweep` for ``L y = b`` and for ``L' x = y`` on
+    reversed input: the rows that differ from row k, row k for the
+    converged interior, and the last rows.
+    """
+    rows, k = _detrend_cholesky(n, lam2)
 
     def row(j):
         if j < 0:
@@ -180,11 +218,23 @@ def _detrend_solve(rows, k, b):
     def forward(j):  # L y = b, equation j
         return (row(j)[0], row(j - 1)[1], row(j - 2)[2])
 
-    y = _triangular_sweep(b, [forward(j) for j in range(min(k + 2, n - 2))],
-                          rows[k], [forward(n - 2), forward(n - 1)])
-    x = _triangular_sweep(y[::-1], [row(n - 1), row(n - 2)], rows[k],
-                          [row(j) for j in range(k - 1, -1, -1)])
-    return x[::-1]
+    head = tuple(forward(j) for j in range(min(k + 2, n - 2)))
+    return (k, (head, rows[k], (forward(n - 2), forward(n - 1))),
+            ((row(n - 1), row(n - 2)), rows[k], tuple(reversed(rows[:k]))))
+
+
+def _detrend_solve(tables, b):
+    """Solve ``L L' x = b`` with the factor's tables from
+    :func:`_detrend_tables`.
+
+    Each sweep runs in three parts: the rows that differ from row k
+    exactly, the converged interior through :func:`_linear_recurrence`, and
+    the last rows exactly. The backward sweep is the forward sweep on
+    reversed input.
+    """
+    forward, backward = tables
+    y = _triangular_sweep(b, *forward)
+    return _triangular_sweep(y[::-1], *backward)[::-1]
 
 
 def _triangular_sweep(u, head, mid, tail):
@@ -202,7 +252,7 @@ def _triangular_sweep(u, head, mid, tail):
     c0, c1, c2 = mid
     middle = _linear_recurrence(u[h:u.size - t, None] / c0, c1 / c0, c2 / c0,
                                 (y1,), (y2,))[:, 0]
-    y2, y1 = np.concatenate([[y2, y1], middle])[-2:].tolist()
+    y2, y1 = ([y2, y1] + middle[-2:].tolist())[-2:]
     last = []
     for (c0, c1, c2), v in zip(tail, u[u.size - t:].tolist()):
         y1, y2 = (v - c1 * y1 - c2 * y2) / c0, y1
@@ -230,23 +280,29 @@ def _linear_recurrence(u: np.ndarray, a1: float, a2: float, y1, y2
         return np.zeros((0, c))
     size = max(2, math.isqrt(n - 1) + 1)
     blocks = -(-n // size)
-    padded = np.zeros((blocks * size, c))
-    padded[:n] = u
+    full, rest = divmod(n, size)
     # z[i, b] is row b * size + i; padding only feeds rows past n
-    z = np.ascontiguousarray(padded.reshape(blocks, size, c).transpose(1, 0, 2))
-    z[1] -= a1 * z[0]
-    for i in range(2, size):
-        z[i] -= a1 * z[i - 1]
-        z[i] -= a2 * z[i - 2]
-    g1, g2 = [], []
-    p1, p2, q1, q2 = 1.0, 0.0, 0.0, 1.0
-    for _ in range(size):
-        p1, p2 = -a1 * p1 - a2 * p2, p1
-        q1, q2 = -a1 * q1 - a2 * q2, q1
-        g1.append(p1)
-        g2.append(q1)
+    z = np.empty((size, blocks, c))
+    by_block = z.transpose(1, 0, 2)
+    by_block[:full] = u[:full * size].reshape(full, size, c)
+    if rest:
+        by_block[full, :rest] = u[full * size:]
+        by_block[full, rest:] = 0.0
+    # in-block steps: each ufunc writes to its third (output) argument; as
+    # 0-d arrays, the coefficients pass through a ufunc call faster
+    rows = list(z)
+    t = np.empty((blocks, c))
+    m1, m2 = np.array(a1), np.array(a2)
+    multiply, subtract = np.multiply, np.subtract
+    multiply(m1, rows[0], t)
+    subtract(rows[1], t, rows[1])
+    for prev2, prev1, row in zip(rows, rows[1:], rows[2:]):
+        multiply(m1, prev1, t)
+        subtract(row, t, row)
+        multiply(m2, prev2, t)
+        subtract(row, t, row)
+    g1, g2, (h11, h12, h21, h22) = _block_responses(a1, a2, size)
     # state entering each block, per column
-    h11, h12, h21, h22 = g1[-1], g2[-1], g1[-2], g2[-2]
     s1, s2 = [], []
     for e1, e2, v1, v2 in zip(z[-1].T.tolist(), z[-2].T.tolist(), y1, y2):
         col1, col2 = [], []
@@ -256,9 +312,32 @@ def _linear_recurrence(u: np.ndarray, a1: float, a2: float, y1, y2
             v1, v2 = f1 + h11 * v1 + h12 * v2, f2 + h21 * v1 + h22 * v2
         s1.append(col1)
         s2.append(col2)
-    z += np.multiply.outer(g1, np.array(s1).T)
-    z += np.multiply.outer(g2, np.array(s2).T)
-    return z.transpose(1, 0, 2).reshape(blocks * size, c)[:n]
+    correction = np.empty_like(z)
+    np.multiply.outer(g1, np.ascontiguousarray(np.array(s1).T), out=correction)
+    z += correction
+    np.multiply.outer(g2, np.ascontiguousarray(np.array(s2).T), out=correction)
+    z += correction
+    del correction  # freed before the row-order copy below
+    return by_block.reshape(blocks * size, c)[:n]
+
+
+@functools.lru_cache(maxsize=64)
+def _block_responses(a1, a2, size):
+    """``(g1, g2, (g1[-1], g2[-1], g1[-2], g2[-2]))`` for
+    :func:`_linear_recurrence`: the responses over ``size`` rows to a unit
+    y[-1] and a unit y[-2] from zero input, as read-only arrays, and the
+    block-to-block state transition as floats."""
+    g1, g2 = [], []
+    p1, p2, q1, q2 = 1.0, 0.0, 0.0, 1.0
+    for _ in range(size):
+        p1, p2 = -a1 * p1 - a2 * p2, p1
+        q1, q2 = -a1 * q1 - a2 * q2, q1
+        g1.append(p1)
+        g2.append(q1)
+    transition = (g1[-1], g2[-1], g1[-2], g2[-2])
+    g1, g2 = np.array(g1), np.array(g2)
+    g1.flags.writeable = g2.flags.writeable = False
+    return g1, g2, transition
 
 
 # --- Butterworth design --------------------------------------------------------
@@ -271,6 +350,11 @@ def design_butterworth(order: int, kind: FilterKind, cutoffs_hz,
     the half-power point (-3.01 dB) exactly at the requested frequencies.
     ``order`` is the analog prototype order; a band-pass design therefore has
     ``2 * order`` poles.
+
+    Designs are cached on the order, the kind, the cutoffs as a tuple of
+    floats and the rate as a float, so a list and a tuple of the same
+    cutoffs share one design; its ``sos`` is read-only. Errors are raised
+    on every call.
     """
     if not isinstance(order, int) or order < 1:
         raise InvalidOrder(f"order must be a positive integer, got {order!r}")
@@ -278,6 +362,12 @@ def design_butterworth(order: int, kind: FilterKind, cutoffs_hz,
     if fs <= 0 or not math.isfinite(fs):
         raise InvalidCutoff("sample rate must be positive and finite")
     cutoffs = tuple(float(c) for c in np.atleast_1d(cutoffs_hz))
+    return _design_butterworth(order, kind, cutoffs, fs)
+
+
+@functools.lru_cache(maxsize=32)
+def _design_butterworth(order: int, kind: FilterKind,
+                        cutoffs: tuple[float, ...], fs: float) -> FilterDesign:
     nyq = fs / 2.0
     for c in cutoffs:
         if not (0.0 < c < nyq):
@@ -312,6 +402,7 @@ def design_butterworth(order: int, kind: FilterKind, cutoffs_hz,
         raise ValueError(f"unknown filter kind {kind!r}")
 
     sos = np.array([_normalize_section(sec, ref_omega) for sec in sections])
+    sos.flags.writeable = False
     design = FilterDesign(order=order, kind=kind, cutoffs_hz=cutoffs,
                           sample_rate_hz=fs, sos=sos)
     if np.any(np.abs(design.poles()) >= 1.0):
@@ -412,8 +503,12 @@ def _sosfilt_steady(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
     for b0, b1, b2, _, a1, a2 in sos.tolist():
         u0 = x[0]
         gain = (b0 + b1 + b2) / (1.0 + a1 + a2)
-        past = np.concatenate([[u0, u0], x[:-1]])
-        v = b0 * x + b1 * past[1:] + b2 * past[:-1]
+        # b0 x[i] + b1 x[i-1] + b2 x[i-2], summed in that order
+        v = b0 * x
+        v[1:] += b1 * x[:-1]
+        v[0] += b1 * u0
+        v[2:] += b2 * x[:-2]
+        v[:2] += b2 * u0
         y0 = (gain * u0).tolist()
         x = _linear_recurrence(v, a1, a2, y0, y0)
     return x

@@ -191,7 +191,9 @@ def parse_channel_csv(content: str, kind: ChannelKind) -> SignalChannel:
     values that are not finite numbers, and ``EmptyBody`` when no sample
     rows follow the header.
     """
-    text = content.replace("\r\n", "\n").replace("\r", "\n")
+    text = content
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     header = _HEADER.match(text)
     if header is None:
         raise MalformedHeader("need two header lines (start time, sample rate)")
@@ -213,11 +215,11 @@ def parse_channel_csv(content: str, kind: ChannelKind) -> SignalChannel:
                          sample_rate=sample_rate, samples=samples)
 
 
-# the characters of a plain decimal token; any other character in a body
+# the bytes of a plain decimal token; any other character in a body
 # (whitespace, ``_``, ``x``, letters of ``nan``/``inf``, non-ASCII digits)
 # sends it to the row loop, since ``float`` and ``np.fromstring`` disagree
 # on such tokens (``np.fromstring`` reads a cell of spaces as -1)
-_DROP_DECIMAL = str.maketrans("", "", "0123456789+-.eE")
+_DECIMAL_BYTES = b"0123456789+-.eE"
 
 
 def _parse_body_bulk(body: str, kind: ChannelKind) -> np.ndarray | None:
@@ -231,12 +233,16 @@ def _parse_body_bulk(body: str, kind: ChannelKind) -> np.ndarray | None:
     empty token (a blank line or cell) makes NumPy stop early: it raises
     ``ValueError``, or in older NumPy versions warns
     ``DeprecationWarning`` and returns the values read so far; both give
-    None, so no warning reaches the caller.
+    None, so no warning reaches the caller. The check runs on the body's
+    ASCII bytes; a body that is not ASCII gives None at once.
     """
-    separators = body.translate(_DROP_DECIMAL)
+    try:
+        separators = body.encode("ascii").translate(None, _DECIMAL_BYTES)
+    except UnicodeEncodeError:
+        return None
     if not body.endswith("\n"):
-        separators += "\n"
-    row_end = "," * (kind.width - 1) + "\n"
+        separators += b"\n"
+    row_end = b"," * (kind.width - 1) + b"\n"
     n_rows = separators.count(row_end)
     if n_rows * len(row_end) != len(separators):
         return None

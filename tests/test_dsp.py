@@ -125,6 +125,27 @@ def oracle_detrend(x, lam):
     return x - trend
 
 
+def per_call_sweep_tables(n, lam2):
+    """The ``(head, mid, tail)`` lists of both sweeps, built from the
+    factor of length n as each detrend call once built them."""
+    rows, k = dsp._detrend_cholesky(n, lam2)
+
+    def row(j):
+        if j < 0:
+            return (1.0, 0.0, 0.0)
+        if j <= k:
+            return rows[j]
+        return rows[k] if j <= n - 3 else rows[j - n + k + 3]
+
+    def forward(j):
+        return (row(j)[0], row(j - 1)[1], row(j - 2)[2])
+
+    return [[[forward(j) for j in range(min(k + 2, n - 2))], rows[k],
+             [forward(n - 2), forward(n - 1)]],
+            [[row(n - 1), row(n - 2)], rows[k],
+             [row(j) for j in range(k - 1, -1, -1)]]]
+
+
 def refined_dense_detrend(x, lam, passes):
     """Dense solve, refined ``passes`` times with a long-double residual."""
     dense = detrend_matrix(x.size, lam)
@@ -282,6 +303,33 @@ class TestDetrend:
         rows, k = dsp._detrend_cholesky(40, 500.0 * 500.0)
         assert k == 40 - 3
         assert len(rows) == 40
+
+    @pytest.mark.parametrize("lam", [1.0, 50.0, 500.0, 1e4])
+    def test_factor_does_not_depend_on_length_past_convergence(self, lam):
+        # the property that lets every such length share the tables cached
+        # on lam^2 alone
+        probe = dsp._detrend_cholesky(dsp._PROBE_N, lam * lam)
+        k = probe[1]
+        assert k < dsp._PROBE_N - 5
+        for n in (k + 6, k + 7, 2 * k + 13, 19_200, 100_003, dsp._PROBE_N,
+                  5_529_600):
+            assert dsp._detrend_cholesky(n, lam * lam) == probe
+        # one row shorter, the factor never converges
+        rows, k_short = dsp._detrend_cholesky(k + 5, lam * lam)
+        assert k_short == k + 2 and len(rows) == k + 5
+
+    def test_probe_length_converges_at_the_largest_lambda(self):
+        lam2 = dsp.MAX_DETREND_LAMBDA ** 2
+        assert dsp._detrend_cholesky(dsp._PROBE_N, lam2)[1] < dsp._PROBE_N - 5
+
+    @pytest.mark.parametrize("n,lam", [
+        (19_200, 500.0), (5_529_600, 500.0), (460, 500.0), (1000, 1.0),
+        (40, 500.0), (459, 500.0), (3, 50.0), (19_200, 1e6),
+    ])
+    def test_cached_tables_equal_the_lists_built_per_call(self, n, lam):
+        got = dsp._detrend_tables(n, lam * lam)
+        assert [[list(head), mid, list(tail)] for head, mid, tail in got] \
+            == per_call_sweep_tables(n, lam * lam)
 
     def test_matches_dense_solve_on_converged_path(self):
         # n is far past the row where the factor converges for lam = 500
@@ -547,6 +595,97 @@ class TestFiltFilt:
         sos = sps.butter(2, [0.7, 3.5], btype="band", fs=64.0, output="sos")
         ref = sps.sosfiltfilt(sos, x)
         assert np.max(np.abs(mine - ref)) < 1e-10
+
+
+    @pytest.mark.parametrize("cols", [1, 3])
+    def test_memory_stays_within_seven_signal_copies(self, bandpass_64, cols):
+        n = 100_000
+        rng = np.random.default_rng(cols)
+        x = rng.normal(size=(n, cols) if cols > 1 else n)
+        tracemalloc.start()
+        try:
+            dsp.filtfilt(bandpass_64, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 8 * n * cols
+
+
+# --- per-process caches ------------------------------------------------------------
+
+
+def clear_caches():
+    dsp._design_butterworth.cache_clear()
+    dsp._sweep_tables.cache_clear()
+    dsp._block_responses.cache_clear()
+
+
+class TestCaches:
+    """What the caches hold never changes an output."""
+
+    LENGTHS = [3, 5, 40, 460, 1000, 19_200]
+    LAMBDAS = [1.0, 50.0, 500.0, 1e4, 1e6]
+
+    def test_cold_and_warm_detrend_are_byte_identical(self):
+        # at lam = 1e6 the factor converges at row 20,596, so n = 19,200
+        # takes the tables of its own factor
+        assert dsp._sweep_tables(dsp._PROBE_N, 1e12)[0] == 20_596
+        signals = {n: np.cumsum(np.random.default_rng(n).normal(size=n))
+                   for n in self.LENGTHS}
+        cases = [(n, lam) for n in self.LENGTHS for lam in self.LAMBDAS]
+        cold = {}
+        for n, lam in cases:
+            clear_caches()
+            cold[n, lam] = dsp.detrend(signals[n], lam).tobytes()
+        # in reverse, each call meets the entries the calls before it left
+        for n, lam in reversed(cases):
+            assert dsp.detrend(signals[n], lam).tobytes() == cold[n, lam]
+
+    def test_cold_and_warm_filtfilt_are_byte_identical(self):
+        specs = [(2, dsp.FilterKind.BAND_PASS, (0.7, 3.5), 64.0),
+                 (5, dsp.FilterKind.LOW_PASS, (10.0,), 32.0),
+                 (4, dsp.FilterKind.LOW_PASS, [1.0], 4.0)]
+        cases = [(spec, n, cols) for n in self.LENGTHS[2:] for spec in specs
+                 for cols in (1, 3)]
+        rng = np.random.default_rng(0)
+        signals = {(n, cols): rng.normal(size=(n, cols) if cols > 1 else n)
+                   for n in self.LENGTHS[2:] for cols in (1, 3)}
+        cold = {}
+        for i, (spec, n, cols) in enumerate(cases):
+            clear_caches()
+            design = dsp.design_butterworth(*spec)
+            cold[i] = dsp.filtfilt(design, signals[n, cols]).tobytes()
+        for i, (spec, n, cols) in reversed(list(enumerate(cases))):
+            design = dsp.design_butterworth(*spec)
+            assert dsp.filtfilt(design, signals[n, cols]).tobytes() == cold[i]
+
+    def test_list_and_tuple_cutoffs_share_one_design(self):
+        clear_caches()
+        fresh = dsp.design_butterworth(2, dsp.FilterKind.BAND_PASS,
+                                       [0.7, 3.5], 64)
+        again = dsp.design_butterworth(2, dsp.FilterKind.BAND_PASS,
+                                       (0.7, 3.5), 64.0)
+        assert again is fresh
+        assert dsp._design_butterworth.cache_info().hits == 1
+        assert fresh.cutoffs_hz == (0.7, 3.5)
+        assert fresh.sample_rate_hz == 64.0
+
+    def test_cached_sos_is_read_only(self):
+        design = dsp.design_butterworth(5, dsp.FilterKind.LOW_PASS, (10.0,),
+                                        32.0)
+        with pytest.raises(ValueError, match="read-only"):
+            design.sos[0, 0] = 0.0
+
+    @pytest.mark.parametrize("kind,cutoffs,fs", [
+        (dsp.FilterKind.LOW_PASS, (4.0,), 8.0),
+        (dsp.FilterKind.BAND_PASS, (3.0, 1.0), 8.0),
+        (dsp.FilterKind.BAND_PASS, (1e-300, 2e-300), 64.0),
+        (dsp.FilterKind.LOW_PASS, (1.0,), math.nan),
+    ])
+    def test_invalid_cutoff_raises_on_every_call(self, kind, cutoffs, fs):
+        for _ in range(2):
+            with pytest.raises(InvalidCutoff):
+                dsp.design_butterworth(2, kind, cutoffs, fs)
 
 
 # --- Welch PSD ----------------------------------------------------------------------

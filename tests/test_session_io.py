@@ -239,6 +239,38 @@ class TestBulkParse:
         assert _same_outcome(_parse_outcome(content, kind),
                              _row_loop_outcome(content, kind))
 
+    @pytest.mark.parametrize("content,kind,want", [
+        # not ASCII: the byte check gives up, the row loop reads the digit
+        ("0\n4.0\n1\n\u0663\n", ChannelKind.EDA, [1.0, 3.0]),
+        ("0\n32,32,32\n1,2,3\n4,\u0663,6\n", ChannelKind.ACC,
+         [[1.0, 2.0, 3.0], [4.0, 3.0, 6.0]]),
+        ("0\n4.0\n1\n2\u00e9\n", ChannelKind.EDA,
+         (NonFiniteSample, "EDA row 4: bad value '2\u00e9'")),
+        ("0\n32,32,32\n1,2\u00a0,3\n", ChannelKind.ACC,
+         [[1.0, 2.0, 3.0]]),
+        # line ends other than LF are rewritten first
+        ("0\r4.0\r1.5\r-2\r", ChannelKind.EDA, [1.5, -2.0]),
+        ("0\r32,32,32\r1,2,3\r4,5,6", ChannelKind.ACC,
+         [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+        ("0\r\n4.0\n1\r\n2\n3\r\n", ChannelKind.EDA, [1.0, 2.0, 3.0]),
+        ("0\n4.0\r\n1\n2,3\r\n", ChannelKind.EDA,
+         (WidthMismatch, "EDA row 4: expected 1 columns, got 2")),
+        # no final newline
+        ("0\n4.0\n1\n2.5", ChannelKind.EDA, [1.0, 2.5]),
+        ("0\n32,32,32\n1,2,3\n4,5,6", ChannelKind.ACC,
+         [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+        ("0\n4.0\n1\nnan", ChannelKind.EDA,
+         (NonFiniteSample, "EDA row 4: non-finite value 'nan'")),
+    ])
+    def test_byte_check_and_line_ends_match_row_loop(self, content, kind,
+                                                     want):
+        got = _parse_outcome(content, kind)
+        assert _same_outcome(got, _row_loop_outcome(content, kind))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("partial", [[1.0], [1.0, 2.0]])
     def test_numpy_deprecation_warning_is_a_rejection(self, monkeypatch,
                                                       partial):
