@@ -28,10 +28,7 @@ output:
 * ``_design_butterworth``: a :class:`FilterDesign` (read-only ``sos``) per
   order, kind, tuple of float cutoffs and float rate; 32 entries.
 * ``_sweep_tables``: the detrend factor's sweep tables per ``(n, lam^2)``;
-  8 entries. Past its convergence row the factor does not depend on n, so
-  every such n shares the entry of one fixed length, in effect keyed on
-  ``lam^2`` alone; only a signal too short for the factor to converge has
-  its own.
+  8 entries.
 * ``_block_responses``: the kernel's block responses per ``(a1, a2, block
   length)``; 64 entries.
 """
@@ -125,7 +122,7 @@ def detrend(signal, lam: float = 500.0) -> np.ndarray:
         raise ValueError(f"lambda must be positive and at most "
                          f"{MAX_DETREND_LAMBDA:g}, got {lam}")
     lam2 = lam * lam
-    tables = _detrend_tables(n, lam2)
+    tables = _sweep_tables(n, lam2)
     trend = _detrend_solve(tables, x)
     # one refinement pass: the system is stiff for large lam
     resid = x - trend - lam2 * np.convolve(np.diff(trend, 2), [1.0, -2.0, 1.0])
@@ -176,35 +173,12 @@ def _detrend_cholesky(n, lam2):
     return rows, n - 3 if k is None else k
 
 
-# a factor length past the convergence row of every lambda tried: at most
-# row 127,357 over 2,000 lambdas from 1 to MAX_DETREND_LAMBDA
-_PROBE_N = 2 ** 18
-
-
-def _detrend_tables(n, lam2):
-    """The sweep tables of :func:`_detrend_solve` for length ``n``.
-
-    Rows 0..k of the factor do not depend on the length, and the rows after
-    k are row k and two last rows that do not either; so every length
-    whose factor converges at the same row k has the same tables. Such an
-    ``n`` takes the tables built at ``_PROBE_N``, cached on ``lam2`` alone;
-    any other ``n`` gets those of its own factor, cached on ``(n, lam2)``.
-    """
-    k, forward, backward = _sweep_tables(_PROBE_N, lam2)
-    # _detrend_cholesky detects convergence only before row length - 5
-    if k >= min(n, _PROBE_N) - 5:
-        _, forward, backward = _sweep_tables(n, lam2)
-    return forward, backward
-
-
 @functools.lru_cache(maxsize=8)
 def _sweep_tables(n, lam2):
-    """``(k, forward, backward)`` for the factor of :func:`_detrend_cholesky`.
-
-    ``forward`` and ``backward`` are the ``(head, mid, tail)`` coefficients
-    of :func:`_triangular_sweep` for ``L y = b`` and for ``L' x = y`` on
-    reversed input: the rows that differ from row k, row k for the
-    converged interior, and the last rows.
+    """``(forward, backward)`` for the factor of :func:`_detrend_cholesky`:
+    the ``(head, mid, tail)`` coefficients of :func:`_triangular_sweep` for
+    ``L y = b`` and for ``L' x = y`` on reversed input: the rows that differ
+    from row k, row k for the converged interior, and the last rows.
     """
     rows, k = _detrend_cholesky(n, lam2)
 
@@ -219,13 +193,13 @@ def _sweep_tables(n, lam2):
         return (row(j)[0], row(j - 1)[1], row(j - 2)[2])
 
     head = tuple(forward(j) for j in range(min(k + 2, n - 2)))
-    return (k, (head, rows[k], (forward(n - 2), forward(n - 1))),
+    return ((head, rows[k], (forward(n - 2), forward(n - 1))),
             ((row(n - 1), row(n - 2)), rows[k], tuple(reversed(rows[:k]))))
 
 
 def _detrend_solve(tables, b):
     """Solve ``L L' x = b`` with the factor's tables from
-    :func:`_detrend_tables`.
+    :func:`_sweep_tables`.
 
     Each sweep runs in three parts: the rows that differ from row k
     exactly, the converged interior through :func:`_linear_recurrence`, and

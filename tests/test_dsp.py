@@ -304,30 +304,12 @@ class TestDetrend:
         assert k == 40 - 3
         assert len(rows) == 40
 
-    @pytest.mark.parametrize("lam", [1.0, 50.0, 500.0, 1e4])
-    def test_factor_does_not_depend_on_length_past_convergence(self, lam):
-        # the property that lets every such length share the tables cached
-        # on lam^2 alone
-        probe = dsp._detrend_cholesky(dsp._PROBE_N, lam * lam)
-        k = probe[1]
-        assert k < dsp._PROBE_N - 5
-        for n in (k + 6, k + 7, 2 * k + 13, 19_200, 100_003, dsp._PROBE_N,
-                  5_529_600):
-            assert dsp._detrend_cholesky(n, lam * lam) == probe
-        # one row shorter, the factor never converges
-        rows, k_short = dsp._detrend_cholesky(k + 5, lam * lam)
-        assert k_short == k + 2 and len(rows) == k + 5
-
-    def test_probe_length_converges_at_the_largest_lambda(self):
-        lam2 = dsp.MAX_DETREND_LAMBDA ** 2
-        assert dsp._detrend_cholesky(dsp._PROBE_N, lam2)[1] < dsp._PROBE_N - 5
-
     @pytest.mark.parametrize("n,lam", [
         (19_200, 500.0), (5_529_600, 500.0), (460, 500.0), (1000, 1.0),
         (40, 500.0), (459, 500.0), (3, 50.0), (19_200, 1e6),
     ])
     def test_cached_tables_equal_the_lists_built_per_call(self, n, lam):
-        got = dsp._detrend_tables(n, lam * lam)
+        got = dsp._sweep_tables(n, lam * lam)
         assert [[list(head), mid, list(tail)] for head, mid, tail in got] \
             == per_call_sweep_tables(n, lam * lam)
 
@@ -627,9 +609,8 @@ class TestCaches:
     LAMBDAS = [1.0, 50.0, 500.0, 1e4, 1e6]
 
     def test_cold_and_warm_detrend_are_byte_identical(self):
-        # at lam = 1e6 the factor converges at row 20,596, so n = 19,200
-        # takes the tables of its own factor
-        assert dsp._sweep_tables(dsp._PROBE_N, 1e12)[0] == 20_596
+        # at lam = 1e6 the factor of n = 19,200 never converges
+        assert dsp._detrend_cholesky(19_200, 1e12)[1] == 19_200 - 3
         signals = {n: np.cumsum(np.random.default_rng(n).normal(size=n))
                    for n in self.LENGTHS}
         cases = [(n, lam) for n in self.LENGTHS for lam in self.LAMBDAS]
