@@ -14,7 +14,7 @@ from .session_io import (  # noqa: F401
     validate_session,
     write_session,
 )
-from .synth import CohortOffsets, CohortSpec, SynthSpec, generate_cohort, \
+from .synth import CohortSpec, SynthSpec, generate_cohort, \
     generate_session  # noqa: F401
 from .pipeline import extract_session_features, run_extract  # noqa: F401
 from .mlbench import (  # noqa: F401

@@ -30,7 +30,7 @@ from .config import (
     load_config_file,
 )
 from .errors import ConfigError, InvalidSpec, WearbenchError
-from .models import MODEL_KINDS_BY_NAME
+from .models import ModelKind
 from .session_io import ValidationStatus, atomic_write_text, read_text
 
 EXIT_OK = 0
@@ -105,19 +105,7 @@ def _require(cfg: RunConfig, *keys: str) -> None:
 
 def cmd_synth(cfg: RunConfig) -> int:
     _require(cfg, "out_dir")
-    cohort = synth.CohortSpec(
-        n_unipolar=cfg.synth.n_unipolar,
-        n_bipolar=cfg.synth.n_bipolar,
-        seed=cfg.seed,
-        duration_s=cfg.synth.duration_s,
-        offsets=synth.CohortOffsets(
-            acc_dominant_freq_hz=cfg.synth.offset_acc_dominant_freq_hz,
-            temp_trend_c_per_s=cfg.synth.offset_temp_trend_c_per_s,
-            heart_rate_bpm=cfg.synth.offset_heart_rate_bpm,
-            scr_amplitude_us=cfg.synth.offset_scr_amplitude_us,
-            acc_inactive_fraction=cfg.synth.offset_acc_inactive_fraction,
-        ))
-    manifest = synth.generate_cohort(cfg.out_dir, cohort)
+    manifest = synth.generate_cohort(cfg.out_dir, cfg.synth, cfg.seed)
     print(manifest)
     return EXIT_OK
 
@@ -166,13 +154,13 @@ def cmd_bench(cfg: RunConfig) -> int:
     positive = 1 if cfg.bench.positive_class == "bipolar" else 0
     grids = mlbench.default_grids()
     for name, grid in cfg.bench.grids.items():
-        grids[MODEL_KINDS_BY_NAME[name]] = [dict(g) for g in grid]
+        grids[ModelKind(name)] = [dict(g) for g in grid]
 
     for selector in cfg.bench.selectors:
         matrix = mlbench.assemble_matrix(rows, selector)
         reports = []
         for model_name in cfg.bench.models:
-            kind = MODEL_KINDS_BY_NAME[model_name]
+            kind = ModelKind(model_name)
             report = mlbench.loocv_grid_search(
                 matrix, kind, grids[kind], seed=cfg.seed,
                 positive_class=positive, selector=selector)

@@ -17,13 +17,13 @@ from .dsp import MAX_DETREND_LAMBDA
 from .errors import ConfigError
 from .hrv import HF_BAND, MAX_NN_INTERP_RATE_HZ
 from .mlbench import FEATURE_GROUPS
-from .models import MODEL_KINDS_BY_NAME
+from .models import ModelKind
 from .session_io import ValidationPolicy, read_text
-from .synth import MAX_COHORT_DURATION_S, MIN_COHORT_DURATION_S
+from .synth import MAX_COHORT_DURATION_S, MIN_COHORT_DURATION_S, CohortSpec
 
 ENV_PREFIX = "WEARBENCH_"
 
-DEFAULT_MODELS = tuple(MODEL_KINDS_BY_NAME)
+DEFAULT_MODELS = tuple(kind.value for kind in ModelKind)
 ALL_SELECTORS = tuple(FEATURE_GROUPS)
 
 
@@ -163,18 +163,6 @@ class FeatureConfig:
 
 
 @dataclass(frozen=True)
-class SynthConfig:
-    n_unipolar: int = 13
-    n_bipolar: int = 18
-    duration_s: float = 300.0
-    offset_acc_dominant_freq_hz: float = 0.0
-    offset_temp_trend_c_per_s: float = 0.0
-    offset_heart_rate_bpm: float = 0.0
-    offset_scr_amplitude_us: float = 0.0
-    offset_acc_inactive_fraction: float = 0.0
-
-
-@dataclass(frozen=True)
 class BenchConfig:
     models: tuple[str, ...] = DEFAULT_MODELS
     selectors: tuple[str, ...] = ("all",)
@@ -191,7 +179,7 @@ class RunConfig:
     dsp: DspConfig = field(default_factory=DspConfig)
     features: FeatureConfig = field(default_factory=FeatureConfig)
     validation: ValidationPolicy = field(default_factory=ValidationPolicy)
-    synth: SynthConfig = field(default_factory=SynthConfig)
+    synth: CohortSpec = field(default_factory=CohortSpec)
     bench: BenchConfig = field(default_factory=BenchConfig)
 
     def to_json_dict(self) -> dict:

@@ -36,21 +36,6 @@ MAX_NN_INTERP_RATE_HZ = 64.0
 
 
 @dataclass(frozen=True)
-class PeakDetectionParams:
-    """Adaptive-threshold detector settings.
-
-    A sample is a peak candidate if it is a strict local maximum above
-    ``threshold_scale`` times the rolling RMS computed over
-    ``rms_window_s`` seconds; candidates closer than ``refractory_s`` keep
-    only the taller one.
-    """
-
-    threshold_scale: float = 0.6
-    rms_window_s: float = 2.0
-    refractory_s: float = 0.3
-
-
-@dataclass(frozen=True)
 class NNSeries:
     """Normal-to-normal intervals (ms) plus the beat times they connect."""
 
@@ -75,14 +60,19 @@ class NNSeries:
         return float(self.peak_times_s[-1] - self.peak_times_s[0])
 
 
-def detect_pulse_peaks(bvp: SignalChannel,
-                       params: PeakDetectionParams | None = None) -> np.ndarray:
+def detect_pulse_peaks(bvp: SignalChannel, threshold_scale: float = 0.6,
+                       rms_window_s: float = 2.0,
+                       refractory_s: float = 0.3) -> np.ndarray:
     """Locate systolic peaks in a detrended, band-passed pulse wave.
+
+    A sample is a peak candidate if it is a strict local maximum above
+    ``threshold_scale`` times the rolling RMS computed over
+    ``rms_window_s`` seconds; candidates closer than ``refractory_s`` keep
+    only the taller one.
 
     Returns ascending sample indices, one per cardiac cycle. Raises
     :class:`NoPeaksFound` on flat or too-short input.
     """
-    params = params or PeakDetectionParams()
     x = np.asarray(bvp.samples, dtype=float).ravel()
     fs = bvp.sample_rate
     if x.size < 3:
@@ -90,7 +80,7 @@ def detect_pulse_peaks(bvp: SignalChannel,
 
     # a window or refractory span longer than the signal acts as the signal
     n = x.size
-    half = max(1, int(round(min(params.rms_window_s * fs / 2.0, n))))
+    half = max(1, int(round(min(rms_window_s * fs / 2.0, n))))
     csum = np.empty(n + 1)
     csum[0] = 0.0
     np.cumsum(np.square(x, out=csum[1:]), out=csum[1:])
@@ -106,7 +96,7 @@ def detect_pulse_peaks(bvp: SignalChannel,
     threshold[edge] = (csum[hi] - csum[lo]) / (hi - lo)
     del csum
     np.sqrt(threshold, out=threshold)
-    threshold *= params.threshold_scale
+    threshold *= threshold_scale
 
     mid = x[1:-1]
     is_peak = mid > x[:-2]
@@ -116,7 +106,7 @@ def detect_pulse_peaks(bvp: SignalChannel,
     if candidates.size == 0:
         raise NoPeaksFound("no local maxima above the adaptive threshold")
 
-    refractory = max(1, int(round(min(params.refractory_s * fs, n))))
+    refractory = max(1, int(round(min(refractory_s * fs, n))))
     kept: list[int] = []
     for i in candidates:
         if kept and i - kept[-1] < refractory:

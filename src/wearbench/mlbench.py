@@ -229,20 +229,21 @@ def _build_folds(matrix: FeatureMatrix) -> _Folds:
 def _grid_predictions(folds: _Folds, kind: ModelKind, grid: list[dict],
                       seed: int) -> np.ndarray:
     """(len(grid), n) LOOCV predictions: row g holds grid point g's, fold i
-    predicting held-out subject i. SVM points that differ only in ``c``
-    share one fit over their C values, in order of first appearance."""
+    predicting held-out subject i. SVM points that set ``c`` and differ
+    only in it share one fit over their C values, in order of first
+    appearance; one without ``c`` fits alone at the classifier's default."""
     n = folds.x_train.shape[0]
     groups: dict = {}  # the grid indices that one fit serves
     for gi, hp in enumerate(grid):
         key = gi
-        if kind is ModelKind.SVM:  # every hyperparameter but c
+        if kind is ModelKind.SVM and "c" in hp:  # every hyperparameter but c
             key = tuple(sorted((k, v) for k, v in hp.items() if k != "c"))
         groups.setdefault(key, []).append(gi)
     preds = np.empty((len(grid), n), dtype=int)
     for members in groups.values():
         gi, hp = members[0], grid[members[0]]
-        if kind is ModelKind.SVM:  # 1.0 is SvmClassifier's default C
-            hp = {**hp, "c": [grid[g].get("c", 1.0) for g in members]}
+        if kind is ModelKind.SVM and "c" in hp:
+            hp = {**hp, "c": [grid[g]["c"] for g in members]}
         spec = ModelSpec(kind, hp)
         # kNN stacks too, but perfbench pins its per-fold train and predict
         if kind is ModelKind.KNN:

@@ -31,9 +31,6 @@ class ModelKind(enum.Enum):
     MLP = "mlp"
 
 
-MODEL_KINDS_BY_NAME = {kind.value: kind for kind in ModelKind}
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     kind: ModelKind

@@ -72,10 +72,10 @@ def extract_hrv_features(session: Session, dsp_cfg: DspConfig,
             dsp_cfg.bvp_band_hz, bvp.sample_rate)
         filtered = dataclasses.replace(
             bvp, samples=dsp.filtfilt(band, detrended))
-        peaks = hrv.detect_pulse_peaks(filtered, hrv.PeakDetectionParams(
-            threshold_scale=feat_cfg.peak_threshold_scale,
+        peaks = hrv.detect_pulse_peaks(
+            filtered, threshold_scale=feat_cfg.peak_threshold_scale,
             rms_window_s=feat_cfg.peak_rms_window_s,
-            refractory_s=feat_cfg.peak_refractory_s))
+            refractory_s=feat_cfg.peak_refractory_s)
         nn = hrv.peaks_to_nn(peaks, bvp.sample_rate)
     except (*_FAMILY_FAILURES, NoPeaksFound, TooFewIntervals) as exc:
         return _family_unavailable(session, "HRV features", exc,
@@ -216,8 +216,7 @@ def validate_cohort(data_root, manifest_path,
                                    label)
         except WearbenchError as exc:
             yield ValidationReport(
-                subject_id=subject_id, status=ValidationStatus.EXCLUDED,
-                reasons=(f"unreadable session: {exc}",)), None
+                subject_id, (f"unreadable session: {exc}",)), None
             continue
         yield validate_session(session, policy), session
 

@@ -32,7 +32,7 @@ import math
 import os
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -144,12 +144,13 @@ class ValidationPolicy:
 @dataclass(frozen=True)
 class ValidationReport:
     subject_id: str
-    status: ValidationStatus
-    reasons: tuple[str, ...] = field(default_factory=tuple)
+    reasons: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if (self.status is ValidationStatus.EXCLUDED) != bool(self.reasons):
-            raise ValueError("status must be EXCLUDED iff reasons are present")
+    @property
+    def status(self) -> ValidationStatus:
+        """EXCLUDED exactly when there are reasons."""
+        return (ValidationStatus.EXCLUDED if self.reasons
+                else ValidationStatus.OK)
 
 
 def read_text(path, name=None) -> str:
@@ -554,6 +555,4 @@ def validate_session(session: Session,
     if skew > policy.max_duration_skew_seconds:
         reasons.append(f"channel duration skew {skew:.1f} s exceeds "
                        f"{policy.max_duration_skew_seconds:.0f} s")
-    status = ValidationStatus.EXCLUDED if reasons else ValidationStatus.OK
-    return ValidationReport(subject_id=session.subject_id, status=status,
-                            reasons=tuple(reasons))
+    return ValidationReport(session.subject_id, tuple(reasons))

@@ -8,7 +8,7 @@ byte-identical files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -206,22 +206,6 @@ def generate_session(spec: SynthSpec,
     return session, truth
 
 
-@dataclass(frozen=True)
-class CohortOffsets:
-    """Additive shifts applied to the bipolar class's parameter means.
-
-    All-zero offsets make the two classes statistically identical, so any
-    classifier should score near chance; large offsets make them trivially
-    separable.
-    """
-
-    acc_dominant_freq_hz: float = 0.0
-    temp_trend_c_per_s: float = 0.0
-    heart_rate_bpm: float = 0.0
-    scr_amplitude_us: float = 0.0
-    acc_inactive_fraction: float = 0.0
-
-
 # the cohort durations a run may ask for: a subject's SCR onsets lie from
 # 15 % to 85 % of the session give or take 4 s, which a session holds only
 # from about 26.7 s on, and generation time and memory grow with it
@@ -231,43 +215,55 @@ MAX_COHORT_DURATION_S = 7 * 86_400.0
 
 @dataclass(frozen=True)
 class CohortSpec:
+    """A cohort's size and session length, and the additive shifts applied
+    to the bipolar class's parameter means.
+
+    All-zero offsets make the two classes statistically identical, so any
+    classifier should score near chance; large offsets make them trivially
+    separable.
+    """
+
     n_unipolar: int = 13
     n_bipolar: int = 18
-    seed: int = 0
     duration_s: float = 300.0
-    offsets: CohortOffsets = field(default_factory=CohortOffsets)
+    offset_acc_dominant_freq_hz: float = 0.0
+    offset_temp_trend_c_per_s: float = 0.0
+    offset_heart_rate_bpm: float = 0.0
+    offset_scr_amplitude_us: float = 0.0
+    offset_acc_inactive_fraction: float = 0.0
 
 
 def _subject_spec(rng: np.random.Generator, cohort: CohortSpec,
                   label: Label) -> SynthSpec:
-    off = cohort.offsets if label is Label.BIPOLAR else CohortOffsets()
+    off = cohort if label is Label.BIPOLAR else CohortSpec()
     duration = cohort.duration_s
     n_scr = int(rng.integers(2, 5))
     base_onsets = np.linspace(0.15 * duration, 0.85 * duration, n_scr)
     onsets = base_onsets + rng.uniform(-4.0, 4.0, n_scr)
-    amplitudes = rng.uniform(0.2, 0.7, n_scr) + off.scr_amplitude_us
+    amplitudes = rng.uniform(0.2, 0.7, n_scr) + off.offset_scr_amplitude_us
     return SynthSpec(
         seed=int(rng.integers(0, 2 ** 62)),
         duration_s=duration,
-        heart_rate_bpm=float(rng.uniform(66.0, 78.0)) + off.heart_rate_bpm,
+        heart_rate_bpm=float(rng.uniform(66.0, 78.0))
+        + off.offset_heart_rate_bpm,
         hrv_mod_depth_ms=float(rng.uniform(20.0, 40.0)),
         scr_events=tuple(
             (float(t), float(a)) for t, a in zip(onsets, amplitudes)),
         acc_dominant_freq_hz=float(rng.uniform(0.8, 1.2))
-        + off.acc_dominant_freq_hz,
+        + off.offset_acc_dominant_freq_hz,
         acc_amplitude=float(rng.uniform(0.6, 0.9)),
         # short rests keep the rest/motion level step from out-shouting
         # the motion line in the magnitude spectrum
         acc_inactive_fraction=min(0.9, max(0.0, float(
-            rng.uniform(0.05, 0.10)) + off.acc_inactive_fraction)),
+            rng.uniform(0.05, 0.10)) + off.offset_acc_inactive_fraction)),
         temp_baseline_c=float(rng.uniform(35.6, 36.4)),
         temp_trend_c_per_s=float(rng.uniform(-0.001, 0.001))
-        + off.temp_trend_c_per_s,
+        + off.offset_temp_trend_c_per_s,
         label=label,
     )
 
 
-def generate_cohort(root, cohort: CohortSpec) -> Path:
+def generate_cohort(root, cohort: CohortSpec, seed: int) -> Path:
     """Write one session directory per subject plus the label manifest.
 
     Returns the manifest path. Subjects are named S001.. in manifest order
@@ -277,7 +273,7 @@ def generate_cohort(root, cohort: CohortSpec) -> Path:
         raise InvalidSpec("need at least one subject per class")
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(cohort.seed)
+    rng = np.random.default_rng(seed)
     labels = [Label.UNIPOLAR] * cohort.n_unipolar + \
              [Label.BIPOLAR] * cohort.n_bipolar
     entries = []

@@ -162,9 +162,8 @@ class TestExtractCommand:
 
     def test_corrupt_session_excluded_but_listed(self, tmp_path):
         data = tmp_path / "data"
-        cohort = synth.CohortSpec(n_unipolar=2, n_bipolar=2, seed=3,
-                                  duration_s=70.0)
-        synth.generate_cohort(data, cohort)
+        cohort = synth.CohortSpec(n_unipolar=2, n_bipolar=2, duration_s=70.0)
+        synth.generate_cohort(data, cohort, 3)
         # corrupt one subject: constant BVP
         bvp = data / "S002" / "BVP.csv"
         lines = bvp.read_text().splitlines()
@@ -217,7 +216,7 @@ class TestExtractCommand:
     def test_all_excluded_gives_exit_4(self, tmp_path):
         data = tmp_path / "data"
         synth.generate_cohort(data, synth.CohortSpec(
-            n_unipolar=1, n_bipolar=1, seed=4, duration_s=30.0))
+            n_unipolar=1, n_bipolar=1, duration_s=30.0), 4)
         code = run("--data-root", str(data),
                    "--manifest", str(data / "manifest.csv"),
                    "--out", str(tmp_path / "out"), "extract")
@@ -231,7 +230,7 @@ class TestExtractCommand:
                                                  command):
         data = tmp_path / "data"
         synth.generate_cohort(data, synth.CohortSpec(
-            n_unipolar=1, n_bipolar=1, seed=4, duration_s=30.0))
+            n_unipolar=1, n_bipolar=1, duration_s=30.0), 4)
         capsys.readouterr()
         code = run("--data-root", str(data),
                    "--manifest", str(data / "manifest.csv"),
@@ -901,7 +900,7 @@ class TestMutatedNumericTables:
     def test_bench_reports_or_exits_cleanly(self, fuzz_base,
                                             tmp_path_factory, data):
         from wearbench import mlbench
-        from wearbench.models import MODEL_KINDS_BY_NAME
+        from wearbench.models import ModelKind
         text = mutate_numbers(data, fuzz_base["table"])
         with tempfile.TemporaryDirectory(
                 dir=tmp_path_factory.getbasetemp()) as out:
@@ -930,7 +929,7 @@ class TestMutatedNumericTables:
                     assert all(math.isfinite(report["metrics"][key]) for key
                                in ("accuracy", "precision", "recall", "f1"))
                     assert report == mlbench.loocv_grid_search(
-                        matrix, MODEL_KINDS_BY_NAME[name], grid, seed=5,
+                        matrix, ModelKind(name), grid, seed=5,
                         selector="all")
 
 
@@ -939,7 +938,7 @@ def session_base(tmp_path_factory):
     """A 2+2 subject x 70 s cohort that the session fuzz test copies."""
     root = tmp_path_factory.mktemp("sessions")
     synth.generate_cohort(root, synth.CohortSpec(
-        n_unipolar=2, n_bipolar=2, seed=9, duration_s=70.0))
+        n_unipolar=2, n_bipolar=2, duration_s=70.0), 9)
     return root
 
 

@@ -231,15 +231,14 @@ class TestPeakDetection:
             # than 1 / scale**2 pulses per sample, so one sample more or
             # less in a window changes the answer
             x = (np.arange(n) % period == 0).astype(float)
-        params = hrv.PeakDetectionParams(threshold_scale=scale,
-                                         rms_window_s=window_s,
-                                         refractory_s=0.01)
         bvp = SignalChannel(ChannelKind.BVP, 0, fs, x)
         try:
-            got = hrv.detect_pulse_peaks(bvp, params)
+            got = hrv.detect_pulse_peaks(bvp, threshold_scale=scale,
+                                         rms_window_s=window_s,
+                                         refractory_s=0.01)
         except NoPeaksFound:
             got = None
-        want = oracle_peak_candidates(x, fs, params)
+        want = oracle_peak_candidates(x, fs, scale, window_s)
         if want.size == 0:
             assert got is None
         else:
@@ -250,13 +249,12 @@ class TestPeakDetection:
         # 10 s of signal: a 20 s window and a 10 s refractory span it all
         x = np.random.default_rng(3).normal(size=640)
         bvp = SignalChannel(ChannelKind.BVP, 0, 64.0, x)
-        whole = hrv.detect_pulse_peaks(bvp, hrv.PeakDetectionParams(
-            rms_window_s=20.0, refractory_s=10.0))
+        whole = hrv.detect_pulse_peaks(bvp, rms_window_s=20.0,
+                                       refractory_s=10.0)
         assert len(whole) == 1
         for span in (1e300, 1.7e308):
             assert np.array_equal(hrv.detect_pulse_peaks(
-                bvp, hrv.PeakDetectionParams(rms_window_s=span,
-                                             refractory_s=span)), whole)
+                bvp, rms_window_s=span, refractory_s=span), whole)
 
     def test_memory_stays_within_four_signal_copies(self):
         n = 100_000
@@ -271,17 +269,17 @@ class TestPeakDetection:
         assert peak < 4 * 8 * n
 
 
-def oracle_peak_candidates(x, fs, params):
+def oracle_peak_candidates(x, fs, threshold_scale, rms_window_s):
     """Local maxima above the moving-RMS threshold, from index arrays of
     every window's clipped bounds, as ``detect_pulse_peaks`` computed
     them before taking the full windows from two slices."""
-    half = max(1, int(round(params.rms_window_s * fs / 2.0)))
+    half = max(1, int(round(rms_window_s * fs / 2.0)))
     csum = np.concatenate([[0.0], np.cumsum(x * x)])
     idx = np.arange(x.size)
     lo = np.clip(idx - half, 0, x.size)
     hi = np.clip(idx + half + 1, 0, x.size)
     rms = np.sqrt((csum[hi] - csum[lo]) / (hi - lo))
-    threshold = params.threshold_scale * rms
+    threshold = threshold_scale * rms
     interior = np.arange(1, x.size - 1)
     is_max = (x[interior] > x[interior - 1]) & (x[interior] >= x[interior + 1])
     above = x[interior] > threshold[interior]

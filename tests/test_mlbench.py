@@ -343,9 +343,20 @@ SHARED_KERNEL_SVM_GRID = [
     {"kernel": "linear", "c": 10.0},
 ]
 
+# points without c fit alone at SvmClassifier's default C; the linear
+# points that set c share one C-path
+DEFAULT_C_SVM_GRID = [
+    {"kernel": "linear"},
+    {"kernel": "linear", "c": 0.1},
+    {"kernel": "rbf", "gamma": 0.5},
+    {"kernel": "linear", "c": 1.0},
+    {"kernel": "linear"},
+]
+
 # (kind, grid, stacked fits the search makes)
 FIT_CASES = [(kind, TWO_POINT_GRIDS[kind], 2) for kind in ModelKind] + [
-    (ModelKind.SVM, SHARED_KERNEL_SVM_GRID, 3)]
+    (ModelKind.SVM, SHARED_KERNEL_SVM_GRID, 3),
+    (ModelKind.SVM, DEFAULT_C_SVM_GRID, 4)]
 
 
 def outlier_matrix():
@@ -388,8 +399,17 @@ class TestFoldStack:
         assert report == oracle_grid_search(
             matrix, ModelKind.SVM, SHARED_KERNEL_SVM_GRID, seed=5)
 
+    @MATRICES
+    def test_svm_points_without_c_equal_per_grid_point_oracle(self, make):
+        matrix = make()
+        report = loocv_grid_search(matrix, ModelKind.SVM, DEFAULT_C_SVM_GRID,
+                                   seed=5)
+        assert report == oracle_grid_search(
+            matrix, ModelKind.SVM, DEFAULT_C_SVM_GRID, seed=5)
+
     @pytest.mark.parametrize("kind,grid,fits", FIT_CASES, ids=[
-        kind.value for kind in ModelKind] + ["svm-shared-kernels"])
+        kind.value for kind in ModelKind] + ["svm-shared-kernels",
+                                             "svm-default-c"])
     def test_each_fold_standardised_once_per_search(self, kind, grid, fits,
                                                     monkeypatch):
         calls = {"fit_standardizer": 0, "train": 0, "_fold_seed": 0}
@@ -408,7 +428,7 @@ class TestFoldStack:
         n = matrix.values.shape[0]
         assert calls["fit_standardizer"] == n
         # every grid point but kNN's trains all folds in one stacked fit,
-        # and SVM points that differ only in c share one fit
+        # and SVM points that set c and differ only in it share one fit
         stacked = kind is not ModelKind.KNN
         assert calls["train"] == (fits if stacked else fits * n)
         # only RF and MLP read a fold seed, so only they derive one

@@ -176,9 +176,8 @@ class TestFeatureCsv:
 
 class TestRunExtract:
     def test_counts_and_orders_follow_manifest(self, tmp_path):
-        cohort = synth.CohortSpec(n_unipolar=2, n_bipolar=2, seed=6,
-                                  duration_s=70.0)
-        manifest = synth.generate_cohort(tmp_path / "data", cohort)
+        cohort = synth.CohortSpec(n_unipolar=2, n_bipolar=2, duration_s=70.0)
+        manifest = synth.generate_cohort(tmp_path / "data", cohort, 6)
         features_path, validation_path, n_ok = pipeline.run_extract(
             tmp_path / "data", manifest, tmp_path / "out")
         assert n_ok == 4
@@ -189,9 +188,8 @@ class TestRunExtract:
                                            Label.BIPOLAR, Label.BIPOLAR]
 
     def test_unreadable_session_reported(self, tmp_path):
-        cohort = synth.CohortSpec(n_unipolar=2, n_bipolar=2, seed=6,
-                                  duration_s=70.0)
-        manifest = synth.generate_cohort(tmp_path / "data", cohort)
+        cohort = synth.CohortSpec(n_unipolar=2, n_bipolar=2, duration_s=70.0)
+        manifest = synth.generate_cohort(tmp_path / "data", cohort, 6)
         (tmp_path / "data" / "S003" / "EDA.csv").unlink()
         features_path, validation_path, n_ok = pipeline.run_extract(
             tmp_path / "data", manifest, tmp_path / "out")

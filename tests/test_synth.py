@@ -1,11 +1,14 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wearbench import dsp, hrv, synth
+from wearbench import cli, dsp, hrv, synth
 from wearbench.errors import InvalidSpec
 from wearbench.session_io import (
     ChannelKind,
@@ -42,7 +45,7 @@ def _old_bvp_signal(spec, beats):
 
 
 def _cohort_specs(seed, duration_s):
-    cohort = synth.CohortSpec(seed=seed, duration_s=duration_s)
+    cohort = synth.CohortSpec(duration_s=duration_s)
     rng = np.random.default_rng(seed)
     return [synth._subject_spec(rng, cohort, label)
             for label in [Label.UNIPOLAR] * 3 + [Label.BIPOLAR] * 3]
@@ -158,9 +161,8 @@ class TestGenerateSession:
 
 class TestGenerateCohort:
     def test_writes_manifest_with_31_rows(self, tmp_path):
-        cohort = synth.CohortSpec(n_unipolar=13, n_bipolar=18, seed=5,
-                                  duration_s=61.0)
-        manifest = synth.generate_cohort(tmp_path / "data", cohort)
+        cohort = synth.CohortSpec(n_unipolar=13, n_bipolar=18, duration_s=61.0)
+        manifest = synth.generate_cohort(tmp_path / "data", cohort, 5)
         entries = load_manifest(manifest)
         assert len(entries) == 31
         labels = [label for _, label in entries]
@@ -168,23 +170,20 @@ class TestGenerateCohort:
         assert labels.count(Label.BIPOLAR) == 18
 
     def test_identical_tree_for_identical_seed(self, tmp_path):
-        cohort = synth.CohortSpec(n_unipolar=2, n_bipolar=2, seed=9,
-                                  duration_s=61.0)
-        synth.generate_cohort(tmp_path / "a", cohort)
-        synth.generate_cohort(tmp_path / "b", cohort)
+        cohort = synth.CohortSpec(n_unipolar=2, n_bipolar=2, duration_s=61.0)
+        synth.generate_cohort(tmp_path / "a", cohort, 9)
+        synth.generate_cohort(tmp_path / "b", cohort, 9)
         assert tree_checksum(tmp_path / "a") == tree_checksum(tmp_path / "b")
 
     def test_different_seed_differs(self, tmp_path):
-        synth.generate_cohort(tmp_path / "a", synth.CohortSpec(
-            n_unipolar=2, n_bipolar=2, seed=1, duration_s=61.0))
-        synth.generate_cohort(tmp_path / "b", synth.CohortSpec(
-            n_unipolar=2, n_bipolar=2, seed=2, duration_s=61.0))
+        cohort = synth.CohortSpec(n_unipolar=2, n_bipolar=2, duration_s=61.0)
+        synth.generate_cohort(tmp_path / "a", cohort, 1)
+        synth.generate_cohort(tmp_path / "b", cohort, 2)
         assert tree_checksum(tmp_path / "a") != tree_checksum(tmp_path / "b")
 
     def test_session_layout_on_disk(self, tmp_path):
-        cohort = synth.CohortSpec(n_unipolar=1, n_bipolar=1, seed=3,
-                                  duration_s=61.0)
-        synth.generate_cohort(tmp_path / "data", cohort)
+        cohort = synth.CohortSpec(n_unipolar=1, n_bipolar=1, duration_s=61.0)
+        synth.generate_cohort(tmp_path / "data", cohort, 3)
         for sid in ("S001", "S002"):
             for name in ("BVP.csv", "EDA.csv", "ACC.csv", "TEMP.csv"):
                 assert (tmp_path / "data" / sid / name).is_file()
@@ -192,16 +191,15 @@ class TestGenerateCohort:
     def test_minimum_class_size(self, tmp_path):
         with pytest.raises(InvalidSpec):
             synth.generate_cohort(tmp_path / "x", synth.CohortSpec(
-                n_unipolar=0, n_bipolar=2))
+                n_unipolar=0, n_bipolar=2), 0)
 
     def test_large_freq_offset_separates_for_knn(self, tmp_path):
         # constructed separability: ~1 Hz vs ~3 Hz dominant ACC frequency
         from wearbench import mlbench, pipeline
         from wearbench.models import ModelKind
-        cohort = synth.CohortSpec(
-            seed=51, duration_s=120.0,
-            offsets=synth.CohortOffsets(acc_dominant_freq_hz=2.0))
-        manifest = synth.generate_cohort(tmp_path / "data", cohort)
+        cohort = synth.CohortSpec(duration_s=120.0,
+                                  offset_acc_dominant_freq_hz=2.0)
+        manifest = synth.generate_cohort(tmp_path / "data", cohort, 51)
         features_path, _, _ = pipeline.run_extract(
             tmp_path / "data", manifest, tmp_path / "out")
         matrix = mlbench.assemble_matrix(
@@ -215,8 +213,8 @@ class TestGenerateCohort:
         # same draw distributions for both classes: kNN stays near chance
         from wearbench import mlbench, pipeline
         from wearbench.models import ModelKind
-        cohort = synth.CohortSpec(seed=104, duration_s=70.0)
-        manifest = synth.generate_cohort(tmp_path / "data", cohort)
+        cohort = synth.CohortSpec(duration_s=70.0)
+        manifest = synth.generate_cohort(tmp_path / "data", cohort, 104)
         features_path, _, _ = pipeline.run_extract(
             tmp_path / "data", manifest, tmp_path / "out")
         matrix = mlbench.assemble_matrix(
@@ -224,3 +222,73 @@ class TestGenerateCohort:
         report = mlbench.loocv_grid_search(matrix, ModelKind.KNN, [{"k": 5}],
                                            seed=104, selector="acc")
         assert 20.0 <= report["metrics"]["accuracy"] <= 80.0
+
+
+# offset -> (value, the SynthSpec field it moves, the file that carries it)
+OFFSETS = {
+    "offset_acc_dominant_freq_hz": (2.0, "acc_dominant_freq_hz", "ACC.csv"),
+    "offset_temp_trend_c_per_s": (0.002, "temp_trend_c_per_s", "TEMP.csv"),
+    "offset_heart_rate_bpm": (10.0, "heart_rate_bpm", "BVP.csv"),
+    "offset_scr_amplitude_us": (0.3, "scr_events", "EDA.csv"),
+    "offset_acc_inactive_fraction": (0.2, "acc_inactive_fraction", "ACC.csv"),
+}
+
+
+def _synth_through_cli(root: Path, synth_section: dict) -> Path:
+    """A seed-3, 2 + 2 subject x 61 s cohort from ``cli synth``, with the
+    config file's ``synth`` section set to ``synth_section``."""
+    config = root / "config.json"
+    config.write_text(json.dumps({"synth": synth_section}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["--config", str(config), "--out", str(root / "data"),
+                         "--seed", "3", "synth", "--n-unipolar", "2",
+                         "--n-bipolar", "2", "--duration", "61"])
+    assert code == 0
+    return root / "data"
+
+
+@pytest.fixture(scope="module")
+def zero_offset_cohort(tmp_path_factory):
+    return _synth_through_cli(tmp_path_factory.mktemp("zero-offsets"), {})
+
+
+class TestCohortOffsets:
+    @pytest.mark.parametrize("name", OFFSETS)
+    def test_config_offset_moves_only_the_bipolar_class(
+            self, name, tmp_path, zero_offset_cohort):
+        value, _, channel = OFFSETS[name]
+        data = _synth_through_cli(tmp_path, {name: value})
+        for sid in ("S001", "S002"):  # unipolar
+            assert tree_checksum(data / sid) == \
+                tree_checksum(zero_offset_cohort / sid)
+        for sid in ("S003", "S004"):  # bipolar
+            assert (data / sid / channel).read_bytes() != \
+                (zero_offset_cohort / sid / channel).read_bytes()
+
+    @pytest.mark.parametrize("name", OFFSETS)
+    def test_bipolar_field_moves_by_exactly_the_offset(self, name):
+        value, field, _ = OFFSETS[name]
+        for label in Label:
+            base, moved = (
+                synth._subject_spec(np.random.default_rng(8), cohort, label)
+                for cohort in (synth.CohortSpec(),
+                               synth.CohortSpec(**{name: value})))
+            if label is Label.UNIPOLAR:
+                assert moved == base
+                continue
+            if field == "scr_events":
+                want = tuple((t, a + value) for t, a in base.scr_events)
+            else:
+                want = getattr(base, field) + value
+            assert getattr(moved, field) == want
+            # every other draw comes from the same stream
+            assert dataclasses.replace(
+                moved, **{field: getattr(base, field)}) == base
+
+    @pytest.mark.parametrize("value,want", [(5.0, 0.9), (-5.0, 0.0)])
+    def test_inactive_fraction_is_clamped(self, value, want):
+        spec = synth._subject_spec(
+            np.random.default_rng(8),
+            synth.CohortSpec(offset_acc_inactive_fraction=value),
+            Label.BIPOLAR)
+        assert spec.acc_inactive_fraction == want
