@@ -10,11 +10,11 @@ JSON values only, so the CLI writes it as it comes.
 
 A matrix standardises each of its folds once, on the first search that
 needs them, and every grid point of every search on that matrix trains on
-the same fold stack. Every grid point but kNN's trains all its folds as one
-stacked fit, with the same bits as one fit per fold; kNN trains fold by
-fold, each a stack of one. SVM grid points that differ only in ``c`` go
-further: one fit trains all their C values in one SMO lock-step over one
-kernel matrix per fold, each ending bit for bit where it would alone.
+the same fold stack. Points that differ only in their kind's path axis
+(``PATH_AXES``: kNN's ``k``, GB's ``n_estimators``, SVM's ``c``) share one
+fit, with the bits of one fit per point. Every fit but kNN's trains all
+its folds as one stacked fit, with the same bits as one fit per fold; kNN
+trains fold by fold, each a stack of one.
 """
 from __future__ import annotations
 
@@ -28,7 +28,8 @@ from .actigraphy import ACC_FEATURE_NAMES
 from .eda import EDA_FEATURE_NAMES
 from .errors import ClassUnderpopulated, EmptyConfusion
 from .hrv import HRV_FREQ_NAMES, HRV_TIME_NAMES
-from .models import SEEDED_KINDS, ModelKind, ModelSpec, predict, train
+from .models import (PATH_AXES, SEEDED_KINDS, ModelKind, ModelSpec, predict,
+                     train)
 from .session_io import Label
 from .thermo import TEMP_FEATURE_NAMES
 
@@ -229,27 +230,27 @@ def _build_folds(matrix: FeatureMatrix) -> _Folds:
 def _grid_predictions(folds: _Folds, kind: ModelKind, grid: list[dict],
                       seed: int) -> np.ndarray:
     """(len(grid), n) LOOCV predictions: row g holds grid point g's, fold i
-    predicting held-out subject i. SVM points that set ``c`` and differ
-    only in it share one fit over their C values, in order of first
-    appearance; one without ``c`` fits alone at the classifier's default."""
+    predicting held-out subject i. Points that set their kind's path axis
+    and differ only in it share one fit over their path values, in grid
+    order; a point without it fits alone at the classifier's default."""
     n = folds.x_train.shape[0]
+    axis = PATH_AXES.get(kind)
     groups: dict = {}  # the grid indices that one fit serves
     for gi, hp in enumerate(grid):
-        key = gi
-        if kind is ModelKind.SVM and "c" in hp:  # every hyperparameter but c
-            key = tuple(sorted((k, v) for k, v in hp.items() if k != "c"))
-        groups.setdefault(key, []).append(gi)
+        rest = tuple(sorted((k, v) for k, v in hp.items() if k != axis))
+        groups.setdefault(rest if axis in hp else gi, []).append(gi)
     preds = np.empty((len(grid), n), dtype=int)
     for members in groups.values():
         gi, hp = members[0], grid[members[0]]
-        if kind is ModelKind.SVM and "c" in hp:
-            hp = {**hp, "c": [grid[g]["c"] for g in members]}
+        if axis in hp:
+            hp = {**hp, axis: [grid[g][axis] for g in members]}
         spec = ModelSpec(kind, hp)
         # kNN stacks too, but perfbench pins its per-fold train and predict
         if kind is ModelKind.KNN:
-            preds[gi] = [predict(train(spec, x[None], y[None]), x_test[None])
-                         for x, y, x_test
-                         in zip(folds.x_train, folds.y_train, folds.x_test)]
+            for fold, (x, y, x_test) in enumerate(
+                    zip(folds.x_train, folds.y_train, folds.x_test)):
+                preds[members, fold] = predict(train(spec, x[None], y[None]),
+                                               x_test[None])
         else:  # one stacked fit, each model equal to its own fit bit for bit
             seeds = ([_fold_seed(seed, gi, fold) for fold in range(n)]
                      if kind in SEEDED_KINDS else [0] * n)

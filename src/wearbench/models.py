@@ -3,9 +3,10 @@
 Every classifier fits a fold stack: ``x`` (f, n, d) and labels ``y``
 (f, n), one independent training set per fold, with one seed per fold
 for the random forest and the MLP. ``predict`` takes (f, m, d) queries,
-fold i's scored by fold i's models, and returns (models, m); that is one
-model per fold, except for an SVM C-path. One training set is a stack of
-one, ``x[None]``, ``y[None]``.
+fold i's scored by fold i's models, and returns (models, m). A kind in
+``PATH_AXES`` takes that hyperparameter as a path, one value or a
+sequence; model k is fold ``k % f`` at ``path[k // f]``, bit for bit its
+own fit. One training set is a stack of one, ``x[None]``, ``y[None]``.
 
 All models share conventions chosen for reproducibility: deterministic
 tie-breaking (first index / class 0), explicit seeds wherever randomness
@@ -66,12 +67,12 @@ def _seeds_per_fold(seed, n_folds: int) -> list[int]:
 
 class KnnClassifier:
     """Majority vote of the k nearest training rows (Euclidean), each
-    fold's queries voting among its own rows."""
+    fold's queries voting among its own rows; one sort serves every k."""
 
-    def __init__(self, k: int = 5):
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        self.k = int(k)
+    def __init__(self, k=5):
+        self.k = tuple(int(v) for v in np.ravel(k))
+        if not self.k or min(self.k) < 1:
+            raise ValueError(f"k must be one or more counts >= 1, got {k!r}")
         self._x: np.ndarray | None = None
         self._y: np.ndarray | None = None
 
@@ -82,11 +83,12 @@ class KnnClassifier:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         d = np.sum((self._x[:, None, :, :] - x[:, :, None, :]) ** 2, axis=-1)
-        order = np.argsort(d, axis=-1, kind="stable")[..., :self.k]
+        order = np.argsort(d, axis=-1, kind="stable")[..., :max(self.k)]
         votes = np.take_along_axis(self._y[:, None, :], order, axis=-1)
-        ones = np.sum(votes == 1, axis=-1)
-        # ties resolve to class 0
-        return (ones > order.shape[-1] - ones).astype(int)
+        k = np.minimum(self.k, order.shape[-1])
+        ones = np.cumsum(votes == 1, axis=-1)[..., k - 1]  # (f, m, path)
+        wins = np.moveaxis(ones > k - ones, -1, 0)  # ties resolve to class 0
+        return wins.astype(int).reshape(-1, x.shape[1])
 
 
 # --- CART trees --------------------------------------------------------------------
@@ -435,9 +437,11 @@ class GradientBoostingClassifier:
     stage grows its trees, one per fold, in one lock-step.
     """
 
-    def __init__(self, n_estimators: int = 100, learning_rate: float = 0.1,
+    def __init__(self, n_estimators=100, learning_rate: float = 0.1,
                  max_depth: int = 3):
-        self.n_estimators = int(n_estimators)
+        self.n_estimators = tuple(int(v) for v in np.ravel(n_estimators))
+        if not self.n_estimators:
+            raise ValueError("n_estimators must not be an empty sequence")
         self.learning_rate = float(learning_rate)
         self.max_depth = int(max_depth)
         self._trees: list[_Tree] = []
@@ -451,7 +455,7 @@ class GradientBoostingClassifier:
             for p0 in np.clip(y.mean(axis=1), 1e-9, 1.0 - 1e-9).tolist()])
         scores = np.repeat(self._base_score[:, None], y.shape[1], axis=1)
         self._trees = []
-        for _ in range(self.n_estimators):
+        for _ in range(max(self.n_estimators)):
             p = _sigmoid(scores)
             residual, hessian = y - p, p * (1.0 - p)
             tree = _Tree(_SSE, self.max_depth).fit(x, residual)
@@ -468,10 +472,13 @@ class GradientBoostingClassifier:
         return self
 
     def decision_scores(self, x) -> np.ndarray:
+        """The scores after each stage count on the path, no others kept."""
         scores = np.repeat(self._base_score[:, None], x.shape[1], axis=1)
-        for tree in self._trees:
+        out = np.repeat(scores[None], len(self.n_estimators), axis=0)
+        for stage, tree in enumerate(self._trees, 1):
             scores = scores + self.learning_rate * tree.predict(x)
-        return scores
+            out[np.equal(self.n_estimators, stage)] = scores
+        return out.reshape(-1, x.shape[1])
 
     def predict(self, x) -> np.ndarray:
         return (_sigmoid(self.decision_scores(x)) > 0.5).astype(int)
@@ -506,12 +513,8 @@ def _positive(name: str, value) -> float:
 class SvmClassifier:
     """Soft-margin SVM trained by most-violating-pair dual optimization.
 
-    Kernels: ``"linear"`` or ``"rbf"`` (``exp(-gamma ||a - b||^2)``).
-    ``c`` is a C-path: one value or a sequence, kept as a tuple. A fit on
-    f folds trains ``len(c) * f`` models, whose SMOs run in one lock-step,
-    each ending bit for bit where it would alone. They are C-major (model
-    k is fold ``k % f`` at C ``c[k // f]``), all reading their fold's one
-    kernel matrix, and predict (``len(c) * f``, m) for (f, m, d) queries.
+    Kernels: ``"linear"`` or ``"rbf"`` (``exp(-gamma ||a - b||^2)``). The
+    SMOs of a C-path run in one lock-step over one kernel matrix per fold.
     A model stops when its maximal KKT violation drops below ``_SVM_TOL``
     or after ``_SVM_MAX_ITER`` pair updates, which is not an error;
     ``n_iter`` and ``hit_cap`` say which, per model.
@@ -732,6 +735,9 @@ _CLASSIFIERS = {
 
 # the kinds whose fit reads ``train``'s seed
 SEEDED_KINDS = (ModelKind.RANDOM_FOREST, ModelKind.MLP)
+# no seeded kind has a path: a grid point's fold seeds come from its index
+PATH_AXES = {ModelKind.KNN: "k", ModelKind.GRADIENT_BOOSTING: "n_estimators",
+             ModelKind.SVM: "c"}
 
 
 def train(spec: ModelSpec, x: np.ndarray, y: np.ndarray, seed=(0,)):
@@ -749,6 +755,6 @@ def train(spec: ModelSpec, x: np.ndarray, y: np.ndarray, seed=(0,)):
     return _CLASSIFIERS[spec.kind](**hp).fit(x, y)
 
 
-def predict(model, x) -> int:
-    """The class the first model predicts for the first query of ``x``."""
-    return int(model.predict(x)[0, 0])
+def predict(model, x) -> np.ndarray:
+    """The class each model predicts for the first query of ``x``."""
+    return model.predict(x)[:, 0]

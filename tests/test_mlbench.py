@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 from pathlib import Path
@@ -280,7 +281,7 @@ def oracle_loocv_predictions(matrix, spec, seed, grid_index):
         model = train(spec, apply_standardizer(std, x_train)[None],
                       y_train[None], seed=[_fold_seed(seed, grid_index, fold)])
         x_test = apply_standardizer(std, matrix.values[fold:fold + 1])
-        preds[fold] = predict(model, x_test[None])
+        preds[fold] = predict(model, x_test[None])[0]
     return preds
 
 
@@ -353,10 +354,27 @@ DEFAULT_C_SVM_GRID = [
     {"kernel": "linear"},
 ]
 
-# (kind, grid, stacked fits the search makes)
-FIT_CASES = [(kind, TWO_POINT_GRIDS[kind], 2) for kind in ModelKind] + [
+# grids on each path axis, unsorted and repeated: k = 40 is past every
+# training row, and the GB point without n_estimators fits alone at 100
+PATH_GRIDS = {
+    ModelKind.KNN: [{"k": 5}, {"k": 1}, {"k": 5}, {"k": 40}],
+    ModelKind.GRADIENT_BOOSTING: [
+        {"n_estimators": 4, "learning_rate": 0.5},
+        {"n_estimators": 1, "learning_rate": 0.1},
+        {"learning_rate": 0.5, "max_depth": 1},
+        {"n_estimators": 4, "learning_rate": 0.1},
+        {"n_estimators": 2, "learning_rate": 0.5},
+        {"n_estimators": 4, "learning_rate": 0.5}],
+}
+
+# (kind, grid, fits the search makes: per fold for kNN, else stacked); the
+# two kNN points differ only in k
+FIT_CASES = [(kind, TWO_POINT_GRIDS[kind], 1 if kind is ModelKind.KNN else 2)
+             for kind in ModelKind] + [
     (ModelKind.SVM, SHARED_KERNEL_SVM_GRID, 3),
-    (ModelKind.SVM, DEFAULT_C_SVM_GRID, 4)]
+    (ModelKind.SVM, DEFAULT_C_SVM_GRID, 4),
+    (ModelKind.KNN, PATH_GRIDS[ModelKind.KNN], 1),
+    (ModelKind.GRADIENT_BOOSTING, PATH_GRIDS[ModelKind.GRADIENT_BOOSTING], 3)]
 
 
 def outlier_matrix():
@@ -407,9 +425,18 @@ class TestFoldStack:
         assert report == oracle_grid_search(
             matrix, ModelKind.SVM, DEFAULT_C_SVM_GRID, seed=5)
 
+    @MATRICES
+    @pytest.mark.parametrize("kind", list(PATH_GRIDS), ids=lambda k: k.value)
+    def test_path_grids_equal_per_grid_point_oracle(self, kind, make):
+        matrix = make()
+        report = loocv_grid_search(matrix, kind, PATH_GRIDS[kind], seed=5)
+        assert report == oracle_grid_search(matrix, kind, PATH_GRIDS[kind],
+                                            seed=5)
+
     @pytest.mark.parametrize("kind,grid,fits", FIT_CASES, ids=[
         kind.value for kind in ModelKind] + ["svm-shared-kernels",
-                                             "svm-default-c"])
+                                             "svm-default-c", "knn-path",
+                                             "gb-path"])
     def test_each_fold_standardised_once_per_search(self, kind, grid, fits,
                                                     monkeypatch):
         calls = {"fit_standardizer": 0, "train": 0, "_fold_seed": 0}
@@ -427,8 +454,8 @@ class TestFoldStack:
         loocv_grid_search(matrix, kind, grid, seed=0)
         n = matrix.values.shape[0]
         assert calls["fit_standardizer"] == n
-        # every grid point but kNN's trains all folds in one stacked fit,
-        # and SVM points that set c and differ only in it share one fit
+        # points that differ only in their path axis share one fit, which
+        # trains all folds in one stack, except kNN's, which trains per fold
         stacked = kind is not ModelKind.KNN
         assert calls["train"] == (fits if stacked else fits * n)
         # only RF and MLP read a fold seed, so only they derive one
@@ -497,6 +524,41 @@ class TestSelectionSurface:
                   for p in report["grid_search"]["points"]
                   if p["hyperparameters"]["kernel"] == "linear"}
         assert linear[1.0] == linear[10.0]
+
+
+# SHA-256 of each default-grid report on the frozen table's ``temp``
+# columns, as the CLI writes it, recorded before grid points shared fits
+PAPER_GRID_REPORTS = {
+    ModelKind.KNN:
+        "50e56385571dc74bea2630f35bf85088c5b99c40c6aba1ada0c017ce2aab3872",
+    ModelKind.GRADIENT_BOOSTING:
+        "23549eedbf134ad9a8fb772aa0d4da1a779b250d7dd9a47106e0145b2cfa1cdc",
+    ModelKind.SVM:
+        "1b72c326f1d7f6bb3c33f4874436b24a1327915b3b692b68e884003d46b12f79",
+}
+
+
+class TestPaperGrids:
+    @pytest.mark.parametrize("kind,fits", [
+        (ModelKind.KNN, 31), (ModelKind.GRADIENT_BOOSTING, 2),
+        (ModelKind.SVM, 4)], ids=lambda v: getattr(v, "value", v))
+    def test_default_grid_report_bytes_and_fits(self, kind, fits,
+                                                monkeypatch):
+        table = (Path(__file__).resolve().parents[1] / "perfbench"
+                 / "reference" / "features-seed11.csv")
+        matrix = assemble_matrix(pipeline.read_features_csv(table), "temp")
+        calls = []
+        monkeypatch.setattr(mlbench, "train",
+                            lambda *a, **k: calls.append(1) or train(*a, **k))
+        report = loocv_grid_search(matrix, kind,
+                                   mlbench.default_grids()[kind], seed=11,
+                                   selector="temp")
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() \
+            == PAPER_GRID_REPORTS[kind]
+        # kNN: one fit per subject for its one k-path; GB: one 200-stage fit
+        # per learning rate; SVM: one C-path per kernel and gamma
+        assert len(calls) == fits
 
 
 class TestGrids:

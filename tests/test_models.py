@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -49,7 +50,7 @@ class TestKnn:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(40, 6))
         y = (rng.random(40) > 0.4).astype(int)
-        for k in (1, 3, 5, 7):
+        for k in (1, 3, 5, 7, 40, 45):  # 45 is past the 40 training rows
             model = models.KnnClassifier(k=k).fit(x[None], y[None])
             for _ in range(50):
                 q = rng.normal(size=6)
@@ -88,6 +89,30 @@ class TestKnn:
         y = np.array([[0, 1, 0, 1], [0, 0, 0, 0], [1, 0, 1, 0]])
         with pytest.raises(DegenerateLabels):
             models.KnnClassifier(k=1).fit(x, y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(stack=fold_stacks(), one_fold=st.booleans())
+    def test_k_path_rows_equal_one_fit_per_k(self, stack, one_fold):
+        x, y, queries = stack
+        if one_fold:
+            x, y, queries = x[:1], y[:1], queries[:1]
+        f, ks = len(x), (5, 1, 3, 100)  # 100 is past every training row
+        got = models.KnnClassifier(k=ks).fit(x, y).predict(queries)
+        assert got.shape == (len(ks) * f, queries.shape[1])
+        for i, k in enumerate(ks):  # path-major: model i * f + fold
+            alone = models.KnnClassifier(k=k).fit(x, y).predict(queries)
+            assert np.array_equal(got[i * f:(i + 1) * f], alone)
+
+    def test_k_past_the_rows_votes_among_all_rows(self):
+        x = np.array([[0.0], [1.0], [2.0]])
+        knn = models.KnnClassifier(k=(3, 4, 50)).fit(x[None],
+                                                     np.array([[0, 1, 1]]))
+        assert knn.predict(np.array([[[0.0]]])).tolist() == [[1], [1], [1]]
+
+    @pytest.mark.parametrize("k", [[], (), [3, 0], [1, -2, 5], 0])
+    def test_k_path_must_hold_counts_of_at_least_one(self, k):
+        with pytest.raises(ValueError):
+            models.KnnClassifier(k=k)
 
 
 def exhaustive_best_split_1d(values, labels):
@@ -385,6 +410,48 @@ class TestGradientBoosting:
         gb = models.GradientBoostingClassifier(n_estimators=1).fit(x[None],
                                                                    y[None])
         assert gb._base_score == pytest.approx(math.log(0.4 / 0.6))
+
+    @pytest.mark.parametrize("f", [1, 3])
+    def test_stage_path_blocks_equal_one_fit_per_count(self, f):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(f, 14, 3))
+        y = np.tile([0, 1], (f, 7))
+        queries = rng.normal(size=(f, 5, 3))
+        counts = (3, 1, 3)  # unsorted and repeated: rows come in this order
+        path = models.GradientBoostingClassifier(n_estimators=counts).fit(x, y)
+        assert len(path._trees) == 3
+        scores = path.decision_scores(queries)
+        assert scores.shape == (len(counts) * f, 5)
+        for i, count in enumerate(counts):
+            alone = models.GradientBoostingClassifier(count).fit(x, y)
+            assert scores[i * f:(i + 1) * f].tobytes() \
+                == alone.decision_scores(queries).tobytes()
+            expect = np.repeat(path._base_score[:, None], 5, axis=1)
+            for tree in path._trees[:count]:  # the first count stages
+                expect = expect + 0.1 * tree.predict(queries)
+            assert scores[i * f:(i + 1) * f].tobytes() == expect.tobytes()
+            assert np.array_equal(path.predict(queries)[i * f:(i + 1) * f],
+                                  alone.predict(queries))
+
+    def test_empty_stage_path_raises(self):
+        for empty in ([], ()):
+            with pytest.raises(ValueError):
+                models.GradientBoostingClassifier(n_estimators=empty)
+
+    def test_stage_path_scores_hold_no_copy_per_stage(self):
+        rng = np.random.default_rng(7)
+        gb = models.GradientBoostingClassifier(n_estimators=(50, 200)).fit(
+            rng.normal(size=(1, 30, 3)), np.tile([0, 1], (1, 15)))
+        queries = rng.normal(size=(1, 10_000, 3))
+        tracemalloc.start()
+        try:
+            gb.decision_scores(queries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the two kept (f, m) score arrays plus a few per-stage temporaries;
+        # one copy per stage would be 100 times this
+        assert peak < 8 * (2 * 1 * 10_000 * 8)
 
 
 def oracle_tree(x, target, min_samples_leaf, max_depth, splitter,
@@ -1056,6 +1123,20 @@ class TestDispatch:
         for kind in ModelKind:
             with pytest.raises(DegenerateLabels):
                 models.train(ModelSpec(kind, {}), x[None], y[None])
+
+
+class TestPathAxes:
+    def test_no_seeded_kind_has_a_path(self):
+        # a grid point's fold seeds come from its grid index, so points
+        # with different seeds cannot share one fit
+        assert not set(models.PATH_AXES) & set(models.SEEDED_KINDS)
+
+    def test_predict_gives_one_class_per_model(self, blobs):
+        x, y = blobs
+        model = models.train(ModelSpec(ModelKind.KNN, {"k": [1, 30]}),
+                             x[None], y[None])
+        # the first query only; k = 30 takes all rows, a 15-15 tie: class 0
+        assert models.predict(model, x[None, ::-1]).tolist() == [1, 0]
 
 
 class TestFitContract:
