@@ -26,11 +26,10 @@ from .config import (
     RunConfig,
     apply_env_overrides,
     config_from_dict,
-    finite_number,
     load_config_file,
 )
 from .errors import ConfigError, InvalidSpec, WearbenchError
-from .models import ModelKind
+from .models import ModelKind, finite_number
 from .session_io import ValidationStatus, atomic_write_text, read_text
 
 EXIT_OK = 0

@@ -9,7 +9,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,7 +16,8 @@ from .dsp import MAX_DETREND_LAMBDA
 from .errors import ConfigError
 from .hrv import HF_BAND, MAX_NN_INTERP_RATE_HZ
 from .mlbench import FEATURE_GROUPS
-from .models import ModelKind
+from .models import (COUNT, HYPERPARAMETERS, RATE, ModelKind, finite_number,
+                     one_of)
 from .session_io import ValidationPolicy, read_text
 from .synth import MAX_COHORT_DURATION_S, MIN_COHORT_DURATION_S, CohortSpec
 
@@ -27,29 +27,14 @@ DEFAULT_MODELS = tuple(kind.value for kind in ModelKind)
 ALL_SELECTORS = tuple(FEATURE_GROUPS)
 
 
-def finite_number(v) -> bool:
-    """A JSON number that fits a finite float: NaN, +-inf, numbers too
-    large for a float, and bools all fail."""
-    return type(v) in (int, float) and abs(v) <= sys.float_info.max
-
-
-def _one_of(*choices):
-    return (lambda v: v in choices,
-            " or ".join(json.dumps(c) for c in choices))
-
-
 def _each_of(choices):
     return (lambda v: isinstance(v, (list, tuple)) and len(v) > 0
             and all(x in choices for x in v) and len(set(v)) == len(v),
             f"a non-empty list of distinct values from {', '.join(choices)}")
 
 
-# a range is (check, what the value must be); it is a field's only check,
-# so it also checks the type, and it fails NaN and +-inf
-_COUNT = (lambda v: type(v) is int and v >= 1, "an integer >= 1")
+# a range is (check, what the value must be), as in ``models``
 _SEED = (lambda v: type(v) is int and v >= 0, "an integer >= 0")
-_DEPTH = (lambda v: v is None or _COUNT[0](v), "null or an integer >= 1")
-_RATE = (lambda v: finite_number(v) and v > 0, "a positive number")
 _LAMBDA = (lambda v: finite_number(v) and 0 < v <= MAX_DETREND_LAMBDA,
            f"a positive number <= {MAX_DETREND_LAMBDA:g}")
 _INTERP_RATE = (
@@ -66,19 +51,6 @@ _COHORT_DURATION = (
     lambda v: finite_number(v)
     and MIN_COHORT_DURATION_S <= v <= MAX_COHORT_DURATION_S,
     f"a number in [{MIN_COHORT_DURATION_S:g}, {MAX_COHORT_DURATION_S:g}]")
-
-# hyperparameters each model's grid may set -> range
-GRID_KEYS = {
-    "knn": {"k": _COUNT},
-    "dt": {"max_depth": _DEPTH, "min_samples_leaf": _COUNT},
-    "rf": {"n_estimators": _COUNT, "max_depth": _DEPTH,
-           "min_samples_leaf": _COUNT},
-    "gb": {"n_estimators": _COUNT, "learning_rate": _RATE,
-           "max_depth": _COUNT},
-    "svm": {"kernel": _one_of("linear", "rbf"), "c": _RATE, "gamma": _RATE},
-    "mlp": {"hidden": _COUNT, "learning_rate": _RATE, "epochs": _COUNT},
-}
-
 
 _GRID = (lambda v: isinstance(v, list) and len(v) > 0
          and all(isinstance(point, dict) for point in v),
@@ -99,14 +71,15 @@ def _check_fields(values: dict, ranges: dict, context: str) -> None:
 
 
 def _check_grids(grids: dict) -> bool:
-    """Model name -> non-empty list of points, each within ``GRID_KEYS``;
-    raises a ConfigError that names the offending grid."""
+    """Model name -> non-empty list of points, each within its kind's
+    ``HYPERPARAMETERS``; raises a ConfigError that names the grid."""
     if not isinstance(grids, dict):
         return False
     _check_fields(grids, dict.fromkeys(DEFAULT_MODELS, _GRID), "bench.grids")
     for name, grid in grids.items():
         for point in grid:
-            _check_fields(point, GRID_KEYS[name], f"bench.grids.{name}")
+            _check_fields(point, HYPERPARAMETERS[ModelKind(name)],
+                          f"bench.grids.{name}")
     return True
 
 
@@ -117,16 +90,16 @@ TOP_LEVEL_RANGES = {"data_root": _PATH, "manifest": _PATH, "out_dir": _PATH,
 # section -> field -> range
 RANGES = {
     "dsp": {"detrend_lambda": _LAMBDA, "bvp_band_hz": _BAND,
-            "bvp_filter_order": _COUNT, "welch_overlap": _FRACTION,
+            "bvp_filter_order": COUNT, "welch_overlap": _FRACTION,
             "nn_interp_rate_hz": _INTERP_RATE},
-    "features": {"peak_threshold_scale": _RATE, "peak_rms_window_s": _RATE,
-                 "peak_refractory_s": _RATE, "eda_clean_hz": _RATE,
-                 "eda_tonic_hz": _RATE, "scr_min_amplitude": _NON_NEGATIVE,
-                 "acc_lowpass_hz": _RATE, "acc_lowpass_order": _COUNT,
+    "features": {"peak_threshold_scale": RATE, "peak_rms_window_s": RATE,
+                 "peak_refractory_s": RATE, "eda_clean_hz": RATE,
+                 "eda_tonic_hz": RATE, "scr_min_amplitude": _NON_NEGATIVE,
+                 "acc_lowpass_hz": RATE, "acc_lowpass_order": COUNT,
                  "acc_inactivity_threshold": _NON_NEGATIVE},
-    "validation": {"min_duration_seconds": _RATE,
+    "validation": {"min_duration_seconds": RATE,
                    "max_duration_skew_seconds": _NON_NEGATIVE},
-    "synth": {"n_unipolar": _COUNT, "n_bipolar": _COUNT,
+    "synth": {"n_unipolar": COUNT, "n_bipolar": COUNT,
               "duration_s": _COHORT_DURATION,
               "offset_acc_dominant_freq_hz": _FINITE,
               "offset_temp_trend_c_per_s": _FINITE,
@@ -135,7 +108,7 @@ RANGES = {
               "offset_acc_inactive_fraction": _FINITE},
     "bench": {"models": _each_of(DEFAULT_MODELS),
               "selectors": _each_of(ALL_SELECTORS),
-              "positive_class": _one_of("unipolar", "bipolar"),
+              "positive_class": one_of("unipolar", "bipolar"),
               "grids": (_check_grids, "an object of model grids")},
 }
 

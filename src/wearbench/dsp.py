@@ -500,8 +500,8 @@ def welch_psd(signal, sample_rate_hz: float, segment_len: int | None = None,
     """
     x = np.asarray(signal, dtype=float).ravel()
     fs = float(sample_rate_hz)
-    if fs <= 0:
-        raise ValueError("sample rate must be positive")
+    if fs <= 0 or not math.isfinite(fs):
+        raise ValueError(f"sample rate must be positive and finite, got {fs}")
     if segment_len is None:
         segment_len = min(256, x.size)
     seg = int(segment_len)

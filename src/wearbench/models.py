@@ -15,7 +15,9 @@ exists, and ``x <= threshold`` routing to the left branch of every tree.
 from __future__ import annotations
 
 import enum
+import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +38,60 @@ class ModelKind(enum.Enum):
 class ModelSpec:
     kind: ModelKind
     hyperparameters: dict = field(default_factory=dict)
+
+
+# --- hyperparameter ranges ---------------------------------------------------------
+
+
+def finite_number(v) -> bool:
+    """A number that fits a finite float; NaN, +-inf and bools fail."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+def one_of(*choices):
+    return (lambda v: v in choices,
+            " or ".join(json.dumps(c) for c in choices))
+
+
+# a range is (check, what the value must be); it is a value's only check,
+# so it also checks the type, and it fails NaN and +-inf
+COUNT = (lambda v: type(v) is int and v >= 1, "an integer >= 1")
+DEPTH = (lambda v: v is None or COUNT[0](v), "null or an integer >= 1")
+RATE = (lambda v: finite_number(v) and v > 0, "a positive number")
+
+# the kinds whose fit reads ``train``'s seed
+SEEDED_KINDS = (ModelKind.RANDOM_FOREST, ModelKind.MLP)
+# no seeded kind has a path: a grid point's fold seeds come from its index
+PATH_AXES = {ModelKind.KNN: "k", ModelKind.GRADIENT_BOOSTING: "n_estimators",
+             ModelKind.SVM: "c"}
+# each classifier's constructor arguments but ``seed`` -> range; a path
+# axis takes one value or a non-empty sequence of values in range
+HYPERPARAMETERS = {
+    ModelKind.KNN: {"k": COUNT},
+    ModelKind.DECISION_TREE: {"max_depth": DEPTH, "min_samples_leaf": COUNT},
+    ModelKind.RANDOM_FOREST: {"n_estimators": COUNT, "max_depth": DEPTH,
+                              "min_samples_leaf": COUNT},
+    ModelKind.GRADIENT_BOOSTING: {"n_estimators": COUNT, "learning_rate": RATE,
+                                  "max_depth": COUNT},
+    ModelKind.SVM: {"c": RATE, "kernel": one_of("linear", "rbf"),
+                    "gamma": RATE},
+    ModelKind.MLP: {"hidden": COUNT, "learning_rate": RATE, "epochs": COUNT},
+}
+
+
+def _set_hyperparameters(model, kind: ModelKind, args: dict) -> None:
+    """Set ``kind``'s hyperparameters from ``args``, a constructor's
+    ``locals()``: a NumPy scalar as the Python number it holds, a rate as a
+    float, a path as a tuple; ValueError names the first bad value."""
+    for key, (check, what) in HYPERPARAMETERS[kind].items():
+        value, path = args[key], key == PATH_AXES.get(kind)
+        many = path and (isinstance(value, (list, tuple)) or np.ndim(value))
+        values = [v.item() if isinstance(v, np.generic) else v
+                  for v in (value if many else [value])]
+        if not values or not all(map(check, values)):
+            raise ValueError(f"{key} must be {what}, got {value!r}")
+        values = [float(v) if (check, what) == RATE else v for v in values]
+        setattr(model, key, tuple(values) if path else values[0])
 
 
 def _check_labels(y: np.ndarray) -> None:
@@ -70,9 +126,7 @@ class KnnClassifier:
     fold's queries voting among its own rows; one sort serves every k."""
 
     def __init__(self, k=5):
-        self.k = tuple(int(v) for v in np.ravel(k))
-        if not self.k or min(self.k) < 1:
-            raise ValueError(f"k must be one or more counts >= 1, got {k!r}")
+        _set_hyperparameters(self, ModelKind.KNN, locals())
         self._x: np.ndarray | None = None
         self._y: np.ndarray | None = None
 
@@ -352,8 +406,7 @@ class DecisionTreeClassifier:
     of all folds grown in one lock-step."""
 
     def __init__(self, max_depth: int | None = None, min_samples_leaf: int = 1):
-        self.max_depth = max_depth
-        self.min_samples_leaf = int(min_samples_leaf)
+        _set_hyperparameters(self, ModelKind.DECISION_TREE, locals())
         self.tree: _Tree | None = None
 
     def fit(self, x, y) -> "DecisionTreeClassifier":
@@ -382,9 +435,7 @@ class RandomForestClassifier:
 
     def __init__(self, n_estimators: int = 100, max_depth: int | None = None,
                  min_samples_leaf: int = 1, seed=(0,)):
-        self.n_estimators = int(n_estimators)
-        self.max_depth = max_depth
-        self.min_samples_leaf = int(min_samples_leaf)
+        _set_hyperparameters(self, ModelKind.RANDOM_FOREST, locals())
         self.seed = seed
         self._trees: list[_Tree] = []  # one stack per lock-step
 
@@ -439,11 +490,7 @@ class GradientBoostingClassifier:
 
     def __init__(self, n_estimators=100, learning_rate: float = 0.1,
                  max_depth: int = 3):
-        self.n_estimators = tuple(int(v) for v in np.ravel(n_estimators))
-        if not self.n_estimators:
-            raise ValueError("n_estimators must not be an empty sequence")
-        self.learning_rate = float(learning_rate)
-        self.max_depth = int(max_depth)
+        _set_hyperparameters(self, ModelKind.GRADIENT_BOOSTING, locals())
         self._trees: list[_Tree] = []
         self._base_score = np.zeros(1)
 
@@ -499,17 +546,6 @@ def _if_elif(a, b, *cases):
     return a, b
 
 
-def _positive(name: str, value) -> float:
-    """``value`` as a float; ValueError unless it is a finite number > 0."""
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        v = math.nan
-    if not (math.isfinite(v) and v > 0):
-        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
-    return v
-
-
 class SvmClassifier:
     """Soft-margin SVM trained by most-violating-pair dual optimization.
 
@@ -521,13 +557,7 @@ class SvmClassifier:
     """
 
     def __init__(self, c=1.0, kernel: str = "linear", gamma: float = 0.1):
-        if kernel not in ("linear", "rbf"):
-            raise ValueError(f"unknown kernel {kernel!r}")
-        self.c = tuple(_positive("c", v) for v in (c if np.ndim(c) else [c]))
-        if self.c == ():
-            raise ValueError("c must not be an empty sequence")
-        self.kernel = kernel
-        self.gamma = _positive("gamma", gamma)
+        _set_hyperparameters(self, ModelKind.SVM, locals())
         self._x: np.ndarray | None = None
         self._fold: np.ndarray | None = None
         self._sy: np.ndarray | None = None
@@ -683,9 +713,7 @@ class MlpClassifier:
 
     def __init__(self, hidden: int = 16, learning_rate: float = 0.01,
                  epochs: int = 500, seed=(0,)):
-        self.hidden = int(hidden)
-        self.learning_rate = float(learning_rate)
-        self.epochs = int(epochs)
+        _set_hyperparameters(self, ModelKind.MLP, locals())
         self.seed = seed
         self._params: dict | None = None
 
@@ -731,13 +759,6 @@ _CLASSIFIERS = {
     ModelKind.SVM: SvmClassifier,
     ModelKind.MLP: MlpClassifier,
 }
-
-
-# the kinds whose fit reads ``train``'s seed
-SEEDED_KINDS = (ModelKind.RANDOM_FOREST, ModelKind.MLP)
-# no seeded kind has a path: a grid point's fold seeds come from its index
-PATH_AXES = {ModelKind.KNN: "k", ModelKind.GRADIENT_BOOSTING: "n_estimators",
-             ModelKind.SVM: "c"}
 
 
 def train(spec: ModelSpec, x: np.ndarray, y: np.ndarray, seed=(0,)):

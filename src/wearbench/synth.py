@@ -8,7 +8,7 @@ byte-identical files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +56,11 @@ class SynthSpec:
     label: Label = Label.UNIPOLAR
 
     def validate(self) -> None:
+        # a NaN passes every comparison below, and loops _beat_times forever
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise InvalidSpec(f"{f.name} must be finite, got {value!r}")
         if self.duration_s <= 0:
             raise InvalidSpec("duration must be positive")
         if self.heart_rate_bpm <= 0:
@@ -64,11 +69,12 @@ class SynthSpec:
             raise InvalidSpec("amplitudes must be non-negative")
         if not 0.0 <= self.acc_inactive_fraction <= 1.0:
             raise InvalidSpec("inactive fraction must be in [0, 1]")
-        for onset, amp in self.scr_events:
-            if amp < 0:
-                raise InvalidSpec("SCR amplitudes must be non-negative")
+        for onset, amp in self.scr_events:  # a NaN onset fails its range
+            if not 0 <= amp < math.inf:
+                raise InvalidSpec(f"scr_events: amplitude {amp!r} must be "
+                                  "finite and non-negative")
             if not 0.0 <= onset < self.duration_s:
-                raise InvalidSpec(f"SCR onset {onset} outside the session")
+                raise InvalidSpec(f"scr_events: onset {onset!r} outside the session")
         # beat period modulation must never cross zero
         if self.hrv_mod_depth_ms / 1000.0 >= 60.0 / self.heart_rate_bpm:
             raise InvalidSpec("HRV modulation depth exceeds the beat period")

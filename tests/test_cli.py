@@ -140,6 +140,48 @@ class TestSynthCommand:
         assert not out.exists()
 
 
+# one out-of-range grid value per model and key, with the stderr line the
+# CLI printed for it before the ranges moved into models.HYPERPARAMETERS
+GRID_VALUE_ERRORS = [
+    ("knn", "k", 0, "knn.k must be an integer >= 1, got 0"),
+    ("dt", "max_depth", 0,
+     "dt.max_depth must be null or an integer >= 1, got 0"),
+    ("dt", "min_samples_leaf", 0,
+     "dt.min_samples_leaf must be an integer >= 1, got 0"),
+    ("rf", "n_estimators", 0, "rf.n_estimators must be an integer >= 1, got 0"),
+    ("rf", "max_depth", -1,
+     "rf.max_depth must be null or an integer >= 1, got -1"),
+    ("rf", "min_samples_leaf", 0,
+     "rf.min_samples_leaf must be an integer >= 1, got 0"),
+    ("gb", "n_estimators", -3,
+     "gb.n_estimators must be an integer >= 1, got -3"),
+    ("gb", "learning_rate", math.nan,
+     "gb.learning_rate must be a positive number, got nan"),
+    ("gb", "max_depth", None, "gb.max_depth must be an integer >= 1, got None"),
+    ("svm", "kernel", "poly",
+     "svm.kernel must be \"linear\" or \"rbf\", got 'poly'"),
+    ("svm", "c", "1.0", "svm.c must be a positive number, got '1.0'"),
+    ("svm", "gamma", 0.0, "svm.gamma must be a positive number, got 0.0"),
+    ("mlp", "hidden", 0, "mlp.hidden must be an integer >= 1, got 0"),
+    ("mlp", "learning_rate", -1.0,
+     "mlp.learning_rate must be a positive number, got -1.0"),
+    ("mlp", "epochs", 2.5, "mlp.epochs must be an integer >= 1, got 2.5"),
+]
+
+
+@pytest.mark.parametrize("model,key,value,line", GRID_VALUE_ERRORS,
+                         ids=[f"{m}-{k}" for m, k, *_ in GRID_VALUE_ERRORS])
+def test_out_of_range_grid_value_exits_2_with_one_line(model, key, value,
+                                                       line, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"bench": {"grids": {model: [{key: value}]}}}))
+    code = run("--config", str(cfg_path), "--print-config")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"configuration error: bench.grids.{line}\n"
+
+
 class TestExtractCommand:
     def test_outputs_exist_with_59_columns(self, small_cohort):
         features = small_cohort / "out" / "features.csv"

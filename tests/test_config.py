@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wearbench import models
 from wearbench.config import (
     RANGES,
     TOP_LEVEL_RANGES,
@@ -88,3 +89,47 @@ def test_any_json_value_gives_a_config_or_config_error(values):
         for leaf in _leaves(getattr(getattr(cfg, section), name)):
             assert not isinstance(leaf, float) or math.isfinite(leaf), \
                 (section, name, leaf)
+
+
+HYPERPARAMETER_KEYS = [(kind, key) for kind, keys in models.HYPERPARAMETERS.items()
+                       for key in keys]
+# the JSON values above, and the edges of every range
+GRID_VALUES = JSON_VALUES | st.sampled_from(
+    [0, 1, 2, -3, 0.5, 1.0, 2.5, 1e300, 10 ** 400, "linear", "rbf", "1.0",
+     None, True, False, math.nan, math.inf, -math.inf])
+
+
+def _constructor_raises(kind, key, value) -> bool:
+    try:
+        models._CLASSIFIERS[kind](**{key: value})
+    except ValueError:
+        return True
+    return False
+
+
+def _config_raises(kind, key, value) -> bool:
+    try:
+        config_from_dict({"bench": {"grids": {kind.value: [{key: value}]}}})
+    except ConfigError:
+        return True
+    return False
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(HYPERPARAMETER_KEYS),
+       GRID_VALUES.filter(lambda v: not isinstance(v, list)))
+def test_constructor_raises_exactly_when_the_config_does(kind_key, value):
+    kind, key = kind_key
+    assert _constructor_raises(kind, key, value) \
+        == _config_raises(kind, key, value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(models.PATH_AXES, key=lambda k: k.value)),
+       st.lists(GRID_VALUES, max_size=4))
+def test_path_raises_exactly_when_empty_or_an_element_fails(kind, values):
+    # the config takes one value per grid point; a path is the constructor's
+    key = models.PATH_AXES[kind]
+    expect = not values or any(_config_raises(kind, key, v) for v in values)
+    assert _constructor_raises(kind, key, values) == expect
+    assert _config_raises(kind, key, values)

@@ -718,6 +718,12 @@ class TestWelch:
         assert np.all(np.diff(spec.freqs_hz) > 0)
         assert np.all(spec.power >= 0.0)
 
+    @pytest.mark.parametrize("fs", [0.0, -4.0, math.nan, math.inf,
+                                    -math.inf])
+    def test_sample_rate_must_be_positive_and_finite(self, fs):
+        with pytest.raises(ValueError, match="sample rate"):
+            dsp.welch_psd(np.ones(64), fs)
+
     def test_too_short(self):
         with pytest.raises(SignalTooShort):
             dsp.welch_psd(np.zeros(6), 4.0)

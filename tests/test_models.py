@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -1123,6 +1124,53 @@ class TestDispatch:
         for kind in ModelKind:
             with pytest.raises(DegenerateLabels):
                 models.train(ModelSpec(kind, {}), x[None], y[None])
+
+
+class TestHyperparameterRanges:
+    """Every constructor checks each hyperparameter, and each element of a
+    path, against ``models.HYPERPARAMETERS``, the table the config reads."""
+
+    @pytest.mark.parametrize("make,field", [
+        (lambda: models.RandomForestClassifier(0), "n_estimators"),
+        (lambda: models.MlpClassifier(hidden=0), "hidden"),
+        (lambda: models.GradientBoostingClassifier(0), "n_estimators"),
+        (lambda: models.GradientBoostingClassifier(-3), "n_estimators"),
+        (lambda: models.GradientBoostingClassifier(learning_rate=math.nan),
+         "learning_rate"),
+        (lambda: models.GradientBoostingClassifier(max_depth=None),
+         "max_depth"),
+        (lambda: models.DecisionTreeClassifier(max_depth=-1), "max_depth"),
+        (lambda: models.DecisionTreeClassifier(min_samples_leaf=0),
+         "min_samples_leaf"),
+        (lambda: models.RandomForestClassifier(min_samples_leaf=0),
+         "min_samples_leaf"),
+        (lambda: models.MlpClassifier(learning_rate=-1.0), "learning_rate"),
+        (lambda: models.SvmClassifier(c="1.0"), "c"),
+        (lambda: models.KnnClassifier(k=2.5), "k"),
+        (lambda: models.KnnClassifier(k=True), "k"),
+    ], ids=["rf-0-trees", "mlp-0-hidden", "gb-0-stages", "gb-negative-stages",
+            "gb-nan-rate", "gb-null-depth", "dt-negative-depth", "dt-0-leaf",
+            "rf-0-leaf", "mlp-negative-rate", "svm-string-c", "knn-float-k",
+            "knn-bool-k"])
+    def test_out_of_range_value_raises_naming_the_field(self, make, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be "):
+            make()
+
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+    def test_table_keys_are_the_constructor_parameters(self, kind):
+        params = inspect.signature(models._CLASSIFIERS[kind]).parameters
+        assert list(models.HYPERPARAMETERS[kind]) \
+            == [name for name in params if name != "seed"]
+
+    def test_values_are_kept_as_python_numbers(self):
+        svm = models.SvmClassifier(c=np.array([1, 10]), gamma=np.float32(0.5))
+        assert svm.c == (1.0, 10.0) and type(svm.c[0]) is float
+        assert type(svm.gamma) is float
+        gb = models.GradientBoostingClassifier(np.int64(3), 1, np.int8(2))
+        assert gb.n_estimators == (3,) and type(gb.n_estimators[0]) is int
+        assert type(gb.learning_rate) is float and type(gb.max_depth) is int
+        assert models.KnnClassifier(k=[np.int64(2), 4]).k == (2, 4)
+        assert models.DecisionTreeClassifier(None).max_depth is None
 
 
 class TestPathAxes:

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +158,21 @@ class TestGenerateSession:
             synth.generate_session(
                 synth.SynthSpec(seed=1, scr_events=((500.0, 0.5),),
                                 duration_s=100.0))
+
+    @pytest.mark.parametrize("field,value", [
+        *((f.name, v) for f in dataclasses.fields(synth.SynthSpec)
+          if type(f.default) is float
+          for v in (math.nan, math.inf, -math.inf)),
+        ("scr_events", ((math.nan, 0.5),)), ("scr_events", ((10.0, math.nan),)),
+        ("scr_events", ((math.inf, 0.5),)), ("scr_events", ((10.0, math.inf),)),
+    ], ids=repr)
+    def test_non_finite_parameter_raises_naming_it(self, field, value):
+        # validate() only: generate_session on a NaN duration or HRV
+        # frequency would append beats forever
+        spec = dataclasses.replace(synth.SynthSpec(seed=1, duration_s=60.0),
+                                   **{field: value})
+        with pytest.raises(InvalidSpec, match=field):
+            spec.validate()
 
 
 class TestGenerateCohort:
