@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 
 from . import dsp
-from .errors import ConstantInput, LengthMismatch, SignalTooShort
+from .errors import (NON_NEGATIVE, ConstantInput, LengthMismatch,
+                     SignalTooShort, check_value)
 from .session_io import SignalChannel
 
 ACC_FEATURE_NAMES = (
@@ -49,6 +50,8 @@ def acc_features(acc: SignalChannel,
     seconds. Symmetries are absolute Pearson correlations per axis pair;
     a constant axis contributes 0. Returns the ``ACC_FEATURE_NAMES`` columns.
     """
+    inactivity_threshold = check_value("inactivity_threshold",
+                                       inactivity_threshold, NON_NEGATIVE)
     samples = np.asarray(acc.samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != 3:
         raise ValueError("expected a 3-column ACC channel")

@@ -28,9 +28,9 @@ from .config import (
     config_from_dict,
     load_config_file,
 )
-from .errors import ConfigError, InvalidSpec, WearbenchError
-from .models import ModelKind, finite_number
-from .session_io import ValidationStatus, atomic_write_text, read_text
+from .errors import ConfigError, InvalidSpec, WearbenchError, finite_number
+from .models import ModelKind
+from .session_io import Label, ValidationStatus, atomic_write_text, read_text
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -150,7 +150,6 @@ def cmd_bench(cfg: RunConfig) -> int:
                 f"{features_path}: selector {selector!r} needs "
                 f"{len(missing)} columns the header lacks, "
                 f"first {missing[0]!r}")
-    positive = 1 if cfg.bench.positive_class == "bipolar" else 0
     grids = mlbench.default_grids()
     for name, grid in cfg.bench.grids.items():
         grids[ModelKind(name)] = [dict(g) for g in grid]
@@ -162,7 +161,8 @@ def cmd_bench(cfg: RunConfig) -> int:
             kind = ModelKind(model_name)
             report = mlbench.loocv_grid_search(
                 matrix, kind, grids[kind], seed=cfg.seed,
-                positive_class=positive, selector=selector)
+                positive_class=Label(cfg.bench.positive_class),
+                selector=selector)
             reports.append(report)
             atomic_write_text(
                 out_dir / f"bench_{selector}_{model_name}.json",

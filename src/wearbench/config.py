@@ -12,14 +12,14 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dsp import MAX_DETREND_LAMBDA
-from .errors import ConfigError
-from .hrv import HF_BAND, MAX_NN_INTERP_RATE_HZ
+from .dsp import DETREND_LAMBDA
+from .errors import (COUNT, FRACTION, NON_NEGATIVE, RATE, SEED, ConfigError,
+                     check_fields, finite_number, one_of)
+from .hrv import INTERP_RATE
 from .mlbench import FEATURE_GROUPS
-from .models import (COUNT, HYPERPARAMETERS, RATE, ModelKind, finite_number,
-                     one_of)
-from .session_io import ValidationPolicy, read_text
-from .synth import MAX_COHORT_DURATION_S, MIN_COHORT_DURATION_S, CohortSpec
+from .models import HYPERPARAMETERS, ModelKind
+from .session_io import VALIDATION_RANGES, ValidationPolicy, read_text
+from .synth import COHORT_RANGES, CohortSpec
 
 ENV_PREFIX = "WEARBENCH_"
 
@@ -33,41 +33,16 @@ def _each_of(choices):
             f"a non-empty list of distinct values from {', '.join(choices)}")
 
 
-# a range is (check, what the value must be), as in ``models``
-_SEED = (lambda v: type(v) is int and v >= 0, "an integer >= 0")
-_LAMBDA = (lambda v: finite_number(v) and 0 < v <= MAX_DETREND_LAMBDA,
-           f"a positive number <= {MAX_DETREND_LAMBDA:g}")
-_INTERP_RATE = (
-    lambda v: finite_number(v) and 2 * HF_BAND[1] < v <= MAX_NN_INTERP_RATE_HZ,
-    f"a number above {2 * HF_BAND[1]:g} and at most {MAX_NN_INTERP_RATE_HZ:g}")
-_NON_NEGATIVE = (lambda v: finite_number(v) and v >= 0, "a finite number >= 0")
-_FINITE = (finite_number, "a finite number")
-_FRACTION = (lambda v: finite_number(v) and 0 <= v < 1, "a number in [0, 1)")
+# the ranges only the config reads; every other range in ``RANGES`` is the
+# one its reader checks. A cutoff need only be positive here: the filter
+# design checks it against the sample rate, which the config never sees.
 _BAND = (lambda v: isinstance(v, (list, tuple)) and len(v) == 2
          and all(map(finite_number, v)) and 0 < v[0] < v[1],
          "[low, high] with 0 < low < high")
 _PATH = (lambda v: v is None or isinstance(v, str), "null or a string")
-_COHORT_DURATION = (
-    lambda v: finite_number(v)
-    and MIN_COHORT_DURATION_S <= v <= MAX_COHORT_DURATION_S,
-    f"a number in [{MIN_COHORT_DURATION_S:g}, {MAX_COHORT_DURATION_S:g}]")
-
 _GRID = (lambda v: isinstance(v, list) and len(v) > 0
          and all(isinstance(point, dict) for point in v),
          "a non-empty list of objects")
-
-
-def _check_fields(values: dict, ranges: dict, context: str) -> None:
-    """Raise a ConfigError naming ``context`` for a key of ``values`` that
-    ``ranges`` lacks, or a value outside its key's range."""
-    unknown = set(values) - set(ranges)
-    if unknown:
-        raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
-    for key, value in values.items():
-        check, what = ranges[key]
-        if not check(value):
-            raise ConfigError(f"{context}.{key} must be {what}, "
-                              f"got {value!r}")
 
 
 def _check_grids(grids: dict) -> bool:
@@ -75,37 +50,31 @@ def _check_grids(grids: dict) -> bool:
     ``HYPERPARAMETERS``; raises a ConfigError that names the grid."""
     if not isinstance(grids, dict):
         return False
-    _check_fields(grids, dict.fromkeys(DEFAULT_MODELS, _GRID), "bench.grids")
+    check_fields(grids, dict.fromkeys(DEFAULT_MODELS, _GRID), ConfigError,
+                 "bench.grids")
     for name, grid in grids.items():
         for point in grid:
-            _check_fields(point, HYPERPARAMETERS[ModelKind(name)],
-                          f"bench.grids.{name}")
+            check_fields(point, HYPERPARAMETERS[ModelKind(name)], ConfigError,
+                         f"bench.grids.{name}")
     return True
 
 
 # top-level field -> range
 TOP_LEVEL_RANGES = {"data_root": _PATH, "manifest": _PATH, "out_dir": _PATH,
-                    "seed": _SEED}
+                    "seed": SEED}
 
 # section -> field -> range
 RANGES = {
-    "dsp": {"detrend_lambda": _LAMBDA, "bvp_band_hz": _BAND,
-            "bvp_filter_order": COUNT, "welch_overlap": _FRACTION,
-            "nn_interp_rate_hz": _INTERP_RATE},
+    "dsp": {"detrend_lambda": DETREND_LAMBDA, "bvp_band_hz": _BAND,
+            "bvp_filter_order": COUNT, "welch_overlap": FRACTION,
+            "nn_interp_rate_hz": INTERP_RATE},
     "features": {"peak_threshold_scale": RATE, "peak_rms_window_s": RATE,
                  "peak_refractory_s": RATE, "eda_clean_hz": RATE,
-                 "eda_tonic_hz": RATE, "scr_min_amplitude": _NON_NEGATIVE,
+                 "eda_tonic_hz": RATE, "scr_min_amplitude": NON_NEGATIVE,
                  "acc_lowpass_hz": RATE, "acc_lowpass_order": COUNT,
-                 "acc_inactivity_threshold": _NON_NEGATIVE},
-    "validation": {"min_duration_seconds": RATE,
-                   "max_duration_skew_seconds": _NON_NEGATIVE},
-    "synth": {"n_unipolar": COUNT, "n_bipolar": COUNT,
-              "duration_s": _COHORT_DURATION,
-              "offset_acc_dominant_freq_hz": _FINITE,
-              "offset_temp_trend_c_per_s": _FINITE,
-              "offset_heart_rate_bpm": _FINITE,
-              "offset_scr_amplitude_us": _FINITE,
-              "offset_acc_inactive_fraction": _FINITE},
+                 "acc_inactivity_threshold": NON_NEGATIVE},
+    "validation": VALIDATION_RANGES,
+    "synth": COHORT_RANGES,
     "bench": {"models": _each_of(DEFAULT_MODELS),
               "selectors": _each_of(ALL_SELECTORS),
               "positive_class": one_of("unipolar", "bipolar"),
@@ -164,10 +133,10 @@ def _update_dataclass(instance, overrides: dict, context: str,
                       ranges: dict):
     """``instance`` with ``overrides`` applied, each checked against its
     field's range in ``ranges``."""
-    _check_fields(overrides, ranges, context)
     return dataclasses.replace(instance, **{
         k: tuple(v) if isinstance(v, list) else v
-        for k, v in overrides.items()})
+        for k, v in check_fields(overrides, ranges, ConfigError,
+                                 context).items()})
 
 
 def config_from_dict(data: dict, base: RunConfig | None = None) -> RunConfig:

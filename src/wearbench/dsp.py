@@ -43,12 +43,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    COUNT,
+    FRACTION,
+    RATE,
     ConstantInput,
     EmptyBand,
     InvalidCutoff,
     InvalidOrder,
     LengthMismatch,
     SignalTooShort,
+    check_value,
+    finite_number,
 )
 
 
@@ -100,6 +105,8 @@ class Spectrum:
 # the largest detrend lambda: near 7e7 the Cholesky pivots of ``I + lam^2
 # D2'D2`` lose every digit, for any n from 3 to 19,200
 MAX_DETREND_LAMBDA = 1e6
+DETREND_LAMBDA = (lambda v: finite_number(v) and 0 < v <= MAX_DETREND_LAMBDA,
+                  f"a positive number <= {MAX_DETREND_LAMBDA:g}")
 
 
 def detrend(signal, lam: float = 500.0) -> np.ndarray:
@@ -118,9 +125,7 @@ def detrend(signal, lam: float = 500.0) -> np.ndarray:
     n = x.size
     if n < 3:
         raise SignalTooShort(f"detrend needs >= 3 samples, got {n}")
-    if not 0 < lam <= MAX_DETREND_LAMBDA:
-        raise ValueError(f"lambda must be positive and at most "
-                         f"{MAX_DETREND_LAMBDA:g}, got {lam}")
+    lam = check_value("lam", lam, DETREND_LAMBDA)
     lam2 = lam * lam
     tables = _sweep_tables(n, lam2)
     trend = _detrend_solve(tables, x)
@@ -330,11 +335,9 @@ def design_butterworth(order: int, kind: FilterKind, cutoffs_hz,
     cutoffs share one design; its ``sos`` is read-only. Errors are raised
     on every call.
     """
-    if not isinstance(order, int) or order < 1:
-        raise InvalidOrder(f"order must be a positive integer, got {order!r}")
-    fs = float(sample_rate_hz)
-    if fs <= 0 or not math.isfinite(fs):
-        raise InvalidCutoff("sample rate must be positive and finite")
+    order = check_value("order", order, COUNT, InvalidOrder)
+    fs = float(check_value("sample_rate_hz", sample_rate_hz, RATE,
+                           InvalidCutoff))
     cutoffs = tuple(float(c) for c in np.atleast_1d(cutoffs_hz))
     return _design_butterworth(order, kind, cutoffs, fs)
 
@@ -498,10 +501,10 @@ def welch_psd(signal, sample_rate_hz: float, segment_len: int | None = None,
     constant offsets, and the rectangle-rule integral of the density
     approximates the signal variance.
     """
+    fs = float(check_value("sample_rate_hz", sample_rate_hz, RATE))
+    overlap_fraction = check_value("overlap_fraction", overlap_fraction,
+                                   FRACTION)
     x = np.asarray(signal, dtype=float).ravel()
-    fs = float(sample_rate_hz)
-    if fs <= 0 or not math.isfinite(fs):
-        raise ValueError(f"sample rate must be positive and finite, got {fs}")
     if segment_len is None:
         segment_len = min(256, x.size)
     seg = int(segment_len)
@@ -510,8 +513,6 @@ def welch_psd(signal, sample_rate_hz: float, segment_len: int | None = None,
     if x.size < seg:
         raise SignalTooShort(
             f"signal shorter than one segment ({x.size} < {seg})")
-    if not 0.0 <= overlap_fraction < 1.0:
-        raise ValueError("overlap fraction must be in [0, 1)")
 
     step = max(1, int(round(seg * (1.0 - overlap_fraction))))
     starts = np.arange(0, x.size - seg + 1, step)

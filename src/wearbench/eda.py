@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsp
-from .errors import SignalTooShort
+from .errors import NON_NEGATIVE, SignalTooShort, check_value
 from .session_io import SignalChannel
 
 EDA_FEATURE_NAMES = (
@@ -83,6 +83,7 @@ def detect_scr(decomp: EdaDecomposition,
     ``min_amplitude`` are discarded. Returns events sorted by onset
     (an empty list is valid).
     """
+    min_amplitude = check_value("min_amplitude", min_amplitude, NON_NEGATIVE)
     p = decomp.phasic
     rise = p[1:] > p[:-1]  # rise[k - 1]: p[k] rose from p[k - 1]
     # onsets[k - 1]: where the run of rises that ends at p[k] began

@@ -1,8 +1,13 @@
-"""Typed error hierarchy shared across the toolkit.
+"""Typed error hierarchy and the parameter ranges shared across the toolkit.
 
 Every failure mode surfaces as a subclass of :class:`WearbenchError` so
 callers can distinguish expected domain failures from programming errors.
+Each function checks the parameters it reads through :func:`check_fields`.
 """
+import json
+import sys
+
+import numpy as np
 
 
 class WearbenchError(Exception):
@@ -103,3 +108,48 @@ class EmptyConfusion(WearbenchError):
 
 class ConfigError(WearbenchError):
     """Run configuration is invalid or inconsistent."""
+
+
+# --- parameter ranges ---------------------------------------------------------
+# A range is (check, what the value must be). It is a value's only check, so
+# it also checks the type, and it fails NaN and +-inf.
+
+def finite_number(v) -> bool:
+    """A number that fits a finite float; NaN, +-inf and bools fail."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+def one_of(*choices):
+    return (lambda v: v in choices,
+            " or ".join(json.dumps(c) for c in choices))
+
+
+COUNT = (lambda v: type(v) is int and v >= 1, "an integer >= 1")
+SEED = (lambda v: type(v) is int and v >= 0, "an integer >= 0")
+RATE = (lambda v: finite_number(v) and v > 0, "a positive number")
+NON_NEGATIVE = (lambda v: finite_number(v) and v >= 0, "a finite number >= 0")
+FINITE = (finite_number, "a finite number")
+FRACTION = (lambda v: finite_number(v) and 0 <= v < 1, "a number in [0, 1)")
+
+
+def check_fields(values: dict, ranges: dict, error=ValueError,
+                 context: str | None = None) -> dict:
+    """``values``, each NumPy scalar as the Python number it holds. Raises
+    ``error`` for a key ``ranges`` lacks, or for the first value outside its
+    range as ``[<context>.]<key> must be <what>, got <value!r>``."""
+    unknown = set(values) - set(ranges)
+    if unknown:
+        raise error(f"unknown {context} keys: {sorted(unknown)}")
+    values = {key: v.item() if isinstance(v, np.generic) else v
+              for key, v in values.items()}
+    for key, value in values.items():
+        check, what = ranges[key]
+        if not check(value):
+            name = f"{context}.{key}" if context else key
+            raise error(f"{name} must be {what}, got {value!r}")
+    return values
+
+
+def check_value(name: str, value, range_, error=ValueError):
+    """:func:`check_fields` for one value; returns it."""
+    return check_fields({name: value}, {name: range_}, error)[name]

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsp
-from .errors import NoPeaksFound, SignalTooShort, SpanTooShort, TooFewIntervals
+from .errors import (RATE, NoPeaksFound, SignalTooShort, SpanTooShort,
+                     TooFewIntervals, check_value, finite_number)
 from .session_io import SignalChannel
 
 # interval band considered physiologically plausible (ms)
@@ -33,6 +34,9 @@ HF_BAND = (0.15, 0.40)
 # the NN series' resampling rate must put Nyquist above the HF band and
 # stay at most the BVP rate: the series holds span x rate samples
 MAX_NN_INTERP_RATE_HZ = 64.0
+INTERP_RATE = (
+    lambda v: finite_number(v) and 2 * HF_BAND[1] < v <= MAX_NN_INTERP_RATE_HZ,
+    f"a number above {2 * HF_BAND[1]:g} and at most {MAX_NN_INTERP_RATE_HZ:g}")
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,9 @@ def detect_pulse_peaks(bvp: SignalChannel, threshold_scale: float = 0.6,
     Returns ascending sample indices, one per cardiac cycle. Raises
     :class:`NoPeaksFound` on flat or too-short input.
     """
+    threshold_scale = check_value("threshold_scale", threshold_scale, RATE)
+    rms_window_s = check_value("rms_window_s", rms_window_s, RATE)
+    refractory_s = check_value("refractory_s", refractory_s, RATE)
     x = np.asarray(bvp.samples, dtype=float).ravel()
     fs = bvp.sample_rate
     if x.size < 3:
@@ -392,12 +399,10 @@ def hrv_freq_features(nn: NNSeries, interp_rate_hz: float = 4.0,
     Bands: VLF 0.0033-0.04 Hz, LF 0.04-0.15 Hz, HF 0.15-0.4 Hz, VHF from
     0.4 Hz to Nyquist; TP spans 0.0033 Hz to Nyquist. HF is floored at
     1e-12 before the log. Welch segments are min(256, n) samples long.
-    ``interp_rate_hz`` must lie in (0.8, ``MAX_NN_INTERP_RATE_HZ``].
+    ``interp_rate_hz`` must lie in ``INTERP_RATE``.
     """
-    if not 2 * HF_BAND[1] < interp_rate_hz <= MAX_NN_INTERP_RATE_HZ:
-        raise ValueError(f"interp_rate_hz must be above {2 * HF_BAND[1]:g} "
-                         f"and at most {MAX_NN_INTERP_RATE_HZ:g}, "
-                         f"got {interp_rate_hz}")
+    interp_rate_hz = check_value("interp_rate_hz", interp_rate_hz,
+                                 INTERP_RATE)
     if nn.span_seconds < 30.0:
         raise SpanTooShort(
             f"NN span {nn.span_seconds:.1f} s < 30 s; spectrum unreliable")

@@ -26,11 +26,12 @@ import numpy as np
 
 from .actigraphy import ACC_FEATURE_NAMES
 from .eda import EDA_FEATURE_NAMES
-from .errors import ClassUnderpopulated, EmptyConfusion
+from .errors import (SEED, ClassUnderpopulated, EmptyConfusion, check_fields,
+                     check_value)
 from .hrv import HRV_FREQ_NAMES, HRV_TIME_NAMES
 from .models import (PATH_AXES, SEEDED_KINDS, ModelKind, ModelSpec, predict,
                      train)
-from .session_io import Label
+from .session_io import LABEL, Label
 from .thermo import TEMP_FEATURE_NAMES
 
 FEATURE_GROUPS: dict[str, tuple[str, ...]] = {
@@ -170,9 +171,12 @@ def compute_metrics(confusion: dict) -> dict:
     """Accuracy, precision, recall, F1 in percent from a pooled confusion
     ``{"tp", "tn", "fp", "fn"}``, as a report's ``metrics`` dict.
 
-    A zero denominator yields 0 for that metric, flagged in ``degenerate``.
+    A zero denominator yields 0 for that metric, flagged in ``degenerate``;
+    a count that is not an integer >= 0 raises ValueError naming its key.
     """
-    tp, tn, fp, fn = (confusion[k] for k in ("tp", "tn", "fp", "fn"))
+    keys = ("tp", "tn", "fp", "fn")
+    tp, tn, fp, fn = check_fields({k: confusion[k] for k in keys},
+                                  dict.fromkeys(keys, SEED)).values()
     total = tp + tn + fp + fn
     if total < 1:
         raise EmptyConfusion("confusion matrix has no entries")
@@ -261,14 +265,17 @@ def _grid_predictions(folds: _Folds, kind: ModelKind, grid: list[dict],
 
 
 def loocv_grid_search(matrix: FeatureMatrix, kind: ModelKind, grid,
-                      seed: int = 0, positive_class: int = 1,
+                      seed: int = 0, positive_class: Label = Label.BIPOLAR,
                       selector: str = "all") -> dict:
     """Exhaustive hyperparameter search scored by pooled LOOCV accuracy.
 
     ``grid`` is an ordered sequence of hyperparameter dicts; determinism
     comes from that order, the seed, and first-best tie-breaking. Returns
-    the ``bench_*.json`` report, built of plain JSON values only.
+    the ``bench_*.json`` report, built of plain JSON values only, which
+    names ``positive_class`` by its ``to_int()``.
     """
+    seed = check_value("seed", seed, SEED)
+    positive = check_value("positive_class", positive_class, LABEL).to_int()
     grid = [dict(g) for g in grid]
     if not grid:
         raise ValueError("hyperparameter grid must be non-empty")
@@ -281,8 +288,7 @@ def loocv_grid_search(matrix: FeatureMatrix, kind: ModelKind, grid,
     gi = correct.index(max(correct))  # the first best wins ties
     labels, preds = matrix.labels.tolist(), all_preds[gi].tolist()
     # (true is positive, predicted is positive) per subject
-    hits = [(t == positive_class, p == positive_class)
-            for t, p in zip(labels, preds)]
+    hits = [(t == positive, p == positive) for t, p in zip(labels, preds)]
     confusion = {"tp": hits.count((True, True)),
                  "tn": hits.count((False, False)),
                  "fp": hits.count((False, True)),
@@ -296,7 +302,7 @@ def loocv_grid_search(matrix: FeatureMatrix, kind: ModelKind, grid,
         "per_fold": [{"subject_id": sid, "true": t, "predicted": p}
                      for sid, t, p in zip(matrix.subject_ids, labels, preds)],
         "selector": selector,
-        "positive_class": positive_class,
+        "positive_class": positive,
         "seed": seed,
         "grid_search": {
             "n_points": len(grid),

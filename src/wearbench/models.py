@@ -15,14 +15,12 @@ exists, and ``x <= threshold`` routing to the left branch of every tree.
 from __future__ import annotations
 
 import enum
-import json
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateLabels
+from .errors import COUNT, RATE, DegenerateLabels, one_of
 
 
 class ModelKind(enum.Enum):
@@ -42,22 +40,7 @@ class ModelSpec:
 
 # --- hyperparameter ranges ---------------------------------------------------------
 
-
-def finite_number(v) -> bool:
-    """A number that fits a finite float; NaN, +-inf and bools fail."""
-    return type(v) in (int, float) and abs(v) <= sys.float_info.max
-
-
-def one_of(*choices):
-    return (lambda v: v in choices,
-            " or ".join(json.dumps(c) for c in choices))
-
-
-# a range is (check, what the value must be); it is a value's only check,
-# so it also checks the type, and it fails NaN and +-inf
-COUNT = (lambda v: type(v) is int and v >= 1, "an integer >= 1")
 DEPTH = (lambda v: v is None or COUNT[0](v), "null or an integer >= 1")
-RATE = (lambda v: finite_number(v) and v > 0, "a positive number")
 
 # the kinds whose fit reads ``train``'s seed
 SEEDED_KINDS = (ModelKind.RANDOM_FOREST, ModelKind.MLP)

@@ -38,6 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    NON_NEGATIVE,
+    RATE,
     EmptyBody,
     MalformedHeader,
     ManifestError,
@@ -45,6 +47,8 @@ from .errors import (
     NonFiniteSample,
     SessionFormatError,
     WidthMismatch,
+    check_fields,
+    check_value,
 )
 
 
@@ -74,6 +78,9 @@ class Label(enum.Enum):
         return 0 if self is Label.UNIPOLAR else 1
 
 
+LABEL = (lambda v: isinstance(v, Label), "a Label")
+
+
 ALL_KINDS = (ChannelKind.BVP, ChannelKind.EDA, ChannelKind.ACC, ChannelKind.TEMP)
 
 
@@ -91,8 +98,8 @@ class SignalChannel:
     samples: np.ndarray
 
     def __post_init__(self):
-        if not (self.sample_rate > 0 and math.isfinite(self.sample_rate)):
-            raise ValueError(f"sample rate must be positive, got {self.sample_rate}")
+        object.__setattr__(self, "sample_rate", check_value(
+            "sample_rate", self.sample_rate, RATE))
         samples = np.asarray(self.samples, dtype=float)
         object.__setattr__(self, "samples", samples)
         if samples.size == 0:
@@ -139,6 +146,11 @@ class ValidationStatus(enum.Enum):
 class ValidationPolicy:
     min_duration_seconds: float = 60.0
     max_duration_skew_seconds: float = 5.0
+
+
+# ValidationPolicy field -> range, checked by validate_session
+VALIDATION_RANGES = {"min_duration_seconds": RATE,
+                     "max_duration_skew_seconds": NON_NEGATIVE}
 
 
 @dataclass(frozen=True)
@@ -531,7 +543,8 @@ def validate_session(session: Session,
     ``_MAX_ABS_SAMPLE``, when the BVP trace is constant (zero variance), or
     when channel durations disagree by more than the allowed skew.
     """
-    policy = policy or ValidationPolicy()
+    policy = ValidationPolicy(**check_fields(
+        vars(policy or ValidationPolicy()), VALIDATION_RANGES))
     reasons: list[str] = []
     durations = []
     for kind in ALL_KINDS:

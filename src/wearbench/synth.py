@@ -8,13 +8,15 @@ byte-identical files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import (COUNT, FINITE, NON_NEGATIVE, RATE, SEED, InvalidSpec,
+                     check_fields, check_value, finite_number)
 from .session_io import (
+    LABEL,
     ChannelKind,
     Label,
     Session,
@@ -55,29 +57,31 @@ class SynthSpec:
     temp_trend_c_per_s: float = 0.0
     label: Label = Label.UNIPOLAR
 
-    def validate(self) -> None:
-        # a NaN passes every comparison below, and loops _beat_times forever
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
-                raise InvalidSpec(f"{f.name} must be finite, got {value!r}")
-        if self.duration_s <= 0:
-            raise InvalidSpec("duration must be positive")
-        if self.heart_rate_bpm <= 0:
-            raise InvalidSpec("heart rate must be positive")
-        if self.hrv_mod_depth_ms < 0 or self.acc_amplitude < 0:
-            raise InvalidSpec("amplitudes must be non-negative")
-        if not 0.0 <= self.acc_inactive_fraction <= 1.0:
-            raise InvalidSpec("inactive fraction must be in [0, 1]")
-        for onset, amp in self.scr_events:  # a NaN onset fails its range
-            if not 0 <= amp < math.inf:
-                raise InvalidSpec(f"scr_events: amplitude {amp!r} must be "
-                                  "finite and non-negative")
-            if not 0.0 <= onset < self.duration_s:
+    def validate(self) -> "SynthSpec":
+        """This spec, each NumPy scalar as the Python number it holds;
+        InvalidSpec names the first field out of its range."""
+        # a NaN would loop _beat_times forever; every range fails it
+        spec = SynthSpec(**check_fields(vars(self), SYNTH_SPEC_RANGES,
+                                        InvalidSpec))
+        for onset, _ in spec.scr_events:  # a NaN onset fails its range
+            if not 0.0 <= onset < spec.duration_s:
                 raise InvalidSpec(f"scr_events: onset {onset!r} outside the session")
         # beat period modulation must never cross zero
-        if self.hrv_mod_depth_ms / 1000.0 >= 60.0 / self.heart_rate_bpm:
+        if spec.hrv_mod_depth_ms / 1000.0 >= 60.0 / spec.heart_rate_bpm:
             raise InvalidSpec("HRV modulation depth exceeds the beat period")
+        return spec
+
+
+# SynthSpec field -> range; validate adds the checks that read two fields
+SYNTH_SPEC_RANGES = {
+    "seed": SEED, "duration_s": RATE, "heart_rate_bpm": RATE,
+    "hrv_mod_freq_hz": FINITE, "hrv_mod_depth_ms": NON_NEGATIVE,
+    "scr_events": (lambda v: all(0 <= amp < math.inf for _, amp in v),
+                   "(onset_s, amplitude_uS) pairs, amplitudes finite >= 0"),
+    "acc_dominant_freq_hz": FINITE, "acc_amplitude": NON_NEGATIVE,
+    "acc_inactive_fraction": (lambda v: finite_number(v) and 0 <= v <= 1,
+                              "a number in [0, 1]"),
+    "temp_baseline_c": FINITE, "temp_trend_c_per_s": FINITE, "label": LABEL}
 
 
 @dataclass(frozen=True)
@@ -186,7 +190,7 @@ def generate_session(spec: SynthSpec,
                      start_time: int = 1700000000) -> tuple[Session, GroundTruth]:
     """Build one session; identical (spec, subject_id) always yields
     identical samples."""
-    spec.validate()
+    spec = spec.validate()
     rng = np.random.default_rng(spec.seed)
     beats = _beat_times(spec)
     channels = {
@@ -212,13 +216,6 @@ def generate_session(spec: SynthSpec,
     return session, truth
 
 
-# the cohort durations a run may ask for: a subject's SCR onsets lie from
-# 15 % to 85 % of the session give or take 4 s, which a session holds only
-# from about 26.7 s on, and generation time and memory grow with it
-MIN_COHORT_DURATION_S = 30.0
-MAX_COHORT_DURATION_S = 7 * 86_400.0
-
-
 @dataclass(frozen=True)
 class CohortSpec:
     """A cohort's size and session length, and the additive shifts applied
@@ -237,6 +234,19 @@ class CohortSpec:
     offset_heart_rate_bpm: float = 0.0
     offset_scr_amplitude_us: float = 0.0
     offset_acc_inactive_fraction: float = 0.0
+
+
+# CohortSpec field -> range, checked by generate_cohort. The durations run
+# from 30 s to 7 days: a subject's SCR onsets lie from 15 % to 85 % of the
+# session give or take 4 s, which a session holds only from about 26.7 s on,
+# and generation time and memory grow with the duration.
+COHORT_RANGES = {
+    "n_unipolar": COUNT, "n_bipolar": COUNT,
+    "duration_s": (lambda v: finite_number(v) and 30 <= v <= 7 * 86_400,
+                   "a number in [30, 604800]"),
+    **dict.fromkeys(("offset_acc_dominant_freq_hz", "offset_temp_trend_c_per_s",
+                     "offset_heart_rate_bpm", "offset_scr_amplitude_us",
+                     "offset_acc_inactive_fraction"), FINITE)}
 
 
 def _subject_spec(rng: np.random.Generator, cohort: CohortSpec,
@@ -275,8 +285,9 @@ def generate_cohort(root, cohort: CohortSpec, seed: int) -> Path:
     Returns the manifest path. Subjects are named S001.. in manifest order
     (unipolar block first).
     """
-    if cohort.n_unipolar < 1 or cohort.n_bipolar < 1:
-        raise InvalidSpec("need at least one subject per class")
+    cohort = CohortSpec(**check_fields(vars(cohort), COHORT_RANGES,
+                                       InvalidSpec))
+    seed = check_value("seed", seed, SEED, InvalidSpec)
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

@@ -155,3 +155,10 @@ class TestAccFeatures:
             f = actigraphy.acc_features(
                 dataclasses.replace(ch, samples=filtered), 0.1)
         assert f["ACC_Dominant_frequency"] == pytest.approx(2.0, abs=fs / n)
+
+
+def test_nan_inactivity_threshold_raises(default_session):
+    # it reported 0.0 s of inactivity
+    acc = default_session[0].channel(ChannelKind.ACC)
+    with pytest.raises(ValueError, match="^inactivity_threshold must be"):
+        actigraphy.acc_features(acc, inactivity_threshold=float("nan"))

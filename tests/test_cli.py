@@ -182,6 +182,97 @@ def test_out_of_range_grid_value_exits_2_with_one_line(model, key, value,
     assert captured.err == f"configuration error: bench.grids.{line}\n"
 
 
+# one out-of-range value per section field and top-level field, with the
+# stderr line the CLI printed for it before each range moved next to the
+# function that reads the value
+FIELD_VALUE_ERRORS = [
+    (None, "data_root", 1,
+     "config.data_root must be null or a string, got 1"),
+    (None, "manifest", 1,
+     "config.manifest must be null or a string, got 1"),
+    (None, "out_dir", [],
+     "config.out_dir must be null or a string, got []"),
+    (None, "seed", -1,
+     "config.seed must be an integer >= 0, got -1"),
+    ("dsp", "detrend_lambda", 0,
+     "dsp.detrend_lambda must be a positive number <= 1e+06, got 0"),
+    ("dsp", "bvp_band_hz", [2.0, 1.0],
+     "dsp.bvp_band_hz must be [low, high] with 0 < low < high, got [2.0, "
+     "1.0]"),
+    ("dsp", "bvp_filter_order", 0,
+     "dsp.bvp_filter_order must be an integer >= 1, got 0"),
+    ("dsp", "welch_overlap", 1.0,
+     "dsp.welch_overlap must be a number in [0, 1), got 1.0"),
+    ("dsp", "nn_interp_rate_hz", 0.8,
+     "dsp.nn_interp_rate_hz must be a number above 0.8 and at most 64, got "
+     "0.8"),
+    ("features", "peak_threshold_scale", math.nan,
+     "features.peak_threshold_scale must be a positive number, got nan"),
+    ("features", "peak_rms_window_s", 0,
+     "features.peak_rms_window_s must be a positive number, got 0"),
+    ("features", "peak_refractory_s", -1.0,
+     "features.peak_refractory_s must be a positive number, got -1.0"),
+    ("features", "eda_clean_hz", "1",
+     "features.eda_clean_hz must be a positive number, got '1'"),
+    ("features", "eda_tonic_hz", True,
+     "features.eda_tonic_hz must be a positive number, got True"),
+    ("features", "scr_min_amplitude", -0.5,
+     "features.scr_min_amplitude must be a finite number >= 0, got -0.5"),
+    ("features", "acc_lowpass_hz", math.inf,
+     "features.acc_lowpass_hz must be a positive number, got inf"),
+    ("features", "acc_lowpass_order", 2.5,
+     "features.acc_lowpass_order must be an integer >= 1, got 2.5"),
+    ("features", "acc_inactivity_threshold", math.nan,
+     "features.acc_inactivity_threshold must be a finite number >= 0, got "
+     "nan"),
+    ("validation", "min_duration_seconds", "60",
+     "validation.min_duration_seconds must be a positive number, got '60'"),
+    ("validation", "max_duration_skew_seconds", -1,
+     "validation.max_duration_skew_seconds must be a finite number >= 0, got "
+     "-1"),
+    ("synth", "n_unipolar", 0,
+     "synth.n_unipolar must be an integer >= 1, got 0"),
+    ("synth", "n_bipolar", 2.5,
+     "synth.n_bipolar must be an integer >= 1, got 2.5"),
+    ("synth", "duration_s", 29,
+     "synth.duration_s must be a number in [30, 604800], got 29"),
+    ("synth", "offset_acc_dominant_freq_hz", math.nan,
+     "synth.offset_acc_dominant_freq_hz must be a finite number, got nan"),
+    ("synth", "offset_temp_trend_c_per_s", math.inf,
+     "synth.offset_temp_trend_c_per_s must be a finite number, got inf"),
+    ("synth", "offset_heart_rate_bpm", "0",
+     "synth.offset_heart_rate_bpm must be a finite number, got '0'"),
+    ("synth", "offset_scr_amplitude_us", True,
+     "synth.offset_scr_amplitude_us must be a finite number, got True"),
+    ("synth", "offset_acc_inactive_fraction", -math.inf,
+     "synth.offset_acc_inactive_fraction must be a finite number, got -inf"),
+    ("bench", "models", [],
+     "bench.models must be a non-empty list of distinct values from knn, dt, "
+     "rf, gb, svm, mlp, got []"),
+    ("bench", "selectors", ["x"],
+     "bench.selectors must be a non-empty list of distinct values from "
+     "hrv_time, hrv_freq, eda, acc, temp, all, got ['x']"),
+    ("bench", "positive_class", "both",
+     'bench.positive_class must be "unipolar" or "bipolar", got \'both\''),
+    ("bench", "grids", [],
+     "bench.grids must be an object of model grids, got []"),
+]
+
+
+@pytest.mark.parametrize("section,key,value,line", FIELD_VALUE_ERRORS,
+                         ids=[f"{s}-{k}" for s, k, *_ in FIELD_VALUE_ERRORS])
+def test_out_of_range_field_exits_2_with_one_line(section, key, value, line,
+                                                  tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    data = {key: value} if section is None else {section: {key: value}}
+    cfg_path.write_text(json.dumps(data))
+    code = run("--config", str(cfg_path), "--print-config")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"configuration error: {line}\n"
+
+
 class TestExtractCommand:
     def test_outputs_exist_with_59_columns(self, small_cohort):
         features = small_cohort / "out" / "features.csv"

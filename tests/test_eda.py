@@ -188,3 +188,11 @@ class TestEdaFeatures:
         decomp = eda.decompose_eda(eda_channel(np.full(400, 2.0)))
         f = eda.eda_features(decomp, [])
         assert tuple(f) == eda.EDA_FEATURE_NAMES
+
+
+@pytest.mark.parametrize("value", [float("nan"), -1.0])
+def test_scr_min_amplitude_out_of_range_raises(default_session, value):
+    # a NaN found no event and -1 found every rise
+    decomp = eda.decompose_eda(default_session[0].channel(ChannelKind.EDA))
+    with pytest.raises(ValueError, match="^min_amplitude must be"):
+        eda.detect_scr(decomp, min_amplitude=value)

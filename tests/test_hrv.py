@@ -216,7 +216,9 @@ class TestPeakDetection:
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 400),
            fs=st.sampled_from([4.0, 32.0, 64.0]),
            window_s=st.sampled_from([0.1, 0.75, 3.0, 20.0]),
-           scale=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(1.0, 2.5),
+           # the smallest positive scale: a threshold that is 0 or nearly
+           scale=st.sampled_from([math.ulp(0.0), 0.5, 1.0])
+           | st.floats(1.0, 2.5),
            shape=st.sampled_from(["noise", "rounded", "pulses"]),
            period=st.integers(2, 5))
     def test_equals_index_array_formula_bit_for_bit(self, seed, n, fs,
@@ -601,3 +603,30 @@ def oracle_clamped_spline(tk, yk, tq):
     return (a * yk[seg] + b * yk[seg + 1]
             + ((a ** 3 - a) * sec[seg] + (b ** 3 - b) * sec[seg + 1])
             * hs ** 2 / 6.0)
+
+
+class TestPeakArgumentRanges:
+    """detect_pulse_peaks checks each argument against the range the
+    config gives it and names the argument."""
+
+    @pytest.fixture(scope="class")
+    def bvp_and_truth(self):
+        session, truth = synth.generate_session(
+            synth.SynthSpec(seed=7, duration_s=120.0))
+        return session.channel(ChannelKind.BVP), truth
+
+    @pytest.mark.parametrize("name", ["rms_window_s", "refractory_s",
+                                      "threshold_scale"])
+    def test_nan_argument_raises_naming_it(self, bvp_and_truth, name):
+        # the two spans raised "cannot convert float NaN to integer"; a NaN
+        # scale raised NoPeaksFound, which the pipeline turns into NaNs
+        with pytest.raises(ValueError, match=f"^{name} must be a positive"):
+            hrv.detect_pulse_peaks(bvp_and_truth[0], **{name: math.nan})
+
+    def test_negative_threshold_scale_raises(self, bvp_and_truth):
+        # it found 249 peaks on these 144 beats
+        bvp, truth = bvp_and_truth
+        assert len(hrv.detect_pulse_peaks(bvp)) == len(truth.beat_times_s) \
+            == 144
+        with pytest.raises(ValueError, match="^threshold_scale must be"):
+            hrv.detect_pulse_peaks(bvp, threshold_scale=-1.0)

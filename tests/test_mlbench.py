@@ -245,9 +245,9 @@ class TestLoocv:
     def test_positive_class_configurable(self):
         matrix = assemble_matrix(toy_rows(), "all")
         rep1 = loocv_grid_search(matrix, ModelKind.KNN, [{"k": 1}], seed=0,
-                                 positive_class=1)
+                                 positive_class=Label.BIPOLAR)
         rep0 = loocv_grid_search(matrix, ModelKind.KNN, [{"k": 1}], seed=0,
-                                 positive_class=0)
+                                 positive_class=Label.UNIPOLAR)
         assert rep1["confusion"]["tp"] == rep0["confusion"]["tn"]
         assert rep1["confusion"]["fp"] == rep0["confusion"]["fn"]
 
@@ -581,3 +581,41 @@ class TestGrids:
         assert table.splitlines()[0] == \
             "| Method | Accuracy | Precision | Recall | F1 Score |"
         assert "GB (stands in for XGB)" in table
+
+
+class TestArgumentRanges:
+    def test_negative_seed_raises(self):
+        # kNN ran and wrote "seed": -1 into the report
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+            loocv_grid_search(assemble_matrix(toy_rows(), "all"),
+                              ModelKind.KNN, [{"k": 1}], seed=-1)
+
+    def test_negative_confusion_count_raises(self):
+        # it gave an accuracy of 100.0
+        with pytest.raises(ValueError, match="^tp must be an integer >= 0"):
+            compute_metrics({"tp": -1, "tn": 5, "fp": 0, "fn": 0})
+
+    @pytest.fixture(scope="class")
+    def temp_matrix(self):
+        table = (Path(__file__).resolve().parents[1] / "perfbench"
+                 / "reference" / "features-seed11.csv")
+        return assemble_matrix(pipeline.read_features_csv(table), "temp")
+
+    def test_label_positive_class_scores_the_grid_point(self, temp_matrix):
+        # Label.BIPOLAR matched no subject, so all 31 counted as true
+        # negatives: accuracy 100.0 against the point's 25.81
+        report = loocv_grid_search(temp_matrix, ModelKind.KNN, [{"k": 3}],
+                                   seed=11, positive_class=Label.BIPOLAR,
+                                   selector="temp")
+        assert report["metrics"]["accuracy"] \
+            == report["grid_search"]["points"][0]["accuracy"]
+        assert round(report["metrics"]["accuracy"], 2) == 25.81
+        assert json.loads(json.dumps(report))["positive_class"] == 1
+
+    @pytest.mark.parametrize("value", [2, -1, 1, "bipolar"])
+    def test_positive_class_other_than_a_label_raises(self, temp_matrix,
+                                                      value):
+        # 2 and -1 also scored 100.0
+        with pytest.raises(ValueError, match="^positive_class must be"):
+            loocv_grid_search(temp_matrix, ModelKind.KNN, [{"k": 3}],
+                              positive_class=value)

@@ -199,3 +199,12 @@ class TestRunExtract:
         by_id = {r["subject_id"]: r for r in reports}
         assert by_id["S003"]["status"] == "excluded"
         assert any("unreadable" in r for r in by_id["S003"]["reasons"])
+
+
+def test_nan_peak_window_raises_naming_the_argument(default_session):
+    # was "cannot convert float NaN to integer"
+    from wearbench.config import FeatureConfig
+    with pytest.raises(ValueError, match="^rms_window_s must be"):
+        pipeline.extract_session_features(
+            default_session[0],
+            feat_cfg=FeatureConfig(peak_rms_window_s=math.nan))

@@ -572,3 +572,11 @@ class TestValidation:
         lax = validate_session(session,
                                ValidationPolicy(min_duration_seconds=30.0))
         assert lax.status is ValidationStatus.OK
+
+
+@pytest.mark.parametrize("value", [float("nan"), "60"])
+def test_validation_policy_out_of_range_raises(default_session, value):
+    # a NaN minimum excluded nothing, and "60" was accepted
+    with pytest.raises(ValueError, match="^min_duration_seconds must be"):
+        validate_session(default_session[0],
+                         ValidationPolicy(min_duration_seconds=value))

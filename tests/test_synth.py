@@ -308,3 +308,22 @@ class TestCohortOffsets:
             synth.CohortSpec(offset_acc_inactive_fraction=value),
             Label.BIPOLAR)
         assert spec.acc_inactive_fraction == want
+
+
+class TestSeedAndCountRanges:
+    def test_fractional_count_raises_before_writing(self, tmp_path):
+        # was TypeError: can't multiply sequence by non-int of type 'float'
+        cohort = synth.CohortSpec(n_unipolar=2.5, n_bipolar=2, duration_s=30.0)
+        with pytest.raises(InvalidSpec, match="^n_unipolar must be"):
+            synth.generate_cohort(tmp_path, cohort, 1)
+        assert not any(tmp_path.iterdir())
+
+    def test_negative_cohort_seed_raises(self, tmp_path):
+        # was NumPy's "expected non-negative integer"
+        cohort = synth.CohortSpec(n_unipolar=1, n_bipolar=1, duration_s=30.0)
+        with pytest.raises(InvalidSpec, match="^seed must be an integer >= 0"):
+            synth.generate_cohort(tmp_path, cohort, -1)
+
+    def test_negative_session_seed_raises(self):
+        with pytest.raises(InvalidSpec, match="^seed must be an integer >= 0"):
+            synth.SynthSpec(seed=-1).validate()
