@@ -505,9 +505,8 @@ def welch_psd(signal, sample_rate_hz: float, segment_len: int | None = None,
     overlap_fraction = check_value("overlap_fraction", overlap_fraction,
                                    FRACTION)
     x = np.asarray(signal, dtype=float).ravel()
-    if segment_len is None:
-        segment_len = min(256, x.size)
-    seg = int(segment_len)
+    seg = min(256, x.size) if segment_len is None \
+        else check_value("segment_len", segment_len, COUNT)
     if seg < 8:
         raise SignalTooShort(f"segment length must be >= 8, got {seg}")
     if x.size < seg:
@@ -561,9 +560,13 @@ def pearson_corr(a, b) -> float:
 
     Raises :class:`ConstantInput` when either input has zero variance, since
     the coefficient is undefined there; callers decide how to encode that.
+    Raises ValueError naming ``a`` or ``b`` when it holds NaN or +-inf.
     """
     xa = np.asarray(a, dtype=float).ravel()
     xb = np.asarray(b, dtype=float).ravel()
+    for name, values in (("a", xa), ("b", xb)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must hold finite numbers only")
     if xa.size != xb.size:
         raise LengthMismatch(f"lengths differ: {xa.size} vs {xb.size}")
     if xa.size < 2:

@@ -132,16 +132,35 @@ FINITE = (finite_number, "a finite number")
 FRACTION = (lambda v: finite_number(v) and 0 <= v < 1, "a number in [0, 1)")
 
 
+def path_of(range_):
+    """A path range from an element range: one value in ``range_``, or a
+    non-empty list or tuple of them (:func:`check_fields` reads a 1-d array
+    as a list); the element's text."""
+    check, what = range_
+    return (lambda v: len(v) > 0 and all(map(check, v))
+            if isinstance(v, (list, tuple)) else check(v), what)
+
+
+def _python(v):
+    """``v`` with each NumPy scalar, and each array of at least one
+    dimension, as the Python values it holds, inside lists and tuples too."""
+    if isinstance(v, np.generic) or (isinstance(v, np.ndarray) and v.ndim):
+        return v.tolist()
+    if isinstance(v, (list, tuple)):
+        return type(v)(map(_python, v))
+    return v
+
+
 def check_fields(values: dict, ranges: dict, error=ValueError,
                  context: str | None = None) -> dict:
-    """``values``, each NumPy scalar as the Python number it holds. Raises
-    ``error`` for a key ``ranges`` lacks, or for the first value outside its
-    range as ``[<context>.]<key> must be <what>, got <value!r>``."""
+    """``values``, NumPy scalars and arrays as the Python values they hold;
+    raises ``error`` for a key ``ranges`` lacks, or for the first value out
+    of its range as ``[<context>.]<key> must be <what>, got <value!r>``."""
     unknown = set(values) - set(ranges)
     if unknown:
-        raise error(f"unknown {context} keys: {sorted(unknown)}")
-    values = {key: v.item() if isinstance(v, np.generic) else v
-              for key, v in values.items()}
+        where = f" {context}" if context else ""
+        raise error(f"unknown{where} keys: {sorted(unknown)}")
+    values = {key: _python(v) for key, v in values.items()}
     for key, value in values.items():
         check, what = ranges[key]
         if not check(value):

@@ -139,6 +139,7 @@ def peaks_to_nn(peaks, sample_rate_hz: float) -> NNSeries:
     The returned peak times are rebuilt from the accepted intervals, so the
     series is always internally consistent.
     """
+    sample_rate_hz = check_value("sample_rate_hz", sample_rate_hz, RATE)
     peaks = np.asarray(peaks, dtype=float).ravel()
     if peaks.size < 3:
         raise TooFewIntervals(f"need >= 3 peaks, got {peaks.size}")
@@ -383,6 +384,7 @@ def interpolate_nn(nn: NNSeries, rate_hz: float = 4.0):
     Each interval is anchored at its end beat; the grid runs from the first
     to the last anchor at ``rate_hz``.
     """
+    rate_hz = check_value("rate_hz", rate_hz, RATE)
     tk = nn.peak_times_s[1:]
     yk = nn.intervals_ms
     if tk.size < 2:

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import COUNT, RATE, DegenerateLabels, one_of
+from .errors import (COUNT, RATE, SEED, DegenerateLabels, check_fields,
+                     check_value, one_of, path_of)
 
 
 class ModelKind(enum.Enum):
@@ -47,8 +48,7 @@ SEEDED_KINDS = (ModelKind.RANDOM_FOREST, ModelKind.MLP)
 # no seeded kind has a path: a grid point's fold seeds come from its index
 PATH_AXES = {ModelKind.KNN: "k", ModelKind.GRADIENT_BOOSTING: "n_estimators",
              ModelKind.SVM: "c"}
-# each classifier's constructor arguments but ``seed`` -> range; a path
-# axis takes one value or a non-empty sequence of values in range
+# each classifier's constructor arguments but ``seed`` -> range
 HYPERPARAMETERS = {
     ModelKind.KNN: {"k": COUNT},
     ModelKind.DECISION_TREE: {"max_depth": DEPTH, "min_samples_leaf": COUNT},
@@ -60,21 +60,22 @@ HYPERPARAMETERS = {
                     "gamma": RATE},
     ModelKind.MLP: {"hidden": COUNT, "learning_rate": RATE, "epochs": COUNT},
 }
+# what a constructor and ``train`` check: each path axis as a path
+ARGUMENTS = {kind: {key: path_of(range_) if key == PATH_AXES.get(kind)
+                    else range_ for key, range_ in ranges.items()}
+             for kind, ranges in HYPERPARAMETERS.items()}
+KIND = (lambda v: isinstance(v, ModelKind), "a ModelKind")
 
 
 def _set_hyperparameters(model, kind: ModelKind, args: dict) -> None:
-    """Set ``kind``'s hyperparameters from ``args``, a constructor's
-    ``locals()``: a NumPy scalar as the Python number it holds, a rate as a
-    float, a path as a tuple; ValueError names the first bad value."""
-    for key, (check, what) in HYPERPARAMETERS[kind].items():
-        value, path = args[key], key == PATH_AXES.get(kind)
-        many = path and (isinstance(value, (list, tuple)) or np.ndim(value))
-        values = [v.item() if isinstance(v, np.generic) else v
-                  for v in (value if many else [value])]
-        if not values or not all(map(check, values)):
-            raise ValueError(f"{key} must be {what}, got {value!r}")
-        values = [float(v) if (check, what) == RATE else v for v in values]
-        setattr(model, key, tuple(values) if path else values[0])
+    """Set ``kind``'s ``ARGUMENTS`` from ``args``, a constructor's
+    ``locals()``: a rate as a float, a path as a tuple."""
+    ranges, path = ARGUMENTS[kind], PATH_AXES.get(kind)
+    for key, v in check_fields({k: args[k] for k in ranges}, ranges).items():
+        values = v if isinstance(v, list | tuple) else [v]
+        if HYPERPARAMETERS[kind][key] is RATE:
+            values = [float(x) for x in values]
+        setattr(model, key, tuple(values) if key == path else values[0])
 
 
 def _check_labels(y: np.ndarray) -> None:
@@ -98,7 +99,7 @@ def _seeds_per_fold(seed, n_folds: int) -> list[int]:
     if np.ndim(seed) != 1 or len(seed) != n_folds:
         raise ValueError(f"a stack of {n_folds} folds needs one seed per "
                          f"fold, got {seed!r}")
-    return [int(s) for s in seed]
+    return [check_value("seed", s, SEED) for s in seed]
 
 
 # --- k-nearest neighbours -------------------------------------------------------
@@ -281,7 +282,7 @@ class _Tree:
                  min_samples_leaf: int = 1):
         self.criterion = criterion
         self.max_depth = max_depth
-        self.min_samples_leaf = int(min_samples_leaf)
+        self.min_samples_leaf = min_samples_leaf
 
     def fit(self, x, target, rows=None, samplers=None) -> "_Tree":
         f, n, d = x.shape
@@ -455,12 +456,8 @@ class RandomForestClassifier:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 class GradientBoostingClassifier:
@@ -753,10 +750,11 @@ def train(spec: ModelSpec, x: np.ndarray, y: np.ndarray, seed=(0,)):
     use randomness (random forest bootstrap and MLP initialization); the
     rest ignore it.
     """
-    hp = dict(spec.hyperparameters)
-    if spec.kind in SEEDED_KINDS:
+    kind = check_value("kind", spec.kind, KIND)
+    hp = check_fields(spec.hyperparameters, ARGUMENTS[kind])
+    if kind in SEEDED_KINDS:
         hp["seed"] = seed
-    return _CLASSIFIERS[spec.kind](**hp).fit(x, y)
+    return _CLASSIFIERS[kind](**hp).fit(x, y)
 
 
 def predict(model, x) -> np.ndarray:

@@ -79,6 +79,7 @@ class Label(enum.Enum):
 
 
 LABEL = (lambda v: isinstance(v, Label), "a Label")
+START_TIME = (lambda v: type(v) is int, "an integer")
 
 
 ALL_KINDS = (ChannelKind.BVP, ChannelKind.EDA, ChannelKind.ACC, ChannelKind.TEMP)
@@ -98,6 +99,8 @@ class SignalChannel:
     samples: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "start_time", check_value(
+            "start_time", self.start_time, START_TIME))
         object.__setattr__(self, "sample_rate", check_value(
             "sample_rate", self.sample_rate, RATE))
         samples = np.asarray(self.samples, dtype=float)

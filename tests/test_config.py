@@ -1,13 +1,16 @@
 import dataclasses
+import inspect
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wearbench import models
+from wearbench import actigraphy, dsp, eda, hrv, models
 from wearbench.config import (
     RANGES,
     TOP_LEVEL_RANGES,
+    DspConfig,
+    FeatureConfig,
     RunConfig,
     apply_env_overrides,
     config_from_dict,
@@ -46,6 +49,36 @@ def test_every_section_field_has_exactly_one_range():
         assert set(ranges) == names, section
     top_level = {f.name for f in dataclasses.fields(DEFAULTS)} - set(RANGES)
     assert set(TOP_LEVEL_RANGES) == top_level
+
+
+# config field -> the library parameter it feeds, whose default it repeats
+SHARED_DEFAULTS = [
+    (DspConfig, "detrend_lambda", dsp.detrend, "lam"),
+    (DspConfig, "welch_overlap", hrv.hrv_freq_features, "welch_overlap"),
+    (DspConfig, "nn_interp_rate_hz", hrv.hrv_freq_features, "interp_rate_hz"),
+    (DspConfig, "nn_interp_rate_hz", hrv.interpolate_nn, "rate_hz"),
+    (FeatureConfig, "peak_threshold_scale", hrv.detect_pulse_peaks,
+     "threshold_scale"),
+    (FeatureConfig, "peak_rms_window_s", hrv.detect_pulse_peaks,
+     "rms_window_s"),
+    (FeatureConfig, "peak_refractory_s", hrv.detect_pulse_peaks,
+     "refractory_s"),
+    (FeatureConfig, "eda_clean_hz", eda.decompose_eda, "clean_cutoff_hz"),
+    (FeatureConfig, "eda_tonic_hz", eda.decompose_eda, "tonic_cutoff_hz"),
+    (FeatureConfig, "scr_min_amplitude", eda.detect_scr, "min_amplitude"),
+    (FeatureConfig, "acc_inactivity_threshold", actigraphy.acc_features,
+     "inactivity_threshold"),
+]
+
+
+@pytest.mark.parametrize("section,field,function,parameter", SHARED_DEFAULTS,
+                         ids=[f"{f}-{p}" for _, f, _, p in SHARED_DEFAULTS])
+def test_config_default_equals_the_library_default(section, field, function,
+                                                   parameter):
+    # both read from the signatures, so a drift on either side fails
+    ours = inspect.signature(section).parameters[field].default
+    theirs = inspect.signature(function).parameters[parameter].default
+    assert (type(ours), ours) == (type(theirs), theirs)
 
 
 def test_defaults_pass_their_own_checks():

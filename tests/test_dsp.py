@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -724,9 +725,21 @@ class TestWelch:
         with pytest.raises(ValueError, match="^sample_rate_hz must be"):
             dsp.welch_psd(np.ones(64), fs)
 
+    @pytest.mark.parametrize("seg", [8.9, 300.7, math.nan, True, "64"],
+                             ids=repr)
+    def test_segment_len_must_be_an_integer(self, seg):
+        # 8.9 ran with 8 and 300.7 with 300; NaN raised "cannot convert
+        # float NaN to integer"
+        with pytest.raises(ValueError, match=re.escape(
+                f"segment_len must be an integer >= 1, got {seg!r}")):
+            dsp.welch_psd(np.ones(400), 4.0, segment_len=seg)
+
     def test_too_short(self):
         with pytest.raises(SignalTooShort):
             dsp.welch_psd(np.zeros(6), 4.0)
+        # hrv_freq_features turns this class into SpanTooShort
+        with pytest.raises(SignalTooShort, match="must be >= 8, got 7"):
+            dsp.welch_psd(np.ones(400), 4.0, segment_len=7)
         with pytest.raises(SignalTooShort):
             dsp.welch_psd(np.zeros(100), 4.0, segment_len=128)
 
@@ -834,6 +847,15 @@ class TestPearson:
     def test_constant_input(self):
         with pytest.raises(ConstantInput):
             dsp.pearson_corr([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["a", "b"])
+    def test_non_finite_input_raises_naming_it(self, name, bad):
+        # [1, nan, 3] against [1, 2, 3] gave 1.0: min(1.0, nan) is 1.0
+        args = {"a": [1.0, 2.0, 3.0], "b": [1.0, 2.0, 3.0]}
+        args[name] = [1.0, bad, 3.0]
+        with pytest.raises(ValueError, match=f"^{name} must hold finite"):
+            dsp.pearson_corr(**args)
 
     def test_bounded(self):
         rng = np.random.default_rng(13)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -357,6 +358,14 @@ class TestPeaksToNN:
         assert _nn_outcome(hrv.peaks_to_nn, peaks, fs) == \
             _nn_outcome(oracle_peaks_to_nn, peaks, fs)
 
+    @pytest.mark.parametrize("fs", [math.nan, 0.0, -250.0, True, "250"],
+                             ids=repr)
+    def test_sample_rate_must_be_positive(self, fs):
+        # NaN gave 127 NaN intervals: NaN fails every rejection comparison
+        with pytest.raises(ValueError, match=re.escape(
+                f"sample_rate_hz must be a positive number, got {fs!r}")):
+            hrv.peaks_to_nn(np.arange(0, 6400, 50), fs)
+
     @pytest.mark.parametrize("last_ms", [1500.0, 750.0])
     def test_even_window_median_is_the_mean_of_the_middle_pair(self,
                                                                last_ms):
@@ -556,6 +565,14 @@ class TestFreqFeatures:
         ref = CubicSpline(nn.peak_times_s[1:], nn.intervals_ms,
                           bc_type="clamped")(grid)
         assert np.max(np.abs(values - ref)) < 1e-9
+
+    @pytest.mark.parametrize("rate", [math.nan, 0.0, -4.0, "4"], ids=repr)
+    def test_interpolation_rate_must_be_positive(self, rate):
+        # NaN raised "cannot convert float NaN to integer"
+        nn = nn_from_intervals([1000.0] * 20)
+        with pytest.raises(ValueError, match=re.escape(
+                f"rate_hz must be a positive number, got {rate!r}")):
+            hrv.interpolate_nn(nn, rate)
 
     @given(m=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=100, deadline=None)

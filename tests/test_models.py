@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -1124,6 +1125,71 @@ class TestDispatch:
         for kind in ModelKind:
             with pytest.raises(DegenerateLabels):
                 models.train(ModelSpec(kind, {}), x[None], y[None])
+
+
+class TestTrainArguments:
+    """``train`` checks its spec through ``errors.check_fields``."""
+
+    def test_unknown_hyperparameter_raises_naming_it(self, blobs):
+        # the constructor's TypeError
+        x, y = blobs
+        with pytest.raises(ValueError, match=r"^unknown keys: \['bogus'\]$"):
+            models.train(ModelSpec(ModelKind.KNN, {"bogus": 1}), x[None],
+                         y[None])
+
+    def test_kind_must_be_a_model_kind(self, blobs):
+        # KeyError: 'knn'
+        x, y = blobs
+        with pytest.raises(ValueError,
+                           match="^kind must be a ModelKind, got 'knn'$"):
+            models.train(ModelSpec("knn", {}), x[None], y[None])
+
+
+class TestFoldSeeds:
+    """Each fold seed is checked against ``errors.SEED`` before a generator
+    reads it."""
+
+    @pytest.mark.parametrize("make", [
+        lambda seed: models.RandomForestClassifier(5, seed=seed),
+        lambda seed: models.MlpClassifier(epochs=1, seed=seed),
+    ], ids=["rf", "mlp"])
+    @pytest.mark.parametrize("seed", [2.5, -1, True, "1"], ids=repr)
+    def test_out_of_range_seed_raises_naming_it(self, blobs, make, seed):
+        # 2.5 trained with seed 2, and -1 raised NumPy's "expected
+        # non-negative integer"
+        x, y = blobs
+        with pytest.raises(ValueError, match=re.escape(
+                f"seed must be an integer >= 0, got {seed!r}")):
+            make([seed]).fit(x[None], y[None])
+
+
+def oracle_sigmoid(z):
+    """The boolean-mask logistic: 1 / (1 + e^-z) where z >= 0, else
+    e^z / (1 + e^z)."""
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+SIGMOID_SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 709.0, -709.0,
+                    745.0, -745.0, 1e-300, -1e-300]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats() | st.sampled_from(SIGMOID_SPECIALS), max_size=40),
+       st.booleans())
+def test_sigmoid_equals_mask_oracle_bit_for_bit(values, stacked):
+    # a NaN's sign bit is not compared: no output reads it
+    z = np.array(values, dtype=float)
+    z = z[None] if stacked else z
+    got, want = models._sigmoid(z), oracle_sigmoid(z)
+    nan = np.isnan(want)
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 class TestHyperparameterRanges:

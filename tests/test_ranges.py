@@ -19,14 +19,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wearbench import actigraphy, config, dsp, eda, errors, hrv, mlbench, synth
+from wearbench import (actigraphy, config, dsp, eda, errors, hrv, mlbench,
+                       models, synth)
 from wearbench.errors import (COUNT, FRACTION, NON_NEGATIVE, RATE, SEED,
                               InvalidCutoff, InvalidOrder, InvalidSpec,
                               check_fields)
-from wearbench.models import ModelKind
-from wearbench.session_io import (LABEL, VALIDATION_RANGES, ChannelKind,
-                                  Label, SignalChannel, ValidationPolicy,
-                                  validate_session)
+from wearbench.models import ModelKind, ModelSpec
+from wearbench.session_io import (LABEL, START_TIME, VALIDATION_RANGES,
+                                  ChannelKind, Label, SignalChannel,
+                                  ValidationPolicy, validate_session)
 
 MAX = sys.float_info.max
 TINY = math.ulp(0.0)
@@ -34,6 +35,16 @@ TINY = math.ulp(0.0)
 COMMON = [math.nan, math.inf, -math.inf, 0, -1, True, "1", np.float64(0.5),
           np.int64(2), np.float32(0.25)]
 X = np.random.default_rng(0).normal(size=200)
+PEAKS = np.arange(0, 6400, 50)
+# a one-fold stack for the models: x (1, 12, 2), y (1, 12)
+MX = np.random.default_rng(1).normal(size=(1, 12, 2))
+MY = np.array([[0, 1] * 6])
+# a path axis takes one value or a non-empty sequence of values in range
+PATH_EDGES = (1, 3, np.array([1, 3]), [np.int64(1), 3], [], [0, 3], (2, 1),
+              [0.5, 2], [1, True], np.array([[1, 3]]), np.array(3))
+FOLD_SEEDED = {
+    "rf": lambda seed: models.RandomForestClassifier(3, seed=seed),
+    "mlp": lambda seed: models.MlpClassifier(2, epochs=2, seed=seed)}
 
 
 @functools.lru_cache(maxsize=None)
@@ -114,6 +125,9 @@ OWNERS = [
           (TINY, -TINY, MAX, 8.0), InvalidCutoff),
     Owner("welch-rate", "sample_rate_hz", RATE,
           lambda v: dsp.welch_psd(X, v), (TINY, -TINY, MAX)),
+    Owner("welch-segment-len", "segment_len", COUNT,
+          lambda v: dsp.welch_psd(X, 4.0, segment_len=v),
+          (1, 7, 8, 8.9, 200, 201, 300.7, np.int16(64))),
     Owner("welch-overlap", "overlap_fraction", FRACTION,
           lambda v: dsp.welch_psd(X, 4.0, overlap_fraction=v),
           (0.0, -TINY, np.nextafter(1.0, 0.0), 1, 1.0),
@@ -122,6 +136,10 @@ OWNERS = [
           lambda v: hrv.hrv_freq_features(_nn(), interp_rate_hz=v),
           (0.8, np.nextafter(0.8, 1.0), 64, np.nextafter(64.0, 65.0), 4.0),
           config_fields=(("dsp", "nn_interp_rate_hz"),)),
+    Owner("peaks-to-nn-rate", "sample_rate_hz", RATE,
+          lambda v: hrv.peaks_to_nn(PEAKS, v), (TINY, -TINY, MAX, 64.0)),
+    Owner("interpolate-nn-rate", "rate_hz", RATE,
+          lambda v: hrv.interpolate_nn(_nn(), v), (TINY, -TINY, 4.0)),
     *(Owner(f"peaks-{name}", name, RATE,
             lambda v, name=name: hrv.detect_pulse_peaks(
                 _session()[0].channel(ChannelKind.BVP), **{name: v}),
@@ -141,6 +159,9 @@ OWNERS = [
     Owner("channel-rate", "sample_rate", RATE,
           lambda v: SignalChannel(ChannelKind.TEMP, 0, v, np.ones(10)),
           (TINY, -TINY, MAX)),
+    Owner("channel-start-time", "start_time", START_TIME,
+          lambda v: SignalChannel(ChannelKind.TEMP, v, 4.0, np.ones(10)),
+          (1.5, "x", 2.0, -5, 2 ** 70)),
     *(Owner(f"validation-{field}", field, VALIDATION_RANGES[field],
             lambda v, field=field: validate_session(
                 _session()[0], ValidationPolicy(**{field: v})),
@@ -176,13 +197,36 @@ OWNERS = [
     *(Owner(f"metrics-{key}", key, SEED,
             lambda v, key=key: mlbench.compute_metrics({**_CONFUSION, key: v}),
             (0, 2.0, np.uint8(3))) for key in _CONFUSION),
+    *(Owner(f"{name}-fold-seed", "seed", SEED,
+            lambda v, make=make: make([v]).fit(MX, MY).predict(MX),
+            (0, 2.5, 2 ** 64 - 1)) for name, make in FOLD_SEEDED.items()),
+    *(Owner(f"path-{kind.value}-{axis}", axis, models.ARGUMENTS[kind][axis],
+            lambda v, kind=kind, axis=axis: models.train(
+                ModelSpec(kind, {axis: v}), MX, MY).predict(MX), PATH_EDGES)
+      for kind, axis in models.PATH_AXES.items()),
 ]
 CASES = [(owner, value) for owner in OWNERS for value in COMMON + list(
     owner.edges)]
 
 
 def _python(value):
-    return value.item() if isinstance(value, np.generic) else value
+    """``value`` as ``check_fields`` reads it: NumPy scalars, and arrays of
+    at least one dimension, as Python values, inside lists and tuples too."""
+    if isinstance(value, np.generic) or (isinstance(value, np.ndarray)
+                                         and value.ndim):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_python, value))
+    return value
+
+
+def _holds_numpy(value):
+    """A NumPy scalar, or an array of at least one dimension, alone or in a
+    list."""
+    if isinstance(value, list):
+        return any(map(_holds_numpy, value))
+    return isinstance(value, np.generic) or (isinstance(value, np.ndarray)
+                                             and value.ndim > 0)
 
 
 def _bits(x):
@@ -228,10 +272,10 @@ def test_owner_rejects_exactly_what_its_range_rejects(owner, value):
 
 
 @pytest.mark.parametrize("owner,value", [
-    (o, v) for o, v in CASES if isinstance(v, np.generic)],
-    ids=[f"{o.id}-{v!r}" for o, v in CASES if isinstance(v, np.generic)])
+    (o, v) for o, v in CASES if _holds_numpy(v)],
+    ids=[f"{o.id}-{v!r}" for o, v in CASES if _holds_numpy(v)])
 def test_numpy_scalar_gives_the_bits_of_its_python_number(owner, value):
-    assert _outcome(owner, value) == _outcome(owner, value.item())
+    assert _outcome(owner, value) == _outcome(owner, _python(value))
 
 
 CONFIG_OWNED = {field: owner.range_ for owner in OWNERS
@@ -292,3 +336,11 @@ def test_scr_event_amplitudes(events, ok):
     else:
         with pytest.raises(InvalidSpec, match="^scr_events must be"):
             spec.validate()
+
+
+def test_unknown_key_message_names_the_context_only_when_given():
+    # without a context it read "unknown None keys: ['a']"
+    with pytest.raises(ValueError, match=r"^unknown keys: \['a'\]$"):
+        check_fields({"a": 1}, {})
+    with pytest.raises(ValueError, match=r"^unknown dsp keys: \['a'\]$"):
+        check_fields({"a": 1}, {}, context="dsp")

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -580,3 +581,20 @@ def test_validation_policy_out_of_range_raises(default_session, value):
     with pytest.raises(ValueError, match="^min_duration_seconds must be"):
         validate_session(default_session[0],
                          ValidationPolicy(min_duration_seconds=value))
+
+
+@pytest.mark.parametrize("start_time", [1.5, 2.0, "x", True],
+                         ids=repr)
+def test_channel_start_time_must_be_an_integer(start_time):
+    # 1.5 was accepted and written as the header 1.5, which
+    # parse_channel_csv rejects: "line 1: '1.5' is not an integer"
+    with pytest.raises(ValueError, match=re.escape(
+            f"start_time must be an integer, got {start_time!r}")):
+        SignalChannel(ChannelKind.TEMP, start_time, 4.0, np.ones(10))
+
+
+def test_channel_start_time_is_kept_as_a_python_int():
+    channel = SignalChannel(ChannelKind.TEMP, np.int64(-5), 4.0, np.ones(10))
+    assert type(channel.start_time) is int and channel.start_time == -5
+    assert parse_channel_csv(serialize_channel_csv(channel),
+                             ChannelKind.TEMP).start_time == -5
