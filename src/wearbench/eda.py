@@ -26,11 +26,6 @@ EDA_FEATURE_NAMES = (
 class EdaDecomposition:
     tonic: np.ndarray
     phasic: np.ndarray
-    sample_rate_hz: float
-
-    @property
-    def cleaned(self) -> np.ndarray:
-        return self.tonic + self.phasic
 
 
 @dataclass(frozen=True)
@@ -67,8 +62,7 @@ def decompose_eda(eda: SignalChannel, tonic_cutoff_hz: float = 0.05,
                                           (tonic_cutoff_hz,), fs)
     cleaned = dsp.filtfilt(clean_design, x)
     tonic = dsp.filtfilt(tonic_design, cleaned)
-    return EdaDecomposition(tonic=tonic, phasic=cleaned - tonic,
-                            sample_rate_hz=fs)
+    return EdaDecomposition(tonic=tonic, phasic=cleaned - tonic)
 
 
 def detect_scr(decomp: EdaDecomposition,

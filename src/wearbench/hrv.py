@@ -382,9 +382,9 @@ def interpolate_nn(nn: NNSeries, rate_hz: float = 4.0):
     """Resample NN values onto a uniform grid over the beat times.
 
     Each interval is anchored at its end beat; the grid runs from the first
-    to the last anchor at ``rate_hz``.
+    to the last anchor at ``rate_hz``, which must lie in ``INTERP_RATE``.
     """
-    rate_hz = check_value("rate_hz", rate_hz, RATE)
+    rate_hz = check_value("rate_hz", rate_hz, INTERP_RATE)
     tk = nn.peak_times_s[1:]
     yk = nn.intervals_ms
     if tk.size < 2:

@@ -1,4 +1,4 @@
-"""Synthetic labeled sessions with known ground truth.
+"""Synthetic labeled sessions; each spec is the ground truth of its session.
 
 Waveforms are deliberately minimal: just physiological enough that every
 downstream feature has an analytically known target. Generation is a pure
@@ -76,29 +76,15 @@ class SynthSpec:
 SYNTH_SPEC_RANGES = {
     "seed": SEED, "duration_s": RATE, "heart_rate_bpm": RATE,
     "hrv_mod_freq_hz": FINITE, "hrv_mod_depth_ms": NON_NEGATIVE,
-    "scr_events": (lambda v: all(0 <= amp < math.inf for _, amp in v),
-                   "(onset_s, amplitude_uS) pairs, amplitudes finite >= 0"),
+    "scr_events": (
+        lambda v: isinstance(v, (list, tuple)) and all(
+            isinstance(e, (list, tuple)) and len(e) == 2
+            and all(map(finite_number, e)) and e[1] >= 0 for e in v),
+        "(onset_s, amplitude_uS) pairs, amplitudes finite >= 0"),
     "acc_dominant_freq_hz": FINITE, "acc_amplitude": NON_NEGATIVE,
     "acc_inactive_fraction": (lambda v: finite_number(v) and 0 <= v <= 1,
                               "a number in [0, 1]"),
     "temp_baseline_c": FINITE, "temp_trend_c_per_s": FINITE, "label": LABEL}
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    """Seeded values downstream recovery tests compare against."""
-
-    heart_rate_bpm: float
-    beat_times_s: tuple[float, ...]
-    hrv_mod_freq_hz: float
-    hrv_mod_depth_ms: float
-    scr_onsets_s: tuple[float, ...]
-    scr_amplitudes_us: tuple[float, ...]
-    acc_dominant_freq_hz: float
-    acc_inactive_seconds: float
-    temp_baseline_c: float
-    temp_trend_c_per_s: float
-    label: Label
 
 
 def _beat_times(spec: SynthSpec) -> np.ndarray:
@@ -187,7 +173,7 @@ def _temp_channel(spec: SynthSpec, start_time: int) -> SignalChannel:
 
 def generate_session(spec: SynthSpec,
                      subject_id: str = "synthetic",
-                     start_time: int = 1700000000) -> tuple[Session, GroundTruth]:
+                     start_time: int = 1700000000) -> Session:
     """Build one session; identical (spec, subject_id) always yields
     identical samples."""
     spec = spec.validate()
@@ -199,21 +185,7 @@ def generate_session(spec: SynthSpec,
         ChannelKind.ACC: _acc_channel(spec, rng, start_time),
         ChannelKind.TEMP: _temp_channel(spec, start_time),
     }
-    session = Session(subject_id=subject_id, channels=channels, label=spec.label)
-    truth = GroundTruth(
-        heart_rate_bpm=spec.heart_rate_bpm,
-        beat_times_s=tuple(beats.tolist()),
-        hrv_mod_freq_hz=spec.hrv_mod_freq_hz,
-        hrv_mod_depth_ms=spec.hrv_mod_depth_ms,
-        scr_onsets_s=tuple(onset for onset, _ in spec.scr_events),
-        scr_amplitudes_us=tuple(amp for _, amp in spec.scr_events),
-        acc_dominant_freq_hz=spec.acc_dominant_freq_hz,
-        acc_inactive_seconds=spec.duration_s * spec.acc_inactive_fraction,
-        temp_baseline_c=spec.temp_baseline_c,
-        temp_trend_c_per_s=spec.temp_trend_c_per_s,
-        label=spec.label,
-    )
-    return session, truth
+    return Session(subject_id=subject_id, channels=channels, label=spec.label)
 
 
 @dataclass(frozen=True)
@@ -297,8 +269,8 @@ def generate_cohort(root, cohort: CohortSpec, seed: int) -> Path:
     for i, label in enumerate(labels, start=1):
         subject_id = f"S{i:03d}"
         spec = _subject_spec(rng, cohort, label)
-        session, _ = generate_session(spec, subject_id=subject_id,
-                                      start_time=1700000000 + i)
+        session = generate_session(spec, subject_id=subject_id,
+                                   start_time=1700000000 + i)
         write_session(session, root / subject_id)
         entries.append((subject_id, label))
     manifest = root / "manifest.csv"

@@ -6,12 +6,17 @@ from wearbench.session_io import ChannelKind, Label, SignalChannel
 
 
 @pytest.fixture(scope="session")
-def default_session():
-    """One fully featured synthetic session reused by read-only tests."""
-    spec = synth.SynthSpec(seed=1234, duration_s=300.0,
+def default_spec():
+    """The spec ``default_session`` is generated from: the ground truth
+    of that session."""
+    return synth.SynthSpec(seed=1234, duration_s=300.0,
                            scr_events=((60.0, 0.4), (180.0, 0.6)))
-    session, truth = synth.generate_session(spec)
-    return session, truth
+
+
+@pytest.fixture(scope="session")
+def default_session(default_spec):
+    """One fully featured synthetic session reused by read-only tests."""
+    return synth.generate_session(default_spec)
 
 
 def make_channel(kind: ChannelKind, samples, rate: float) -> SignalChannel:

@@ -133,13 +133,16 @@ def test_criterion_3_feature_oracles():
             expect = (n - 1) * f["TEMP_std"] ** 2
             assert abs(f["TEMP_energy"] - expect) <= 1e-9 * max(expect, 1e-12)
 
-        # EDA reconstruction is exact
+        # EDA reconstruction is exact: tonic + phasic is the raw signal
+        # through the 4th-order cleaning low-pass at clean_cutoff_hz
         spec = synth.SynthSpec(seed=60, duration_s=120.0,
                                scr_events=((40.0, 0.3), (90.0, 0.6)))
-        session, _ = synth.generate_session(spec)
-        decomp = eda.decompose_eda(session.channel(ChannelKind.EDA))
+        raw = synth.generate_session(spec).channel(ChannelKind.EDA)
+        decomp = eda.decompose_eda(raw)
+        clean = dsp.design_butterworth(4, dsp.FilterKind.LOW_PASS, (1.0,), 4.0)
         recon = decomp.tonic + decomp.phasic
-        assert float(np.max(np.abs(recon - decomp.cleaned))) < 1e-9
+        assert float(np.max(np.abs(
+            recon - dsp.filtfilt(clean, raw.samples)))) < 1e-9
 
 
 def test_criterion_4_ground_truth_recovery():
@@ -148,24 +151,23 @@ def test_criterion_4_ground_truth_recovery():
                                       (0.7, 3.5), 64.0)
 
         def peaks_of(spec):
-            session, truth = synth.generate_session(spec)
-            bvp = session.channel(ChannelKind.BVP)
+            bvp = synth.generate_session(spec).channel(ChannelKind.BVP)
             filtered = dataclasses.replace(
                 bvp,
                 samples=dsp.filtfilt(band, dsp.detrend(bvp.samples, 500.0)))
-            return hrv.detect_pulse_peaks(filtered), truth
+            return hrv.detect_pulse_peaks(filtered)
 
         # pulse-peak counts within +/- 2 of rate * duration
         for bpm, dur, seed in ((60.0, 60.0, 7), (120.0, 30.0, 9),
                                (72.0, 90.0, 13)):
-            peaks, _ = peaks_of(synth.SynthSpec(
+            peaks = peaks_of(synth.SynthSpec(
                 seed=seed, duration_s=dur, heart_rate_bpm=bpm,
                 hrv_mod_depth_ms=0.0))
             assert abs(len(peaks) - bpm * dur / 60.0) <= 2
 
         # LF/HF dominance flips with the modulation frequency
         def freq_features(mod_hz, seed):
-            peaks, _ = peaks_of(synth.SynthSpec(
+            peaks = peaks_of(synth.SynthSpec(
                 seed=seed, duration_s=300.0, heart_rate_bpm=60.0,
                 hrv_mod_freq_hz=mod_hz, hrv_mod_depth_ms=50.0))
             return hrv.hrv_freq_features(hrv.peaks_to_nn(peaks, 64.0))
@@ -179,7 +181,7 @@ def test_criterion_4_ground_truth_recovery():
         # SCR amplitude within 10%
         spec = synth.SynthSpec(seed=5, duration_s=120.0,
                                scr_events=((50.0, 0.5),))
-        session, truth = synth.generate_session(spec)
+        session = synth.generate_session(spec)
         decomp = eda.decompose_eda(session.channel(ChannelKind.EDA))
         events = eda.detect_scr(decomp)
         assert len(events) == 1
@@ -189,18 +191,18 @@ def test_criterion_4_ground_truth_recovery():
         spec = synth.SynthSpec(seed=21, duration_s=64.0,
                                acc_dominant_freq_hz=2.0,
                                acc_inactive_fraction=0.0)
-        session, truth = synth.generate_session(spec)
+        session = synth.generate_session(spec)
         feats = pipeline.extract_session_features(session)
         n_acc = session.channel(ChannelKind.ACC).n_samples
         assert abs(feats["ACC_Dominant_frequency"]
-                   - truth.acc_dominant_freq_hz) <= 32.0 / n_acc
+                   - spec.acc_dominant_freq_hz) <= 32.0 / n_acc
 
         # TEMP trend within 1e-9 of the seeded slope
         spec = synth.SynthSpec(seed=22, duration_s=90.0,
                                temp_trend_c_per_s=0.0015)
-        session, truth = synth.generate_session(spec)
-        feats = pipeline.extract_session_features(session)
-        assert abs(feats["TEMP_trend"] - truth.temp_trend_c_per_s) < 1e-9
+        feats = pipeline.extract_session_features(
+            synth.generate_session(spec))
+        assert abs(feats["TEMP_trend"] - spec.temp_trend_c_per_s) < 1e-9
 
 
 def test_criterion_5_classifier_sanity():

@@ -159,6 +159,6 @@ class TestAccFeatures:
 
 def test_nan_inactivity_threshold_raises(default_session):
     # it reported 0.0 s of inactivity
-    acc = default_session[0].channel(ChannelKind.ACC)
+    acc = default_session.channel(ChannelKind.ACC)
     with pytest.raises(ValueError, match="^inactivity_threshold must be"):
         actigraphy.acc_features(acc, inactivity_threshold=float("nan"))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wearbench import eda, synth
+from wearbench import dsp, eda, synth
 from wearbench.errors import SignalTooShort
 from wearbench.session_io import ChannelKind, SignalChannel
 
@@ -13,8 +13,7 @@ def eda_channel(samples):
 
 
 def session_eda(spec: synth.SynthSpec):
-    session, truth = synth.generate_session(spec)
-    return session.channel(ChannelKind.EDA), truth
+    return synth.generate_session(spec).channel(ChannelKind.EDA)
 
 
 class TestDecompose:
@@ -31,7 +30,7 @@ class TestDecompose:
         assert phasic_rms < 0.02 * np.sqrt(np.mean(raw ** 2))
 
     def test_injected_bump_lands_in_phasic(self):
-        channel, truth = session_eda(synth.SynthSpec(
+        channel = session_eda(synth.SynthSpec(
             seed=5, duration_s=120.0, scr_events=((50.0, 0.5),)))
         decomp = eda.decompose_eda(channel)
         events = eda.detect_scr(decomp)
@@ -39,20 +38,23 @@ class TestDecompose:
         assert events[0].amplitude == pytest.approx(0.5, rel=0.10)
 
     def test_exact_reconstruction(self):
-        channel, _ = session_eda(synth.SynthSpec(
+        channel = session_eda(synth.SynthSpec(
             seed=6, duration_s=120.0, scr_events=((30.0, 0.3), (80.0, 0.6))))
         decomp = eda.decompose_eda(channel)
         assert decomp.tonic.size == decomp.phasic.size == channel.n_samples
-        # tonic + phasic == cleaned holds identically by construction
+        # tonic + phasic is the raw signal through the documented cleaning
+        # filter: a zero-phase 4th-order low-pass at clean_cutoff_hz
+        clean = dsp.design_butterworth(4, dsp.FilterKind.LOW_PASS, (1.0,), 4.0)
+        cleaned = dsp.filtfilt(clean, channel.samples)
         recon = decomp.tonic + decomp.phasic
-        assert np.max(np.abs(recon - decomp.cleaned)) < 1e-9
+        assert np.max(np.abs(recon - cleaned)) < 1e-9
 
     def test_too_short(self):
         with pytest.raises(SignalTooShort):
             eda.decompose_eda(eda_channel(np.full(40, 2.0)))  # 10 s
 
     def test_offset_equivariance(self):
-        channel, _ = session_eda(synth.SynthSpec(
+        channel = session_eda(synth.SynthSpec(
             seed=8, duration_s=120.0, scr_events=((60.0, 0.4),)))
         base = eda.decompose_eda(channel)
         shifted = eda.decompose_eda(eda_channel(channel.samples + 3.0))
@@ -102,13 +104,13 @@ class TestDetectScr:
     def test_equals_per_sample_loop(self, levels, min_amplitude):
         phasic = np.asarray(levels, dtype=float)
         decomp = eda.EdaDecomposition(tonic=np.zeros_like(phasic),
-                                      phasic=phasic, sample_rate_hz=4.0)
+                                      phasic=phasic)
         assert eda.detect_scr(decomp, min_amplitude) == \
             loop_detect_scr(decomp, min_amplitude)
 
     @pytest.mark.parametrize("min_amplitude", [0.0, 0.01, 0.05, 0.3])
     def test_equals_per_sample_loop_on_a_session(self, min_amplitude):
-        channel, _ = session_eda(synth.SynthSpec(
+        channel = session_eda(synth.SynthSpec(
             seed=11, duration_s=180.0,
             scr_events=((40.0, 0.3), (100.0, 0.5), (160.0, 0.7))))
         decomp = eda.decompose_eda(channel)
@@ -122,22 +124,22 @@ class TestDetectScr:
         assert eda.detect_scr(decomp) == []
 
     def test_single_bump_onset_location(self):
-        channel, truth = session_eda(synth.SynthSpec(
-            seed=5, duration_s=120.0, scr_events=((50.0, 0.5),)))
-        events = eda.detect_scr(eda.decompose_eda(channel))
+        spec = synth.SynthSpec(seed=5, duration_s=120.0,
+                               scr_events=((50.0, 0.5),))
+        events = eda.detect_scr(eda.decompose_eda(session_eda(spec)))
         assert len(events) == 1
         onset_s = events[0].onset_index / 4.0
-        assert abs(onset_s - truth.scr_onsets_s[0]) <= 1.0
+        assert abs(onset_s - spec.scr_events[0][0]) <= 1.0
 
     def test_two_bumps_in_onset_order(self):
-        channel, truth = session_eda(synth.SynthSpec(
+        channel = session_eda(synth.SynthSpec(
             seed=9, duration_s=120.0, scr_events=((40.0, 0.4), (50.0, 0.5))))
         events = eda.detect_scr(eda.decompose_eda(channel))
         assert len(events) == 2
         assert events[0].onset_index < events[1].onset_index
 
     def test_event_invariants(self):
-        channel, _ = session_eda(synth.SynthSpec(
+        channel = session_eda(synth.SynthSpec(
             seed=10, duration_s=180.0,
             scr_events=((30.0, 0.2), (90.0, 0.5), (150.0, 0.8))))
         events = eda.detect_scr(eda.decompose_eda(channel))
@@ -148,7 +150,7 @@ class TestDetectScr:
     @given(lo=st.floats(0.01, 0.2), hi=st.floats(0.2, 0.6))
     @settings(max_examples=20, deadline=None)
     def test_threshold_monotone(self, lo, hi):
-        channel, _ = session_eda(synth.SynthSpec(
+        channel = session_eda(synth.SynthSpec(
             seed=11, duration_s=180.0,
             scr_events=((40.0, 0.3), (100.0, 0.5), (160.0, 0.7))))
         decomp = eda.decompose_eda(channel)
@@ -168,7 +170,7 @@ class TestEdaFeatures:
         assert f["SCR_Onsets"] == 0.0
 
     def test_single_event_amplitude(self):
-        channel, _ = session_eda(synth.SynthSpec(
+        channel = session_eda(synth.SynthSpec(
             seed=5, duration_s=120.0, scr_events=((50.0, 0.5),)))
         decomp = eda.decompose_eda(channel)
         f = eda.eda_features(decomp, eda.detect_scr(decomp))
@@ -176,7 +178,7 @@ class TestEdaFeatures:
         assert f["SCR_Onsets"] == 1.0
 
     def test_three_event_mean_amplitude(self):
-        channel, _ = session_eda(synth.SynthSpec(
+        channel = session_eda(synth.SynthSpec(
             seed=8, duration_s=240.0,
             scr_events=((50.0, 0.2), (110.0, 0.4), (170.0, 0.6))))
         decomp = eda.decompose_eda(channel)
@@ -193,6 +195,6 @@ class TestEdaFeatures:
 @pytest.mark.parametrize("value", [float("nan"), -1.0])
 def test_scr_min_amplitude_out_of_range_raises(default_session, value):
     # a NaN found no event and -1 found every rise
-    decomp = eda.decompose_eda(default_session[0].channel(ChannelKind.EDA))
+    decomp = eda.decompose_eda(default_session.channel(ChannelKind.EDA))
     with pytest.raises(ValueError, match="^min_amplitude must be"):
         eda.detect_scr(decomp, min_amplitude=value)

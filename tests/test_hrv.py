@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -181,7 +182,7 @@ def bvp_bandpass():
 
 
 def filtered_bvp(spec: synth.SynthSpec, bandpass) -> SignalChannel:
-    session, _ = synth.generate_session(spec)
+    session = synth.generate_session(spec)
     bvp = session.channel(ChannelKind.BVP)
     detrended = dsp.detrend(bvp.samples, 500.0)
     return dataclasses.replace(bvp, samples=dsp.filtfilt(bandpass, detrended))
@@ -566,12 +567,17 @@ class TestFreqFeatures:
                           bc_type="clamped")(grid)
         assert np.max(np.abs(values - ref)) < 1e-9
 
-    @pytest.mark.parametrize("rate", [math.nan, 0.0, -4.0, "4"], ids=repr)
-    def test_interpolation_rate_must_be_positive(self, rate):
-        # NaN raised "cannot convert float NaN to integer"
+    @pytest.mark.parametrize("rate", [
+        math.nan, 0.0, -4.0, "4", 0.8, 64.5, 1e300, sys.float_info.max],
+        ids=repr)
+    def test_interpolation_rate_must_lie_in_interp_rate(self, rate):
+        # NaN raised "cannot convert float NaN to integer", 1e300 NumPy's
+        # "Maximum allowed size exceeded" and the largest float
+        # OverflowError
         nn = nn_from_intervals([1000.0] * 20)
         with pytest.raises(ValueError, match=re.escape(
-                f"rate_hz must be a positive number, got {rate!r}")):
+                "rate_hz must be a number above 0.8 and at most 64, "
+                f"got {rate!r}")):
             hrv.interpolate_nn(nn, rate)
 
     @given(m=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1))
@@ -626,24 +632,23 @@ class TestPeakArgumentRanges:
     """detect_pulse_peaks checks each argument against the range the
     config gives it and names the argument."""
 
+    SPEC = synth.SynthSpec(seed=7, duration_s=120.0)
+
     @pytest.fixture(scope="class")
-    def bvp_and_truth(self):
-        session, truth = synth.generate_session(
-            synth.SynthSpec(seed=7, duration_s=120.0))
-        return session.channel(ChannelKind.BVP), truth
+    def bvp(self):
+        return synth.generate_session(self.SPEC).channel(ChannelKind.BVP)
 
     @pytest.mark.parametrize("name", ["rms_window_s", "refractory_s",
                                       "threshold_scale"])
-    def test_nan_argument_raises_naming_it(self, bvp_and_truth, name):
+    def test_nan_argument_raises_naming_it(self, bvp, name):
         # the two spans raised "cannot convert float NaN to integer"; a NaN
         # scale raised NoPeaksFound, which the pipeline turns into NaNs
         with pytest.raises(ValueError, match=f"^{name} must be a positive"):
-            hrv.detect_pulse_peaks(bvp_and_truth[0], **{name: math.nan})
+            hrv.detect_pulse_peaks(bvp, **{name: math.nan})
 
-    def test_negative_threshold_scale_raises(self, bvp_and_truth):
+    def test_negative_threshold_scale_raises(self, bvp):
         # it found 249 peaks on these 144 beats
-        bvp, truth = bvp_and_truth
-        assert len(hrv.detect_pulse_peaks(bvp)) == len(truth.beat_times_s) \
-            == 144
+        assert len(hrv.detect_pulse_peaks(bvp)) \
+            == len(synth._beat_times(self.SPEC)) == 144
         with pytest.raises(ValueError, match="^threshold_scale must be"):
             hrv.detect_pulse_peaks(bvp, threshold_scale=-1.0)

@@ -49,8 +49,7 @@ def matrix_from_arrays(values, labels, names=None):
 class TestAssembleMatrix:
     def test_column_counts_per_selector(self, default_session):
         from wearbench.pipeline import extract_session_features
-        session, _ = default_session
-        feats = extract_session_features(session)
+        feats = extract_session_features(default_session)
         rows = [
             SubjectFeatures(f"S{i:03d}",
                             Label.UNIPOLAR if i < 2 else Label.BIPOLAR,
@@ -531,17 +530,25 @@ class TestSelectionSurface:
 PAPER_GRID_REPORTS = {
     ModelKind.KNN:
         "50e56385571dc74bea2630f35bf85088c5b99c40c6aba1ada0c017ce2aab3872",
+    ModelKind.DECISION_TREE:
+        "47eb4ea7669c248a7d4b9e33145042af173236e123e66f04c05591ba6a4dfac6",
+    ModelKind.RANDOM_FOREST:
+        "e2e3f349d46c52e3fc0a301721de82c7858ceb995e537ba172d84df2332cebb0",
     ModelKind.GRADIENT_BOOSTING:
         "23549eedbf134ad9a8fb772aa0d4da1a779b250d7dd9a47106e0145b2cfa1cdc",
     ModelKind.SVM:
         "1b72c326f1d7f6bb3c33f4874436b24a1327915b3b692b68e884003d46b12f79",
+    ModelKind.MLP:
+        "005b7c5f673e77ed501296871535bf5847bc2f1b4ef202f940252b8c7c34d1ad",
 }
 
 
 class TestPaperGrids:
     @pytest.mark.parametrize("kind,fits", [
-        (ModelKind.KNN, 31), (ModelKind.GRADIENT_BOOSTING, 2),
-        (ModelKind.SVM, 4)], ids=lambda v: getattr(v, "value", v))
+        (ModelKind.KNN, 31), (ModelKind.DECISION_TREE, 4),
+        (ModelKind.RANDOM_FOREST, 4), (ModelKind.GRADIENT_BOOSTING, 2),
+        (ModelKind.SVM, 4), (ModelKind.MLP, 6)],
+        ids=lambda v: getattr(v, "value", v))
     def test_default_grid_report_bytes_and_fits(self, kind, fits,
                                                 monkeypatch):
         table = (Path(__file__).resolve().parents[1] / "perfbench"
@@ -556,8 +563,9 @@ class TestPaperGrids:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() \
             == PAPER_GRID_REPORTS[kind]
-        # kNN: one fit per subject for its one k-path; GB: one 200-stage fit
-        # per learning rate; SVM: one C-path per kernel and gamma
+        # kNN: one fit per subject for its one k-path; DT, RF and MLP: one
+        # fit per grid point; GB: one 200-stage fit per learning rate; SVM:
+        # one C-path per kernel and gamma
         assert len(calls) == fits
 
 

@@ -39,28 +39,26 @@ FAMILIES = {
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_family_row_is_keyed_by_its_names_in_order(family, default_session):
     row_of, names = FAMILIES[family]
-    row = row_of(default_session[0])
+    row = row_of(default_session)
     assert tuple(row) == names
     assert all(type(v) is float for v in row.values())
 
 
 class TestExtractSessionFeatures:
     def test_full_session_yields_59_finite_features(self, default_session):
-        session, _ = default_session
-        feats = pipeline.extract_session_features(session)
+        feats = pipeline.extract_session_features(default_session)
         assert tuple(feats) == FEATURE_COLUMNS
         assert len(feats) == 59
         assert all(math.isfinite(v) for v in feats.values())
 
-    def test_ground_truth_agreement(self, default_session):
-        session, truth = default_session
-        feats = pipeline.extract_session_features(session)
+    def test_ground_truth_agreement(self, default_session, default_spec):
+        feats = pipeline.extract_session_features(default_session)
         assert feats["TEMP_trend"] == pytest.approx(
-            truth.temp_trend_c_per_s, abs=1e-9)
+            default_spec.temp_trend_c_per_s, abs=1e-9)
         assert feats["ACC_Dominant_frequency"] == pytest.approx(
-            truth.acc_dominant_freq_hz, abs=32.0 / 9600)
-        assert feats["SCR_Onsets"] == len(truth.scr_onsets_s)
-        expected_nn_ms = 60000.0 / truth.heart_rate_bpm
+            default_spec.acc_dominant_freq_hz, abs=32.0 / 9600)
+        assert feats["SCR_Onsets"] == len(default_spec.scr_events)
+        expected_nn_ms = 60000.0 / default_spec.heart_rate_bpm
         assert feats["HRV_MeanNN"] == pytest.approx(expected_nn_ms, rel=0.02)
 
     def test_flat_bvp_absents_hrv_family_only(self, make_session):
@@ -206,5 +204,5 @@ def test_nan_peak_window_raises_naming_the_argument(default_session):
     from wearbench.config import FeatureConfig
     with pytest.raises(ValueError, match="^rms_window_s must be"):
         pipeline.extract_session_features(
-            default_session[0],
+            default_session,
             feat_cfg=FeatureConfig(peak_rms_window_s=math.nan))

@@ -54,7 +54,7 @@ def _session():
 
 @functools.lru_cache(maxsize=None)
 def _decomposition():
-    return eda.decompose_eda(_session()[0].channel(ChannelKind.EDA))
+    return eda.decompose_eda(_session().channel(ChannelKind.EDA))
 
 
 def _nn():
@@ -138,11 +138,15 @@ OWNERS = [
           config_fields=(("dsp", "nn_interp_rate_hz"),)),
     Owner("peaks-to-nn-rate", "sample_rate_hz", RATE,
           lambda v: hrv.peaks_to_nn(PEAKS, v), (TINY, -TINY, MAX, 64.0)),
-    Owner("interpolate-nn-rate", "rate_hz", RATE,
-          lambda v: hrv.interpolate_nn(_nn(), v), (TINY, -TINY, 4.0)),
+    # it checked RATE: 1e300 asked NumPy for 10^302 grid points, and MAX
+    # raised OverflowError
+    Owner("interpolate-nn-rate", "rate_hz", hrv.INTERP_RATE,
+          lambda v: hrv.interpolate_nn(_nn(), v),
+          (TINY, -TINY, 0.8, np.nextafter(0.8, 1.0), 64,
+           np.nextafter(64.0, 65.0), 4.0, 1e300, MAX)),
     *(Owner(f"peaks-{name}", name, RATE,
             lambda v, name=name: hrv.detect_pulse_peaks(
-                _session()[0].channel(ChannelKind.BVP), **{name: v}),
+                _session().channel(ChannelKind.BVP), **{name: v}),
             (TINY, -TINY, MAX), config_fields=(("features", field),))
       for name, field in (("threshold_scale", "peak_threshold_scale"),
                           ("rms_window_s", "peak_rms_window_s"),
@@ -153,7 +157,7 @@ OWNERS = [
           config_fields=(("features", "scr_min_amplitude"),)),
     Owner("acc-inactivity", "inactivity_threshold", NON_NEGATIVE,
           lambda v: actigraphy.acc_features(
-              _session()[0].channel(ChannelKind.ACC), inactivity_threshold=v),
+              _session().channel(ChannelKind.ACC), inactivity_threshold=v),
           (0.0, -TINY, MAX),
           config_fields=(("features", "acc_inactivity_threshold"),)),
     Owner("channel-rate", "sample_rate", RATE,
@@ -164,7 +168,7 @@ OWNERS = [
           (1.5, "x", 2.0, -5, 2 ** 70)),
     *(Owner(f"validation-{field}", field, VALIDATION_RANGES[field],
             lambda v, field=field: validate_session(
-                _session()[0], ValidationPolicy(**{field: v})),
+                _session(), ValidationPolicy(**{field: v})),
             (TINY, -TINY, MAX, 200.0), config_fields=(("validation", field),))
       for field in VALIDATION_RANGES),
     # small cohorts only: a large count or duration is tested through the
@@ -328,7 +332,13 @@ def test_large_counts_pass_the_check_alone():
 @pytest.mark.parametrize("events,ok", [
     (((10.0, 0.5),), True), (((10.0, np.float64(0.5)),), True),
     (((10.0, 0.0),), True), (((10.0, -0.5),), False),
-    (((10.0, math.nan),), False), (((10.0, math.inf),), False)], ids=repr)
+    (((10.0, math.nan),), False), (((10.0, math.inf),), False),
+    ([[10, 1]], True), ((), True), (((np.int64(10), 0.5),), True),
+    # these raised TypeError or ValueError, and a bool passed as 1
+    (((10.0, "1"),), False), ((10.0,), False), ((("a", 1.0),), False),
+    (((10.0, 1.0, 2.0),), False), (((10.0, True),), False),
+    (((True, 1.0),), False), (((math.nan, 0.5),), False),
+    ((10.0, 0.5), False), ("ab", False), (None, False)], ids=repr)
 def test_scr_event_amplitudes(events, ok):
     spec = _spec(scr_events=events)
     if ok:

@@ -399,7 +399,7 @@ class TestBulkSerialize:
 class TestSessionDirectories:
     def test_write_then_load_round_trip(self, tmp_path):
         spec = synth.SynthSpec(seed=21, duration_s=70.0)
-        session, _ = synth.generate_session(spec, subject_id="S001")
+        session = synth.generate_session(spec, subject_id="S001")
         write_session(session, tmp_path / "S001")
         back = load_session(tmp_path / "S001", "S001", session.label)
         for kind in ChannelKind:
@@ -409,7 +409,7 @@ class TestSessionDirectories:
 
     def test_non_utf8_channel_names_subject_and_file(self, tmp_path):
         spec = synth.SynthSpec(seed=23, duration_s=70.0)
-        session, _ = synth.generate_session(spec, subject_id="S001")
+        session = synth.generate_session(spec, subject_id="S001")
         write_session(session, tmp_path / "S001")
         with open(tmp_path / "S001" / "TEMP.csv", "ab") as handle:
             handle.write(b"\xff\n")
@@ -420,7 +420,7 @@ class TestSessionDirectories:
 
     def test_missing_channel_file(self, tmp_path):
         spec = synth.SynthSpec(seed=22, duration_s=70.0)
-        session, _ = synth.generate_session(spec, subject_id="S002")
+        session = synth.generate_session(spec, subject_id="S002")
         write_session(session, tmp_path / "S002")
         (tmp_path / "S002" / "TEMP.csv").unlink()
         with pytest.raises(MissingChannelFile):
@@ -532,8 +532,7 @@ class TestManifest:
 
 class TestValidation:
     def test_healthy_synthetic_session_ok(self, default_session):
-        session, _ = default_session
-        report = validate_session(session)
+        report = validate_session(default_session)
         assert report.status is ValidationStatus.OK
         assert report.reasons == ()
 
@@ -579,7 +578,7 @@ class TestValidation:
 def test_validation_policy_out_of_range_raises(default_session, value):
     # a NaN minimum excluded nothing, and "60" was accepted
     with pytest.raises(ValueError, match="^min_duration_seconds must be"):
-        validate_session(default_session[0],
+        validate_session(default_session,
                          ValidationPolicy(min_duration_seconds=value))
 
 
