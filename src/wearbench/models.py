@@ -155,7 +155,7 @@ class _Criterion:
     # -> the score of cutting after each row, (N - 1, B, C)
     split_scores: object
     node_score: object  # (k, size) targets of k nodes -> their impurities
-    leaf_value: object  # the same -> their predictions
+    leaf_value: object  # the same -> what their leaves hold
     tol: float  # a later split point must beat the kept one by more than this
 
 
@@ -198,7 +198,7 @@ _GINI = _Criterion(
 _SSE = _Criterion(
     _sse_split_scores,
     lambda r: np.sum((r - r.mean(axis=1, keepdims=True)) ** 2, axis=1),
-    lambda r: r.mean(axis=1), 1e-12)
+    _row_sums, 1e-12)  # a leaf holds the numerator of GB's Newton step
 
 # the most (row, node, column) cells of one split-search block; its arrays
 # stay at 64 KiB, which the allocator reuses rather than maps afresh
@@ -275,7 +275,8 @@ class _Tree:
     pending nodes, making leaves, up to the next one to search, and one
     batch searches those nodes, so each tree ends bit for bit as it grows
     alone. ``samplers[t](d)`` draws the features of each node of tree t
-    that searches, in its pre-order.
+    that searches, in its pre-order. ``leaves`` holds each leaf's node, its
+    size and, leaf after leaf, its rows ``fold * n + i`` in the order grown.
     """
 
     def __init__(self, criterion: _Criterion, max_depth: int | None = None,
@@ -319,9 +320,11 @@ class _Tree:
         self.left, self.right = (np.where(c >= 0, c + offset, -1)
                                  .astype(np.intp) for c in flat[:, 2:].T)
         self.value = np.zeros(len(flat))
-        self.value[[self.roots[t] + i for t, i, _ in leaves]] = _per_size(
-            target[np.concatenate([r for *_, r in leaves])],
-            np.array([r.size for *_, r in leaves]), self.criterion.leaf_value)
+        self.leaves = node, size, ids = (
+            np.array([self.roots[t] + i for t, i, _ in leaves]),
+            np.array([r.size for *_, r in leaves]),
+            np.concatenate([r for *_, r in leaves]))
+        self.value[node] = _per_size(target[ids], size, self.criterion.leaf_value)
         return self
 
     def _search(self, x, target, batch, samplers, nodes, leaves,
@@ -486,16 +489,12 @@ class GradientBoostingClassifier:
             p = _sigmoid(scores)
             residual, hessian = y - p, p * (1.0 - p)
             tree = _Tree(_SSE, self.max_depth).fit(x, residual)
-            leaf = tree.apply(x)
-            # replace leaf means with Newton steps, summing each leaf's rows
-            # in order
-            by_leaf = np.argsort(leaf, axis=None, kind="stable")
-            nodes, sizes = np.unique(leaf, return_counts=True)
-            tree.value[nodes] = _per_size(
-                residual.ravel()[by_leaf], sizes, _row_sums) / np.maximum(
-                    _per_size(hessian.ravel()[by_leaf], sizes, _row_sums), 1e-12)
+            node, size, ids = tree.leaves
+            tree.value[node] /= np.maximum(
+                _per_size(hessian.flat[ids], size, _row_sums), 1e-12)
             self._trees.append(tree)
-            scores = scores + self.learning_rate * tree.value[leaf]
+            scores.flat[ids] += self.learning_rate * np.repeat(
+                tree.value[node], size)
         return self
 
     def decision_scores(self, x) -> np.ndarray:

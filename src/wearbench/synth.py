@@ -8,7 +8,7 @@ byte-identical files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +58,8 @@ class SynthSpec:
     label: Label = Label.UNIPOLAR
 
     def validate(self) -> "SynthSpec":
-        """This spec, each NumPy scalar as the Python number it holds;
+        """This spec, each NumPy scalar as the Python number it holds and
+        ``scr_events`` as a tuple of pairs (so the spec hashes);
         InvalidSpec names the first field out of its range."""
         # a NaN would loop _beat_times forever; every range fails it
         spec = SynthSpec(**check_fields(vars(self), SYNTH_SPEC_RANGES,
@@ -69,7 +70,7 @@ class SynthSpec:
         # beat period modulation must never cross zero
         if spec.hrv_mod_depth_ms / 1000.0 >= 60.0 / spec.heart_rate_bpm:
             raise InvalidSpec("HRV modulation depth exceeds the beat period")
-        return spec
+        return replace(spec, scr_events=tuple(map(tuple, spec.scr_events)))
 
 
 # SynthSpec field -> range; validate adds the checks that read two fields

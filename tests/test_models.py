@@ -637,6 +637,26 @@ class TestStackedTrees:
             assert scores[fold].tobytes() \
                 == alone.decision_scores(queries[fold:fold + 1])[0].tobytes()
 
+    @settings(max_examples=50, deadline=None)
+    @given(stack=tree_stacks(), msl=st.integers(1, 3),
+           max_depth=st.sampled_from([None, 1, 3]), boosted=st.booleans())
+    def test_leaves_record_the_partition_apply_finds(self, stack, msl,
+                                                    max_depth, boosted):
+        # DT and GB grow every tree on all rows of its fold, so the leaves
+        # hold each training row once, in the leaf ``apply`` routes it to,
+        # ascending: the partition GB's Newton steps sum over
+        x, y, _ = stack
+        trees = models.GradientBoostingClassifier(
+            3, 0.5, max_depth or 2).fit(x, y)._trees if boosted \
+            else [models.DecisionTreeClassifier(max_depth, msl).fit(x, y).tree]
+        for tree in trees:
+            node, size, ids = tree.leaves
+            assert np.array_equal(np.sort(ids), np.arange(y.size))
+            assert np.all(tree.left[node] < 0)
+            leaf = tree.apply(x).ravel()
+            for k, rows in zip(node, np.split(ids, np.cumsum(size)[:-1])):
+                assert np.array_equal(rows, np.flatnonzero(leaf == k))
+
     def test_forest_lock_steps_hold_whole_folds(self, monkeypatch):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(5, 12, 3))

@@ -342,7 +342,9 @@ def test_large_counts_pass_the_check_alone():
 def test_scr_event_amplitudes(events, ok):
     spec = _spec(scr_events=events)
     if ok:
-        assert spec.validate().scr_events == events
+        # validate returns the pairs as a tuple of tuples, whatever form
+        # they were given in
+        assert spec.validate().scr_events == tuple(map(tuple, events))
     else:
         with pytest.raises(InvalidSpec, match="^scr_events must be"):
             spec.validate()

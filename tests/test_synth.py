@@ -143,6 +143,23 @@ class TestGenerateSession:
             report = validate_session(session)
             assert report.status is ValidationStatus.OK, report.reasons
 
+    @pytest.mark.parametrize("events", [
+        [[10, 1.5]], ((10, 1.5),), [(10.0, 1.5)], np.array([[10.0, 1.5]]),
+    ], ids=["lists", "tuples", "mixed", "array"])
+    def test_scr_events_validate_to_a_tuple_of_pairs(self, events):
+        spec = synth.SynthSpec(seed=1, duration_s=60.0, scr_events=events)
+        expect = synth.SynthSpec(seed=1, duration_s=60.0,
+                                 scr_events=((10.0, 1.5),))
+        valid = spec.validate()
+        assert type(valid.scr_events) is tuple
+        assert all(type(pair) is tuple for pair in valid.scr_events)
+        assert valid == expect.validate()
+        assert hash(valid) == hash(expect.validate())
+        got, want = synth.generate_session(spec), synth.generate_session(expect)
+        for kind in ChannelKind:
+            assert got.channels[kind].samples.tobytes() \
+                == want.channels[kind].samples.tobytes()
+
     def test_invalid_specs(self):
         with pytest.raises(InvalidSpec):
             synth.generate_session(synth.SynthSpec(seed=1, duration_s=0.0))
