@@ -67,8 +67,9 @@ class FilterDesign:
     """A digital Butterworth filter as a cascade of second-order sections.
 
     ``sos`` has shape (n_sections, 6): rows are ``b0 b1 b2 1 a1 a2`` with the
-    denominator normalized to a leading 1. All poles lie strictly inside the
-    unit circle.
+    denominator normalized to a leading 1. The stored ``a1, a2`` of every
+    section, and every pole the design computed, are checked exactly to lie
+    strictly inside the unit circle.
     """
 
     order: int
@@ -76,19 +77,6 @@ class FilterDesign:
     cutoffs_hz: tuple[float, ...]
     sample_rate_hz: float
     sos: np.ndarray
-
-    def poles(self) -> np.ndarray:
-        """Denominator roots of every section, concatenated."""
-        out = []
-        for row in self.sos:
-            a1, a2 = row[4], row[5]
-            if a2 == 0.0 and a1 == 0.0:
-                continue
-            if a2 == 0.0:
-                out.append(-a1)
-            else:
-                out.extend(np.roots([1.0, a1, a2]))
-        return np.asarray(out, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -349,49 +337,64 @@ def _design_butterworth(order: int, kind: FilterKind,
     for c in cutoffs:
         if not (0.0 < c < nyq):
             raise InvalidCutoff(f"cutoff {c} Hz outside (0, {nyq}) Hz")
-
+    warped = [2.0 * fs * math.tan(math.pi * c / fs) for c in cutoffs]
     proto = [cmath.exp(1j * math.pi * (2 * k + order + 1) / (2 * order))
              for k in range(order)]
 
     if kind is FilterKind.LOW_PASS:
         if len(cutoffs) != 1:
             raise InvalidCutoff("low-pass takes exactly one cutoff")
-        warped = 2.0 * fs * math.tan(math.pi * cutoffs[0] / fs)
-        analog = [warped * p for p in proto]
-        digital = [_bilinear_pole(p, fs) for p in analog]
-        sections = _sections_from_poles(digital, numerator="lowpass")
+        analog = [warped[0] * p for p in proto]
         ref_omega = 0.0  # normalize at DC
     elif kind is FilterKind.BAND_PASS:
         if len(cutoffs) != 2 or not cutoffs[0] < cutoffs[1]:
             raise InvalidCutoff("band-pass takes (low, high) with low < high")
-        w1 = 2.0 * fs * math.tan(math.pi * cutoffs[0] / fs)
-        w2 = 2.0 * fs * math.tan(math.pi * cutoffs[1] / fs)
+        w1, w2 = warped
         bw, w0 = w2 - w1, math.sqrt(w1 * w2)
         analog = []
         for p in proto:
             half = p * bw / 2.0
             disc = cmath.sqrt(half * half - w0 * w0)
             analog.extend([half + disc, half - disc])
-        digital = [_bilinear_pole(p, fs) for p in analog]
-        sections = _sections_from_poles(digital, numerator="bandpass")
         ref_omega = 2.0 * math.atan(w0 / (2.0 * fs))  # center, rad/sample
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unknown filter kind {kind!r}")
 
-    sos = np.array([_normalize_section(sec, ref_omega) for sec in sections])
+    digital = [(2.0 * fs + p) / (2.0 * fs - p) for p in analog]
+    sos = np.array([_normalize_section(sec, ref_omega)
+                    for sec in _sections_from_poles(digital, kind)])
+    for *_, a1, a2 in sos.tolist():
+        _check_stable(a1, a2)
+    # a section of two real poles rounds their sum and product, which can
+    # move a pole the design rounded onto the unit circle back inside it; so
+    # each pole is checked too, as a real pole of its modulus on its side
+    for p in digital:
+        _check_stable(-math.copysign(abs(p), p.real), 0.0)
     sos.flags.writeable = False
-    design = FilterDesign(order=order, kind=kind, cutoffs_hz=cutoffs,
-                          sample_rate_hz=fs, sos=sos)
-    if np.any(np.abs(design.poles()) >= 1.0):
-        raise InvalidCutoff("design produced an unstable filter")
-    return design
+    return FilterDesign(order=order, kind=kind, cutoffs_hz=cutoffs,
+                        sample_rate_hz=fs, sos=sos)
 
 
-def _bilinear_pole(p: complex, fs: float) -> complex:
-    return (2.0 * fs + p) / (2.0 * fs - p)
+def _check_stable(a1: float, a2: float) -> None:
+    """InvalidCutoff unless both roots of ``z^2 + a1 z + a2`` lie strictly
+    inside the unit circle: the stability triangle (Jury 1964) ``1 + a1 + a2
+    > 0``, ``1 - a1 + a2 > 0`` and ``a2 < 1``. ``math.fsum`` rounds each sum
+    once, so its sign, and the verdict, are exact."""
+    if abs(a1) <= 2.0 and abs(a2) <= 1.0:  # else outside, or NaN
+        if not math.fsum((1.0, a1, a2)) > 0.0:
+            raise InvalidCutoff("cutoff too low for the sample rate: the "
+                                "design rounds a pole onto z = 1")
+        if not math.fsum((1.0, -a1, a2)) > 0.0:
+            raise InvalidCutoff("cutoff too close to Nyquist for the sample "
+                                "rate: the design rounds a pole onto z = -1")
+        if a2 < 1.0:
+            return
+    raise InvalidCutoff("band too narrow, or a cutoff too close to 0 Hz or "
+                        "Nyquist, for the sample rate: the design rounds a "
+                        "pole onto the unit circle")
 
 
-def _sections_from_poles(poles, numerator: str):
+def _sections_from_poles(poles, kind: FilterKind):
     """Group conjugate pole pairs into (num, den) section tuples.
 
     Low-pass sections put both zeros at z = -1; band-pass sections put one
@@ -406,36 +409,31 @@ def _sections_from_poles(poles, numerator: str):
     sections = []
 
     def add(den, first_order=False):
-        if numerator == "lowpass":
-            num = [1.0, 1.0, 0.0] if first_order else [1.0, 2.0, 1.0]
-        else:
-            num = [1.0, 0.0, -1.0]
-        sections.append((num, list(den)))
+        num = ([1.0, 0.0, -1.0] if kind is FilterKind.BAND_PASS else
+               [1.0, 1.0, 0.0] if first_order else [1.0, 2.0, 1.0])
+        sections.append((num, den))
 
     for p in complex_poles:
         add([1.0, -2.0 * p.real, abs(p) ** 2])
-    i = 0
-    while i + 1 < len(real_poles):
-        r1, r2 = real_poles[i], real_poles[i + 1]
+    for r1, r2 in zip(real_poles[::2], real_poles[1::2]):
         add([1.0, -(r1 + r2), r1 * r2])
-        i += 2
-    if i < len(real_poles):
-        add([1.0, -real_poles[i], 0.0], first_order=True)
+    if len(real_poles) % 2:
+        add([1.0, -real_poles[-1], 0.0], first_order=True)
     return sections
 
 
 def _normalize_section(section, ref_omega: float):
     """Scale the numerator so section gain is exactly 1 at ``ref_omega``;
-    InvalidCutoff when the cutoffs are so low for the sample rate that a
-    pole rounds onto z = 1 or a band centre onto 0."""
+    InvalidCutoff when the cutoffs are so low for the sample rate that the
+    band centre rounds onto 0."""
     num, den = section
     z1 = cmath.exp(-1j * ref_omega)
     z2 = z1 * z1
     h_num = num[0] + num[1] * z1 + num[2] * z2
     h_den = den[0] + den[1] * z1 + den[2] * z2
-    if h_num == 0 or not den[0] + den[1] + den[2] > 0:
+    if h_num == 0:
         raise InvalidCutoff("cutoff too low for the sample rate: the "
-                            "design rounds a pole onto z = 1")
+                            "design rounds the band centre onto 0 Hz")
     scale = abs(h_den) / abs(h_num)
     return [num[0] * scale, num[1] * scale, num[2] * scale,
             den[0], den[1], den[2]]

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from perfbench import gate
-from wearbench import cli, pipeline, synth
+from wearbench import cli, hrv, pipeline, synth
 from wearbench.actigraphy import ACC_FEATURE_NAMES
 from wearbench.mlbench import SubjectFeatures
 from wearbench.session_io import Label
@@ -481,6 +481,40 @@ class TestExtractCommand:
         assert subjects[0]["reasons"][0].startswith(
             "unreadable session: S001: TEMP.csv: not UTF-8 text")
         assert all(s["status"] == "ok" for s in subjects[1:])
+
+    def test_band_rounding_a_pole_past_nyquist_empties_only_hrv(
+            self, tmp_path):
+        # the upper edge sits 2.3e-10 Hz below the 32 Hz BVP Nyquist; its
+        # design rounds four sections onto or past z = -1
+        data = tmp_path / "data"
+        assert run("--out", str(data), "--seed", "3", "synth",
+                   "--n-unipolar", "2", "--n-bipolar", "2",
+                   "--duration", "60") == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dsp": {
+            "bvp_filter_order": 8,
+            "bvp_band_hz": [15.999999999887727, 31.999999999775454]}}))
+        args = ("--data-root", str(data),
+                "--manifest", str(data / "manifest.csv"))
+        assert run(*args, "--out", str(tmp_path / "default"), "extract") == 0
+        with pytest.warns(RuntimeWarning) as caught:
+            assert run("--config", str(cfg), *args,
+                       "--out", str(tmp_path / "out"), "extract") == 0
+        refusals = [str(w.message) for w in caught
+                    if "HRV features unavailable" in str(w.message)]
+        assert len(refusals) == 4
+        assert all("too close to Nyquist" in m for m in refusals)
+        before = (tmp_path / "default" / "features.csv").read_text()
+        after = (tmp_path / "out" / "features.csv").read_text()
+        before, after = before.splitlines(), after.splitlines()
+        header = after[0].split(",")
+        assert len(after) == len(before) == 5 and after[0] == before[0]
+        hrv_columns = {header.index(name)
+                       for name in hrv.HRV_TIME_NAMES + hrv.HRV_FREQ_NAMES}
+        assert len(hrv_columns) == 32
+        for old, new in zip(before[1:], after[1:]):
+            for i, (o, n) in enumerate(zip(old.split(","), new.split(","))):
+                assert n == ("" if i in hrv_columns else o), header[i]
 
 
 class TestValidateCommand:

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +28,12 @@ def frequency_response(design, freqs_hz):
     for b0, b1, b2, _, a1, a2 in design.sos:
         h *= (b0 + b1 * z1 + b2 * z2) / (1.0 + a1 * z1 + a2 * z2)
     return h
+
+
+def section_poles(sos):
+    """Every pole of the sections, by ``np.roots``: an oracle that shares no
+    code with the design's own check."""
+    return np.concatenate([np.roots([1.0, a1, a2]) for *_, a1, a2 in sos])
 
 
 # --- scalar oracles: the per-sample loops the blocked kernel replaced ------------
@@ -410,7 +417,7 @@ class TestButterworthDesign:
     ])
     def test_stability_and_cutoff_accuracy(self, order, kind, cutoffs, fs):
         design = dsp.design_butterworth(order, kind, cutoffs, fs)
-        assert np.all(np.abs(design.poles()) < 1.0)
+        assert np.all(np.abs(section_poles(design.sos)) < 1.0)
         mags = np.abs(frequency_response(design, list(cutoffs)))
         db = 20 * np.log10(mags)
         assert np.all(np.abs(db - (-3.01)) < 0.1)
@@ -432,7 +439,7 @@ class TestButterworthDesign:
         cutoff = rel_cut * fs / 2.0
         design = dsp.design_butterworth(order, dsp.FilterKind.LOW_PASS,
                                         (cutoff,), fs)
-        assert np.all(np.abs(design.poles()) < 1.0)
+        assert np.all(np.abs(section_poles(design.sos)) < 1.0)
         mag = abs(frequency_response(design, [cutoff])[0])
         assert 20 * math.log10(mag) == pytest.approx(-3.01, abs=0.1)
 
@@ -447,7 +454,7 @@ class TestButterworthDesign:
             return
         design = dsp.design_butterworth(order, dsp.FilterKind.BAND_PASS,
                                         (f1, f2), fs)
-        assert np.all(np.abs(design.poles()) < 1.0)
+        assert np.all(np.abs(section_poles(design.sos)) < 1.0)
         mags = np.abs(frequency_response(design, [f1, f2]))
         assert np.all(np.abs(20 * np.log10(mags) - (-3.01)) < 0.1)
 
@@ -476,6 +483,147 @@ class TestButterworthDesign:
         design = dsp.design_butterworth(4, dsp.FilterKind.LOW_PASS, (1.0,),
                                         8.0)
         assert np.all(design.sos[:, 3] == 1.0)
+
+
+def ulp_neighbours(x):
+    return [np.nextafter(x, -math.inf), x, np.nextafter(x, math.inf)]
+
+
+def exactly_stable(a1, a2):
+    """The stability triangle ``|a2| < 1``, ``|a1| < 1 + a2`` in exact
+    rational arithmetic."""
+    if not (math.isfinite(a1) and math.isfinite(a2)):
+        return False
+    a1, a2 = Fraction(a1), Fraction(a2)
+    return abs(a2) < 1 and abs(a1) < 1 + a2
+
+
+def unchecked_sos(order, kind, cutoffs, fs):
+    """The sections a design stores, built with the stability check off."""
+    check = dsp._check_stable
+    dsp._check_stable = lambda a1, a2: None
+    try:
+        return dsp._design_butterworth.__wrapped__(order, kind, cutoffs,
+                                                   fs).sos
+    finally:
+        dsp._check_stable = check
+
+
+def refused(order, kind, cutoffs, fs):
+    try:
+        dsp._design_butterworth.__wrapped__(order, kind, cutoffs, fs)
+    except InvalidCutoff:
+        return True
+    return False
+
+
+class TestStabilityCheck:
+    # 1 + a2 rounds for these a2, so a float |a1| < 1 + a2 errs beside it
+    A2 = [0.0, 2.0 ** -60, -2.0 ** -60, 1e-17, 0.3, -0.7, 0.9999,
+          np.nextafter(-1.0, 0.0), 1.0 - 2.0 ** -53]
+
+    def cases(self):
+        for a2 in ulp_neighbours(1.0) + ulp_neighbours(-1.0):
+            for a1 in (0.0, 0.5, -0.5, 1.9, -1.9):
+                yield a1, a2
+        for a2 in self.A2:
+            for edge in ulp_neighbours(1.0 + a2):
+                yield edge, a2
+                yield -edge, a2
+        for a1 in ulp_neighbours(1.0):  # first-order sections
+            yield a1, 0.0
+            yield -a1, 0.0
+        for bad in (math.nan, math.inf, -math.inf):
+            yield bad, 0.5
+            yield 0.5, bad
+
+    def test_matches_exact_rational_arithmetic(self):
+        verdicts, float_misjudged = [], 0
+        for a1, a2 in self.cases():
+            a1, a2 = float(a1), float(a2)
+            stable = exactly_stable(a1, a2)
+            verdicts.append(stable)
+            float_misjudged += stable != (abs(a2) < 1 and abs(a1) < 1 + a2)
+            if stable:
+                assert dsp._check_stable(a1, a2) is None, (a1, a2)
+            else:
+                with pytest.raises(InvalidCutoff):
+                    dsp._check_stable(a1, a2)
+        assert 0 < sum(verdicts) < len(verdicts)
+        # the cases reach where 1 + a2 rounds, so a float test would fail
+        assert float_misjudged > 0
+
+    def test_sections_rounded_past_nyquist_are_refused(self):
+        # the upper edge is 2.3e-10 Hz below Nyquist: the last four stored
+        # sections have 1 - a1 + a2 = 0 (three) or < 0 (one), a real pole on
+        # or beyond -1, while np.roots puts every pole inside the circle
+        args = (8, dsp.FilterKind.BAND_PASS,
+                (15.999999999887727, 31.999999999775454), 64.0)
+        sos = unchecked_sos(*args)
+        assert np.all(np.abs(section_poles(sos)) < 1.0)
+        at_minus_1 = [math.fsum((1.0, -a1, a2)) for *_, a1, a2 in sos[4:]]
+        assert max(at_minus_1) == 0.0 and min(at_minus_1) < 0.0
+        with pytest.raises(InvalidCutoff, match="too close to Nyquist"):
+            dsp.design_butterworth(*args)
+
+    def test_real_poles_rounded_onto_z_1_are_refused(self):
+        # the lower edge is so low that one real pole rounds to 1; summing
+        # it with the other real pole rounds the section back inside, where
+        # its gain normalisation takes a 1e133 numerator
+        args = (1, dsp.FilterKind.BAND_PASS, (1.6e-299, 8.0), 32.0)
+        (b0, *_, a1, a2), = unchecked_sos(*args)
+        assert exactly_stable(a1, a2) and b0 > 1e100
+        with pytest.raises(InvalidCutoff, match="too low for the sample"):
+            dsp.design_butterworth(*args)
+
+
+# relative edges (of Nyquist) from almost 0 to almost 1
+SWEEP_EDGES = (1e-300, 1e-30, 1e-16, 1e-12, 1e-9, 1e-6, 1e-3, 0.01, 0.1, 0.5,
+               0.9, 0.999, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12, 1 - 1e-15)
+
+
+def sweep_designs(rates=(4.0, 32.0, 64.0), orders=range(1, 9)):
+    for fs in rates:
+        nyq = fs / 2.0
+        for order in orders:
+            for lo in SWEEP_EDGES:
+                yield order, dsp.FilterKind.LOW_PASS, (lo * nyq,), fs
+                for hi in SWEEP_EDGES:
+                    if lo < hi:
+                        yield (order, dsp.FilterKind.BAND_PASS,
+                               (lo * nyq, hi * nyq), fs)
+
+
+class TestDesignSweep:
+    def test_a_pole_np_roots_puts_on_or_outside_the_circle_is_refused(self):
+        checked = 0
+        for args in sweep_designs():
+            try:
+                sos = unchecked_sos(*args)
+            except InvalidCutoff:  # refused while normalising
+                continue
+            if np.max(np.abs(section_poles(sos))) >= 1.0:
+                checked += 1
+                assert refused(*args), args
+        assert checked > 1000
+
+    def test_edges_inside_the_usable_band_are_accepted(self):
+        usable = [e for e in SWEEP_EDGES if 1e-3 <= e <= 0.999]
+        rng = np.random.default_rng(27)
+        for fs in (4.0, 32.0, 64.0):
+            nyq = fs / 2.0
+            drawn = np.exp(rng.uniform(np.log(1e-3), np.log(0.999),
+                                       size=(40, 2)))
+            pairs = [(lo, hi) for lo in usable for hi in usable if lo < hi]
+            pairs += [tuple(sorted(p)) for p in drawn.tolist()]
+            for order in range(1, 9):
+                for lo, hi in pairs:
+                    dsp._design_butterworth.__wrapped__(
+                        order, dsp.FilterKind.BAND_PASS, (lo * nyq, hi * nyq),
+                        fs)
+                for edge in usable + drawn[:, 0].tolist():
+                    dsp._design_butterworth.__wrapped__(
+                        order, dsp.FilterKind.LOW_PASS, (edge * nyq,), fs)
 
 
 # --- filtfilt ----------------------------------------------------------------------
