@@ -25,8 +25,6 @@ kept in bounded ``functools.lru_cache`` caches. What a cache holds is
 exactly what a fresh computation gives, so its state never changes an
 output:
 
-* ``_design_butterworth``: a :class:`FilterDesign` (read-only ``sos``) per
-  order, kind, tuple of float cutoffs and float rate; 32 entries.
 * ``_sweep_tables``: the detrend factor's sweep tables per ``(n, lam^2)``;
   8 entries.
 * ``_block_responses``: the kernel's block responses per ``(a1, a2, block
@@ -317,26 +315,18 @@ def design_butterworth(order: int, kind: FilterKind, cutoffs_hz,
     the half-power point (-3.01 dB) exactly at the requested frequencies.
     ``order`` is the analog prototype order; a band-pass design therefore has
     ``2 * order`` poles.
-
-    Designs are cached on the order, the kind, the cutoffs as a tuple of
-    floats and the rate as a float, so a list and a tuple of the same
-    cutoffs share one design; its ``sos`` is read-only. Errors are raised
-    on every call.
     """
     order = check_value("order", order, COUNT, InvalidOrder)
     fs = float(check_value("sample_rate_hz", sample_rate_hz, RATE,
                            InvalidCutoff))
     cutoffs = tuple(float(c) for c in np.atleast_1d(cutoffs_hz))
-    return _design_butterworth(order, kind, cutoffs, fs)
-
-
-@functools.lru_cache(maxsize=32)
-def _design_butterworth(order: int, kind: FilterKind,
-                        cutoffs: tuple[float, ...], fs: float) -> FilterDesign:
     nyq = fs / 2.0
     for c in cutoffs:
         if not (0.0 < c < nyq):
             raise InvalidCutoff(f"cutoff {c} Hz outside (0, {nyq}) Hz")
+        if not math.isfinite(math.pi * c):
+            raise InvalidCutoff(f"cutoff {c} Hz too large to pre-warp: "
+                                "pi times it overflows")
     warped = [2.0 * fs * math.tan(math.pi * c / fs) for c in cutoffs]
     proto = [cmath.exp(1j * math.pi * (2 * k + order + 1) / (2 * order))
              for k in range(order)]

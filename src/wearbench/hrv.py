@@ -261,21 +261,17 @@ def _tinn(nn_ms: np.ndarray) -> float:
     if n_bins == 3:  # single occupied bin
         return 0.0
 
+    # the apex bin's error is 0, a bin below it depends only on the left
+    # endpoint and one above it only on the right, so each side's squared
+    # errors are built once per endpoint
+    below = [[(counts[b] - (peak * (b - ni) / (m - ni) if ni < b else 0.0))
+              ** 2 for b in range(m)] for ni in range(m + 1)]
+    above = [[(counts[b] - (peak * (ri - b) / (ri - m) if b < ri else 0.0))
+              ** 2 for b in range(m + 1, n_bins)] for ri in range(m, n_bins)]
     best_err, best_width = math.inf, 0.0
-    for ni in range(0, m + 1):
-        for ri in range(m, n_bins):
-            terms = []
-            for b in range(n_bins):
-                if b == m:
-                    tri = float(peak)
-                elif ni < b < m:
-                    tri = peak * (b - ni) / (m - ni)
-                elif m < b < ri:
-                    tri = peak * (ri - b) / (ri - m)
-                else:
-                    tri = 0.0
-                terms.append((counts[b] - tri) ** 2)
-            err = math.fsum(terms)
+    for ni, left in enumerate(below):
+        for ri, right in enumerate(above, m):
+            err = math.fsum(left + right)
             width = (ri - ni) * HIST_BIN_MS
             if err < best_err or (err == best_err and width < best_width):
                 best_err, best_width = err, width

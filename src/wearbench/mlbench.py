@@ -259,7 +259,7 @@ def _grid_predictions(folds: _Folds, kind: ModelKind, grid: list[dict],
             seeds = ([_fold_seed(seed, gi, fold) for fold in range(n)]
                      if kind in SEEDED_KINDS else [0] * n)
             model = train(spec, folds.x_train, folds.y_train, seed=seeds)
-            preds[members] = model.predict(folds.x_test).reshape(-1, n)
+            preds[members] = predict(model, folds.x_test).reshape(-1, n)
             del model  # freed before the next fit, not alongside it
     return preds
 

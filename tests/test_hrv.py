@@ -461,6 +461,21 @@ class TestTimeFeatures:
         for _ in range(200):
             assert_matches_oracle(random_nn_series(rng))
 
+    def test_tinn_equals_oracle_bit_for_bit(self):
+        # every triangle's error is an exact sum, so the chosen width, ties
+        # included, must equal the oracle's, wide histograms too
+        rng = np.random.default_rng(28)
+        draws = [random_nn_series(rng).intervals_ms for _ in range(100)]
+        for _ in range(6):  # spans of 100 to 160 bins, uniform or peaked
+            span = rng.uniform(100, 160) * 7.8125
+            n = int(rng.integers(5, 400))
+            draws.append(rng.uniform(500.0, 500.0 + span, n))
+            draws.append(np.clip(rng.normal(900.0, span / 6, n), 500.0,
+                                 500.0 + span))
+        for xs in draws:
+            assert hrv._tinn(xs) == _o_tinn(xs.tolist())
+        assert max(len(_o_hist(xs.tolist())) for xs in draws) >= 100
+
     def test_window_features_need_two_windows(self):
         f = hrv.hrv_time_features(nn_from_intervals([900.0] * 40))  # 36 s
         assert math.isnan(f["HRV_SDANN1"]) and math.isnan(f["HRV_SDNNI1"])

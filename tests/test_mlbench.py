@@ -438,7 +438,8 @@ class TestFoldStack:
                                              "gb-path"])
     def test_each_fold_standardised_once_per_search(self, kind, grid, fits,
                                                     monkeypatch):
-        calls = {"fit_standardizer": 0, "train": 0, "_fold_seed": 0}
+        calls = {"fit_standardizer": 0, "train": 0, "predict": 0,
+                 "_fold_seed": 0}
 
         def counting(name, original):
             def wrapper(*args, **kwargs):
@@ -457,6 +458,8 @@ class TestFoldStack:
         # trains all folds in one stack, except kNN's, which trains per fold
         stacked = kind is not ModelKind.KNN
         assert calls["train"] == (fits if stacked else fits * n)
+        # every fit's predictions go through predict, so traces time them
+        assert calls["predict"] == calls["train"]
         # only RF and MLP read a fold seed, so only they derive one
         seeded = kind in (ModelKind.RANDOM_FOREST, ModelKind.MLP)
         assert calls["_fold_seed"] == (len(grid) * n if seeded else 0)
