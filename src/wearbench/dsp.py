@@ -389,11 +389,16 @@ def _sections_from_poles(poles, kind: FilterKind):
 
     Low-pass sections put both zeros at z = -1; band-pass sections put one
     at z = +1 and one at z = -1. A leftover real pole (odd low-pass order)
-    becomes a first-order section.
+    becomes a first-order section. Complex poles sorted by real part are
+    taken from both ends in turn (first, last, second, ...): in real-part
+    order, a wide band-pass cascade lifts its intermediate signal, and its
+    rounding, far above the output.
     """
     tol = 1e-9
-    complex_poles = sorted((p for p in poles if p.imag > tol),
-                           key=lambda p: (p.real, p.imag))
+    by_real = sorted((p for p in poles if p.imag > tol),
+                     key=lambda p: (p.real, p.imag))
+    complex_poles = [p for pair in zip(by_real, reversed(by_real))
+                     for p in pair][:len(by_real)]
     real_poles = sorted(p.real for p in poles if abs(p.imag) <= tol)
 
     sections = []

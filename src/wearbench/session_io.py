@@ -12,9 +12,9 @@ Each channel file is UTF-8 text (LF or CRLF):
   (width 3 for ACC, width 1 otherwise).
 
 Blank lines are skipped. A body of plain decimal rows is parsed from its
-text in one NumPy call; any other body, and any body NumPy rejects, goes
-through a row loop, which alone raises the body errors and numbers their
-rows.
+text in one NumPy call, as integers over 10**6 when every value has six
+decimals; any other body, and any body NumPy rejects, goes through a row
+loop, which alone raises the body errors and numbers their rows.
 
 Samples are written with ``%.6f``. NumPy writes a body in chunks from the
 rounded integer ``|x| * 1e6`` where that rounding is exact for every value;
@@ -250,12 +250,17 @@ def _parse_body_bulk(body: str, kind: ChannelKind) -> np.ndarray | None:
     ``ValueError``, or in older NumPy versions warns
     ``DeprecationWarning`` and returns the values read so far; both give
     None, so no warning reaches the caller. The check runs on the body's
-    ASCII bytes; a body that is not ASCII gives None at once.
+    ASCII bytes; a body that is not ASCII gives None at once. A body of
+    ``%.6f`` text is read as integers first (:func:`_parse_fixed6`).
     """
     try:
-        separators = body.encode("ascii").translate(None, _DECIMAL_BYTES)
+        data = body.encode("ascii")
     except UnicodeEncodeError:
         return None
+    samples = _parse_fixed6(data, kind.width)
+    if samples is not None:
+        return samples
+    separators = data.translate(None, _DECIMAL_BYTES)
     if not body.endswith("\n"):
         separators += b"\n"
     row_end = b"," * (kind.width - 1) + b"\n"
@@ -273,6 +278,56 @@ def _parse_body_bulk(body: str, kind: ChannelKind) -> np.ndarray | None:
     if values.size != n_rows * kind.width or not np.isfinite(values).all():
         return None
     return values if kind.width == 1 else values.reshape(-1, kind.width)
+
+
+# with the '.' deleted too, this turns a fixed-six body into integer text
+_FIXED6_TEXT = bytes.maketrans(b"\n", b",")
+
+
+def _parse_fixed6(data: bytes, width: int) -> np.ndarray | None:
+    """The samples of ``data`` when every token is ``-?D{1,9}.DDDDDD``, the
+    ``%.6f`` text :func:`serialize_channel_csv` writes, and every row holds
+    ``width`` tokens; else None.
+
+    Such a token is ``N / 10**6`` for the integer ``N`` of its digits, and
+    ``|N| < 10**15 < 2**53``: so ``float(N)`` is exact and one division
+    rounds as ``float`` does (Clinger 1990). ``-0.000000`` gives ``N = 0``
+    and gets its sign back.
+    """
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    if data.translate(None, b"0123456789-.,\n"):
+        return None
+    b = np.frombuffer(data, np.uint8)
+    seps = np.flatnonzero(b <= ord(","))  # above are '-', '.' and digits
+    starts = np.empty_like(seps)
+    starts[0] = 0
+    np.add(seps[:-1], 1, out=starts[1:])
+    negative = b[starts] == ord("-")
+    unsigned = np.subtract(seps, starts, out=starts)  # token lengths
+    unsigned -= negative  # 1 to 9 digits, '.', six decimals
+    row_end = np.frombuffer(b"," * (width - 1) + b"\n", np.uint8)
+    # rows of width tokens; a '.' 7 bytes before each separator; and the
+    # bytes below '0' are only the separators, those dots and the signs at
+    # token starts
+    if (seps.size % width
+            or not (b[seps].reshape(-1, width) == row_end).all()
+            or unsigned.min() < 8 or unsigned.max() > 16
+            or not (b[seps - 7] == ord(".")).all()
+            or np.count_nonzero(b < ord("0"))
+            != 2 * seps.size + np.count_nonzero(negative)):
+        return None
+    del seps, starts, unsigned  # lower the peak while the integers exist
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            micros = np.fromstring(data.translate(_FIXED6_TEXT, b"."),
+                                   np.int64, sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+    values = micros / 1e6
+    values[negative & (micros == 0)] = -0.0
+    return values if width == 1 else values.reshape(-1, width)
 
 
 def _parse_body_rows(body: list[str], kind: ChannelKind) -> np.ndarray:

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from wearbench import synth
 from wearbench.session_io import ChannelKind, Label, SignalChannel
+
+# Tier-1 draws the same examples on every run, so two runs at one commit
+# test the same inputs and a failure repeats. ``--hypothesis-profile
+# explore`` draws fresh ones; a test's own max_examples holds in both.
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -736,6 +736,18 @@ class TestFiltFilt:
         ref = sps.sosfiltfilt(sos, x)
         assert np.max(np.abs(mine - ref)) < 1e-10
 
+    def test_wide_eighth_order_band_matches_scipy(self):
+        # run in real-part order, these sections lifted the intermediate
+        # signal to about 5e7, and the output erred by about 31
+        from scipy import signal as sps
+        band = (0.32, 31.968)
+        design = dsp.design_butterworth(8, dsp.FilterKind.BAND_PASS, band,
+                                        64.0)
+        x = np.random.default_rng(0).normal(size=300 * 64)
+        sos = sps.butter(8, band, btype="band", fs=64.0, output="sos")
+        ref = sps.sosfiltfilt(sos, x)
+        assert np.max(np.abs(dsp.filtfilt(design, x) - ref)) < 1e-8
+
 
     @pytest.mark.parametrize("cols", [1, 3])
     def test_memory_stays_within_seven_signal_copies(self, bandpass_64, cols):

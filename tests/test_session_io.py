@@ -291,6 +291,55 @@ class TestBulkParse:
                                   .samples, [1.0, 2.5])
         assert caught == []
 
+    # 999,999,999.999999 is the largest value the integer tier takes; values
+    # in (-5e-7, 0) print as -0.000000, whose integer reads as +0
+    @given(values=st.lists(st.one_of(
+        st.floats(-999_999_999.999999, 999_999_999.999999),
+        st.floats(999_999_000.0, 999_999_999.999999),
+        st.floats(-999_999_999.999999, -999_999_000.0),
+        st.floats(-4.9e-7, 0.0, exclude_max=True),
+        st.just(-0.0)), min_size=1, max_size=30),
+        acc=st.booleans(), last=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_written_bodies_take_the_integer_tier(self, values, acc, last):
+        kind = ChannelKind.ACC if acc else ChannelKind.EDA
+        values = values[:len(values) // kind.width * kind.width] or [-0.0] * 3
+        samples = np.reshape(values, (-1, 3)) if acc else np.array(values)
+        content = serialize_channel_csv(SignalChannel(kind, 0, 32.0, samples))
+        content = content if last else content[:-1]
+        body = content.split("\n", 2)[2]
+        assert session_io._parse_fixed6(body.encode(), kind.width) is not None
+        assert _same_outcome(_parse_outcome(content, kind),
+                             _row_loop_outcome(content, kind))
+
+    @pytest.mark.parametrize("kind,body", [
+        (ChannelKind.EDA, "1.000000\n2.00000\n"),
+        (ChannelKind.EDA, "1.000000\n2.0000000\n"),
+        (ChannelKind.EDA, "1.000000\n9999999999.999999\n"),  # N > 2**53
+        (ChannelKind.EDA, "-9999999999.999999\n"),
+        (ChannelKind.EDA, "1.000000\n--1.000000\n"),
+        (ChannelKind.EDA, "1.000000\n1-1.000000\n"),
+        (ChannelKind.EDA, "1.0000-0\n"),
+        (ChannelKind.EDA, "1.000000\n1e5.000000\n"),
+        (ChannelKind.EDA, "1.000000\n2.000000 \n"),
+        (ChannelKind.EDA, "1.000000\n\n2.000000\n"),
+        (ChannelKind.EDA, "\n1.000000\n"),
+        (ChannelKind.EDA, "1.000000\n.000000\n"),
+        (ChannelKind.EDA, "1.000000\n1..000000\n"),
+        (ChannelKind.EDA, "+1.000000\n"),
+        (ChannelKind.EDA, "1.000000,2.000000\n"),
+        (ChannelKind.ACC, "1.000000,2.000000,3.000000\n4.000000,5.000000\n"),
+        (ChannelKind.ACC, "1.000000,2.000000\n3.000000,4.000000\n"
+                          "5.000000,6.000000\n"),
+        (ChannelKind.ACC, "1.000000,-2.00000,3.000000\n"),
+        (ChannelKind.ACC, "1.000000,2.000000,--3.000000"),
+    ])
+    def test_near_misses_leave_the_integer_tier(self, kind, body):
+        assert session_io._parse_fixed6(body.encode(), kind.width) is None
+        content = ("0\n32,32,32\n" if kind.width == 3 else "0\n4.0\n") + body
+        assert _same_outcome(_parse_outcome(content, kind),
+                             _row_loop_outcome(content, kind))
+
 
 class TestBulkSerialize:
     @given(st.lists(st.floats(-1e9, 1e9), min_size=3, max_size=60),
