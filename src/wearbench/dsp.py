@@ -566,8 +566,8 @@ def pearson_corr(a, b) -> float:
         raise SignalTooShort("correlation needs at least 2 samples")
     da = xa - xa.mean()
     db = xb - xb.mean()
-    denom = math.sqrt(float(np.dot(da, da)) * float(np.dot(db, db)))
+    denom = math.sqrt(float(np.sum(da * da)) * float(np.sum(db * db)))
     if denom == 0.0:
         raise ConstantInput("zero-variance input; correlation undefined")
-    r = float(np.dot(da, db)) / denom
+    r = float(np.sum(da * db)) / denom
     return max(-1.0, min(1.0, r))

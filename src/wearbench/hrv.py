@@ -370,7 +370,7 @@ def _clamped_cubic_spline(tk: np.ndarray, yk: np.ndarray, tq: np.ndarray):
     a = (tk[seg + 1] - tq) / hs
     b = (tq - tk[seg]) / hs
     return (a * yk[seg] + b * yk[seg + 1]
-            + ((a ** 3 - a) * sec[seg] + (b ** 3 - b) * sec[seg + 1])
+            + ((a * a * a - a) * sec[seg] + (b * b * b - b) * sec[seg + 1])
             * hs ** 2 / 6.0)
 
 

@@ -11,10 +11,10 @@ Each channel file is UTF-8 text (LF or CRLF):
 * lines 3+ -- one comma-separated sample vector per line
   (width 3 for ACC, width 1 otherwise).
 
-Blank lines are skipped. A body of plain decimal rows is parsed from its
-text in one NumPy call, as integers over 10**6 when every value has six
-decimals; any other body, and any body NumPy rejects, goes through a row
-loop, which alone raises the body errors and numbers their rows.
+Blank lines are skipped. A body of plain decimal rows is checked once and
+parsed in one NumPy call, as integers over 10**6 when every value has six
+decimals, else as floats; any other body, and any body NumPy rejects, goes
+through a row loop, which alone raises the body errors and numbers its rows.
 
 Samples are written with ``%.6f``. NumPy writes a body in chunks from the
 rounded integer ``|x| * 1e6`` where that rounding is exact for every value;
@@ -198,14 +198,15 @@ _HEADER = re.compile(r"\s*(\S.*)\n\s*(\S.*)\n?")
 def parse_channel_csv(content: str, kind: ChannelKind) -> SignalChannel:
     """Parse one channel file's text into a :class:`SignalChannel`.
 
-    The header is the first two non-blank lines. A well-formed body is
-    parsed from its text in one NumPy call (:func:`_parse_body_bulk`);
-    any other body goes through :func:`_parse_body_rows`, the only source
-    of body errors and their row numbers (blank lines are skipped and not
-    counted). Raises ``MalformedHeader`` for unparseable metadata lines,
-    ``WidthMismatch`` for rows of the wrong width, ``NonFiniteSample`` for
-    values that are not finite numbers, and ``EmptyBody`` when no sample
-    rows follow the header.
+    The header is the first two non-blank lines. A well-formed body passes
+    one check and is read in one NumPy call, as integers over 10**6 or as
+    floats (:func:`_parse_body_bulk`); any other body goes through
+    :func:`_parse_body_rows`, the only source of body errors and their row
+    numbers (blank lines are skipped and not counted). Raises
+    ``MalformedHeader`` for unparseable metadata lines, ``WidthMismatch``
+    for rows of the wrong width, ``NonFiniteSample`` for values that are
+    not finite numbers, and ``EmptyBody`` when no sample rows follow the
+    header.
     """
     text = content
     if "\r" in text:
@@ -231,11 +232,9 @@ def parse_channel_csv(content: str, kind: ChannelKind) -> SignalChannel:
                          sample_rate=sample_rate, samples=samples)
 
 
-# the bytes of a plain decimal token; any other character in a body
-# (whitespace, ``_``, ``x``, letters of ``nan``/``inf``, non-ASCII digits)
-# sends it to the row loop, since ``float`` and ``np.fromstring`` disagree
-# on such tokens (``np.fromstring`` reads a cell of spaces as -1)
-_DECIMAL_BYTES = b"0123456789+-.eE"
+# a last newline becomes a trailing comma, which NumPy allows; with each
+# '.' deleted too, a fixed-six body becomes integer text
+_NL_TO_COMMA = bytes.maketrans(b"\n", b",")
 
 
 def _parse_body_bulk(body: str, kind: ChannelKind) -> np.ndarray | None:
@@ -249,84 +248,65 @@ def _parse_body_bulk(body: str, kind: ChannelKind) -> np.ndarray | None:
     empty token (a blank line or cell) makes NumPy stop early: it raises
     ``ValueError``, or in older NumPy versions warns
     ``DeprecationWarning`` and returns the values read so far; both give
-    None, so no warning reaches the caller. The check runs on the body's
-    ASCII bytes; a body that is not ASCII gives None at once. A body of
-    ``%.6f`` text is read as integers first (:func:`_parse_fixed6`).
+    None, so no warning reaches the caller. A body that is not ASCII
+    gives None at once. When every token is ``-?D{1,9}.DDDDDD`` (the
+    ``%.6f`` text :func:`serialize_channel_csv` writes), NumPy reads the
+    digits without the ``.`` as integers ``N``; as ``|N| < 10**15 <
+    2**53``, ``N / 10**6`` rounds as ``float`` rounds the token (Clinger
+    1990), and ``-0.000000`` gets its sign back.
     """
     try:
         data = body.encode("ascii")
     except UnicodeEncodeError:
         return None
-    samples = _parse_fixed6(data, kind.width)
-    if samples is not None:
-        return samples
-    separators = data.translate(None, _DECIMAL_BYTES)
-    if not body.endswith("\n"):
-        separators += b"\n"
-    row_end = b"," * (kind.width - 1) + b"\n"
-    n_rows = separators.count(row_end)
-    if n_rows * len(row_end) != len(separators):
-        return None
-    del separators
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            # a last newline becomes a trailing comma, which NumPy allows
-            values = np.fromstring(body.replace("\n", ","), sep=",")
-    except (ValueError, DeprecationWarning):
-        return None
-    if values.size != n_rows * kind.width or not np.isfinite(values).all():
-        return None
-    return values if kind.width == 1 else values.reshape(-1, kind.width)
-
-
-# with the '.' deleted too, this turns a fixed-six body into integer text
-_FIXED6_TEXT = bytes.maketrans(b"\n", b",")
-
-
-def _parse_fixed6(data: bytes, width: int) -> np.ndarray | None:
-    """The samples of ``data`` when every token is ``-?D{1,9}.DDDDDD``, the
-    ``%.6f`` text :func:`serialize_channel_csv` writes, and every row holds
-    ``width`` tokens; else None.
-
-    Such a token is ``N / 10**6`` for the integer ``N`` of its digits, and
-    ``|N| < 10**15 < 2**53``: so ``float(N)`` is exact and one division
-    rounds as ``float`` does (Clinger 1990). ``-0.000000`` gives ``N = 0``
-    and gets its sign back.
-    """
     if not data.endswith(b"\n"):
         data += b"\n"
-    if data.translate(None, b"0123456789-.,\n"):
+    # a plain decimal token holds digits, '-', '.', '+', 'e' and 'E', a
+    # fixed-six one none of the last three; any other character (space,
+    # '_', 'x', letters of 'nan'/'inf', non-ASCII digits) sends the body to
+    # the row loop, since ``float`` and ``np.fromstring`` disagree on such
+    # tokens (``np.fromstring`` reads a cell of spaces as -1)
+    rest = data.translate(None, b"0123456789-.,\n")
+    if rest.translate(None, b"+eE"):
         return None
+    width = kind.width
     b = np.frombuffer(data, np.uint8)
-    seps = np.flatnonzero(b <= ord(","))  # above are '-', '.' and digits
-    starts = np.empty_like(seps)
-    starts[0] = 0
-    np.add(seps[:-1], 1, out=starts[1:])
-    negative = b[starts] == ord("-")
-    unsigned = np.subtract(seps, starts, out=starts)  # token lengths
-    unsigned -= negative  # 1 to 9 digits, '.', six decimals
+    seps = np.flatnonzero(b <= ord(","))  # '\n', ',' and '+'
+    if b"+" in rest:
+        seps = seps[b[seps] != ord("+")]
     row_end = np.frombuffer(b"," * (width - 1) + b"\n", np.uint8)
-    # rows of width tokens; a '.' 7 bytes before each separator; and the
-    # bytes below '0' are only the separators, those dots and the signs at
-    # token starts
-    if (seps.size % width
-            or not (b[seps].reshape(-1, width) == row_end).all()
-            or unsigned.min() < 8 or unsigned.max() > 16
-            or not (b[seps - 7] == ord(".")).all()
-            or np.count_nonzero(b < ord("0"))
-            != 2 * seps.size + np.count_nonzero(negative)):
+    if seps.size % width or not (b[seps].reshape(-1, width) == row_end).all():
         return None
-    del seps, starts, unsigned  # lower the peak while the integers exist
+    n_values = seps.size
+    fixed6 = not rest
+    if fixed6:
+        lengths = np.empty_like(seps)  # first the token starts
+        lengths[0] = 0
+        np.add(seps[:-1], 1, out=lengths[1:])
+        negative = b[lengths] == ord("-")
+        np.subtract(seps, lengths, out=lengths)
+        lengths -= negative  # 1 to 9 digits, '.', six decimals
+        # a '.' 7 bytes before each separator, and the bytes below '0' are
+        # only the separators, those dots and the signs at token starts
+        fixed6 = not (lengths.min() < 8 or lengths.max() > 16
+                      or not (b[seps - 7] == ord(".")).all()
+                      or np.count_nonzero(b < ord("0"))
+                      != 2 * n_values + np.count_nonzero(negative))
+        del lengths
+    del seps  # lower the peak while the values exist
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            micros = np.fromstring(data.translate(_FIXED6_TEXT, b"."),
-                                   np.int64, sep=",")
+            values = np.fromstring(
+                data.translate(_NL_TO_COMMA, b"." if fixed6 else b""),
+                np.int64 if fixed6 else float, sep=",")
     except (ValueError, DeprecationWarning):
         return None
-    values = micros / 1e6
-    values[negative & (micros == 0)] = -0.0
+    if fixed6:
+        micros, values = values, values / 1e6  # all finite
+        values[negative & (micros == 0)] = -0.0
+    if values.size != n_values or not (fixed6 or np.isfinite(values).all()):
+        return None
     return values if width == 1 else values.reshape(-1, width)
 
 

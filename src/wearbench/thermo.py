@@ -26,7 +26,7 @@ def temp_features(temp: SignalChannel) -> dict[str, float]:
     t = np.arange(x.size) / temp.sample_rate
     tc = t - t.mean()
     xc = x - x.mean()
-    slope = float(np.dot(tc, xc) / np.dot(tc, tc))
+    slope = float(np.sum(tc * xc) / np.sum(tc * tc))
     std = float(np.std(x, ddof=1))
     return {
         "TEMP_mean": float(np.mean(x)),

@@ -639,7 +639,7 @@ def oracle_clamped_spline(tk, yk, tq):
     a = (tk[seg + 1] - tq) / hs
     b = (tq - tk[seg]) / hs
     return (a * yk[seg] + b * yk[seg + 1]
-            + ((a ** 3 - a) * sec[seg] + (b ** 3 - b) * sec[seg + 1])
+            + ((a * a * a - a) * sec[seg] + (b * b * b - b) * sec[seg + 1])
             * hs ** 2 / 6.0)
 
 

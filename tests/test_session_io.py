@@ -160,6 +160,23 @@ def _same_outcome(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _fromstring_dtypes(body, kind):
+    """The dtype of each ``np.fromstring`` call that the bulk parse of
+    ``body`` makes: ``int64`` for a fixed-six body, ``float64`` for any
+    other plain decimal body, and no call for one left to the row loop."""
+    dtypes = []
+    fromstring = np.fromstring
+
+    def spy(text, dtype=float, sep=""):
+        dtypes.append(np.dtype(dtype))
+        return fromstring(text, dtype, sep=sep)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(session_io.np, "fromstring", spy)
+        session_io._parse_body_bulk(body, kind)
+    return dtypes
+
+
 class TestBulkParse:
     """The bulk parse must agree with the row loop on every input."""
 
@@ -276,7 +293,7 @@ class TestBulkParse:
     def test_numpy_deprecation_warning_is_a_rejection(self, monkeypatch,
                                                       partial):
         # older NumPy warns on unmatched data and returns what it read
-        def warning_fromstring(text, sep):
+        def warning_fromstring(text, dtype, sep):
             warnings.warn("string or file could not be read to its end due "
                           "to unmatched data", DeprecationWarning)
             return np.array(partial)
@@ -308,7 +325,7 @@ class TestBulkParse:
         content = serialize_channel_csv(SignalChannel(kind, 0, 32.0, samples))
         content = content if last else content[:-1]
         body = content.split("\n", 2)[2]
-        assert session_io._parse_fixed6(body.encode(), kind.width) is not None
+        assert _fromstring_dtypes(body, kind) == [np.int64]
         assert _same_outcome(_parse_outcome(content, kind),
                              _row_loop_outcome(content, kind))
 
@@ -335,10 +352,72 @@ class TestBulkParse:
         (ChannelKind.ACC, "1.000000,2.000000,--3.000000"),
     ])
     def test_near_misses_leave_the_integer_tier(self, kind, body):
-        assert session_io._parse_fixed6(body.encode(), kind.width) is None
+        assert _fromstring_dtypes(body, kind) in ([], [np.float64])
         content = ("0\n32,32,32\n" if kind.width == 3 else "0\n4.0\n") + body
         assert _same_outcome(_parse_outcome(content, kind),
                              _row_loop_outcome(content, kind))
+
+    # every body holds a token that is not fixed six: more or fewer
+    # decimals, or an exponent, with or without its '+'
+    @given(values=st.lists(st.floats(-1e12, 1e12), min_size=1, max_size=30),
+           fmts=st.lists(st.sampled_from(["{:.6f}", "{:.3f}", "{:.7f}",
+                                          "{:E}", "{:+E}", "{:.2e}"]),
+                         min_size=30, max_size=30),
+           acc=st.booleans(), last=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_and_exponent_bodies_take_the_float_tier(self, values, fmts,
+                                                           acc, last):
+        kind = ChannelKind.ACC if acc else ChannelKind.EDA
+        values = values[:len(values) // kind.width * kind.width] or [1.5] * 3
+        if all(f == "{:.6f}" for f in fmts[:len(values)]):
+            fmts[0] = "{:E}"
+        tokens = [f.format(v) for f, v in zip(fmts, values)]
+        body = "\n".join(",".join(tokens[i:i + kind.width])
+                         for i in range(0, len(tokens), kind.width))
+        body += "\n" if last else ""
+        assert _fromstring_dtypes(body, kind) == [np.float64]
+        content = ("0\n32,32,32\n" if acc else "0\n4.0\n") + body
+        assert _same_outcome(_parse_outcome(content, kind),
+                             _row_loop_outcome(content, kind))
+
+    @pytest.mark.parametrize("kind,body", [
+        (ChannelKind.EDA, "1.000000\n2.5\n"),
+        (ChannelKind.EDA, "1.000000\n-2.000000E+00\n"),
+        (ChannelKind.EDA, "1.500000E+02\n-2.000000E-03\n1.000000\n"),
+        (ChannelKind.EDA, "+1.000000\n2.000000e+5\n"),
+        (ChannelKind.ACC, "1.000000,2.000000,3.000\n4.000000,5.0,6.000000\n"),
+        (ChannelKind.ACC, "1.234560E+00,-1.000000,+7.000000E+308\n"),
+        (ChannelKind.ACC, "1.000000,2.000000,3.000000\n4E+1,5e+1,6E-1"),
+    ])
+    def test_mixed_and_exponent_cases_take_the_float_tier(self, kind, body):
+        assert _fromstring_dtypes(body, kind) == [np.float64]
+        content = ("0\n32,32,32\n" if kind.width == 3 else "0\n4.0\n") + body
+        assert _same_outcome(_parse_outcome(content, kind),
+                             _row_loop_outcome(content, kind))
+
+    @pytest.mark.parametrize("kind,fmt,bound", [
+        (ChannelKind.ACC, None, 5.0),
+        (ChannelKind.BVP, None, 5.0),
+        (ChannelKind.ACC, "%.3f", 5.5),
+    ])
+    def test_parse_peak_memory(self, kind, fmt, bound):
+        # the body's str and ASCII copies, the digit text NumPy reads and
+        # the values; the separator arrays are freed before the read
+        channel = synth.generate_session(synth.SynthSpec(seed=5)).channel(kind)
+        content = serialize_channel_csv(channel)
+        if fmt is not None:
+            header = content.split("\n", 2)[:2]
+            row = ",".join([fmt] * kind.width) + "\n"
+            content = "\n".join(header) + "\n" + (
+                row * channel.n_samples % tuple(channel.samples.ravel()))
+        tracemalloc.start()
+        try:
+            parsed = parse_channel_csv(content, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed.n_samples == channel.n_samples
+        assert peak <= bound * len(content)
 
 
 class TestBulkSerialize:
